@@ -215,19 +215,21 @@ def verify_k_coverage(
     """Certify whether disks of the configured radius k-cover the plane.
 
     Closed disks: a point on k disk boundaries counts as covered k times.
-    When both covering-radius bounds land within tol of the radius the
-    covering is reported as tight rather than forced to either side.
+    A sampled point with d_k above the radius proves non-coverage and
+    wins over everything else; otherwise, when both covering-radius
+    bounds land within tol of the radius, the covering is reported as
+    tight rather than forced to either side.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tolerance must be positive, got {tol}")
     enclosure = covering_radius(config, k, tol, max_boxes)
     r = config.radius
-    if abs(enclosure.high - r) <= tol and abs(enclosure.low - r) <= tol:
+    if enclosure.low > r:
+        status = STATUS_UNCOVERED
+    elif abs(enclosure.high - r) <= tol and abs(enclosure.low - r) <= tol:
         status = STATUS_TIGHT
     elif enclosure.high <= r:
         status = STATUS_COVERED
-    elif enclosure.low > r:
-        status = STATUS_UNCOVERED
     else:
         status = STATUS_UNDECIDED
     return CoverageCertificate(

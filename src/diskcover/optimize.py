@@ -3,9 +3,9 @@
 The disk radius never enters the search directly: for fixed centers the
 cheapest certified k-cover scales the disks to the certified upper bound
 of the order-k covering radius, giving the objective n * pi * R^2 / det.
-Both searches are multi-start simplex refinements of a coarse grid, with
-a small seeded random polish at the end; with a fixed seed the whole run
-is deterministic.
+Both searches run one multi-start driver: a coarse grid, simplex
+refinements of its best points, and a small seeded random polish at the
+end; with a fixed seed the whole run is deterministic.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .density import config_density
 from .geometry import Point
 from .lattice import Basis, PeriodicConfig
 from .patterns import pattern_b
-from .voronoi import all_cells_congruent
+from .voronoi import all_cells_congruent  # noqa: F401 (unused here; perfbench hooks this name)
 
 MAX_FOLD = 6
 _C_MAX = 3.5
@@ -142,11 +142,53 @@ class _Search:
             self(cand)
 
 
-def _check_fold_and_budget(k: int, budget: int) -> None:
+def _multistart(
+    param_names: tuple[str, ...], k: int, grid, clip, build, starts: int,
+    refine_cap: int, budget: int, tol: float, seed: int, pin=None,
+) -> OptimizationResult:
+    """Grid scan, simplex refinement of the best starts, seeded polish.
+
+    `clip` maps raw parameters into the family's feasible box and `build`
+    turns clipped parameters into a unit-radius configuration; every
+    evaluation is the scaled density of that configuration.  `pin`, when
+    given, moves the winner along a ray the objective is constant on; its
+    one evaluation is reserved from the budget up front.  The winner is
+    reported with its disks shrunk to the certified covering radius.
+    """
     if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= MAX_FOLD:
         raise ValueError(f"k must be an integer in [1, {MAX_FOLD}], got {k!r}")
     if budget < 1000:
         raise ValueError(f"budget must be at least 1000, got {budget}")
+    rng = np.random.default_rng(seed)
+    search = _Search(
+        lambda params: optimal_scaled_density(build(clip(params)), k, tol),
+        budget - (pin is not None),
+    )
+    for params in grid:
+        if search.remaining <= 0:
+            break
+        search(params)
+    for params, _ in sorted(search.history, key=lambda item: item[1])[:starts]:
+        search.refine(params, refine_cap)
+    search.polish(rng, sigma=(2e-3,) * len(param_names), rounds=60)
+
+    best = clip(search.best_params)
+    if pin is not None:
+        best = pin(best)
+        search(best)
+        best = clip(best)
+    bare = build(best)
+    radius = covering_radius(bare, k, tol).high
+    config = PeriodicConfig(bare.basis, bare.offsets, radius)
+    return OptimizationResult(
+        best_config=config,
+        density=config_density(config),
+        certificate=verify_k_coverage(config, k, tol),
+        evaluations=search.evaluations,
+        history=search.history,
+        converged=search.evaluations < budget,
+        param_names=param_names,
+    )
 
 
 def optimize_single_lattice(
@@ -158,42 +200,23 @@ def optimize_single_lattice(
     with 0 <= b <= 1/2 and c >= sqrt(1 - b^2); every planar lattice is a
     scaled copy of one of these, and the objective is scale-invariant.
     """
-    _check_fold_and_budget(k, budget)
-    rng = np.random.default_rng(seed)
+
+    def c_min(b):
+        return math.sqrt(max(1.0 - b * b, 0.0))
 
     def clip(params):
         b = min(max(params[0], 0.0), 0.5)
-        c_lo = math.sqrt(max(1.0 - b * b, 0.0))
-        c = min(max(params[1], c_lo), _C_MAX)
-        return b, c
+        return b, min(max(params[1], c_min(b)), _C_MAX)
 
-    def objective(params):
-        b, c = clip(params)
-        config = PeriodicConfig(
-            Basis((1.0, 0.0), (b, c)), (Point(0.0, 0.0),), 1.0
-        )
-        return optimal_scaled_density(config, k, tol)
+    def build(params):
+        return PeriodicConfig(Basis((1.0, 0.0), params), (Point(0.0, 0.0),), 1.0)
 
-    search = _Search(objective, budget)
-    for b in np.linspace(0.0, 0.5, 21):
-        c_lo = math.sqrt(max(1.0 - b * b, 0.0))
-        for c in np.linspace(c_lo, _C_MAX, 24):
-            if search.remaining <= 0:
-                break
-            search((b, c))
-    starts = sorted(search.history, key=lambda item: item[1])[:5]
-    for params, _ in starts:
-        search.refine(params, 700)
-    search.polish(rng, sigma=(2e-3, 2e-3), rounds=60)
-
-    b, c = clip(search.best_params)
-    return _finish(search, ("b", "c"), k, tol, _lattice_config(b, c, k, tol))
-
-
-def _lattice_config(b: float, c: float, k: int, tol: float) -> PeriodicConfig:
-    bare = PeriodicConfig(Basis((1.0, 0.0), (b, c)), (Point(0.0, 0.0),), 1.0)
-    radius = covering_radius(bare, k, tol).high
-    return PeriodicConfig(bare.basis, bare.offsets, radius)
+    grid = [
+        (b, c)
+        for b in np.linspace(0.0, 0.5, 21)
+        for c in np.linspace(c_min(b), _C_MAX, 24)
+    ]
+    return _multistart(("b", "c"), k, grid, clip, build, 5, 700, budget, tol, seed)
 
 
 def optimize_pattern_b(
@@ -201,69 +224,35 @@ def optimize_pattern_b(
 ) -> OptimizationResult:
     """Minimize scaled two-cover density over the pattern_b family.
 
-    Only parameter triples whose Voronoi cells are all congruent compete.
+    Every triple meets the congruent-cell condition: the point reflection
+    through (0, d/2), the midpoint of the two offsets, maps the centrally
+    symmetric base lattice onto its translate by (0, d) and back, so it
+    swaps the two translate classes and with them their Voronoi cells.
     The objective is invariant under rescaling (x, y, d), so the winning
     ray is reported at its feasibility boundary y = sqrt(1 - x^2) + 1,
     which pins the scale.
     """
-    _check_fold_and_budget(2, budget)
-    rng = np.random.default_rng(seed)
+
+    def y_max(x):
+        return math.sqrt(max(1.0 - x * x, 0.0)) + 1.0
 
     def clip(params):
         x = min(max(params[0], 0.1), 1.0)
-        y_hi = math.sqrt(max(1.0 - x * x, 0.0)) + 1.0
-        y = min(max(params[1], 0.15), y_hi)
-        d = min(max(params[2], 0.05 * y), 1.95 * y)
-        return x, y, d
+        y = min(max(params[1], 0.15), y_max(x))
+        return x, y, min(max(params[2], 0.05 * y), 1.95 * y)
 
-    def objective(params):
-        x, y, d = clip(params)
-        config = pattern_b(x, y, d)
-        congruent, _ = all_cells_congruent(config)
-        if not congruent:
-            return math.inf
-        enclosure = covering_radius(config, 2, tol)
-        return 2.0 * math.pi * enclosure.high**2 / config.basis.det
+    def pin(params):
+        x, y, d = params
+        lam = 2.0 * y / (x * x + y * y)
+        return lam * x, lam * y, lam * d
 
-    search = _Search(objective, budget)
-    for x in np.linspace(0.3, 1.0, 8):
-        y_hi = math.sqrt(max(1.0 - x * x, 0.0)) + 1.0
-        for yfrac in (0.5, 0.8, 1.0):
-            y = y_hi * yfrac
-            for dfrac in (0.4, 0.7, 1.0):
-                if search.remaining <= 0:
-                    break
-                search((x, y, y * dfrac))
-    starts = sorted(search.history, key=lambda item: item[1])[:4]
-    for params, _ in starts:
-        search.refine(params, 900)
-    search.polish(rng, sigma=(2e-3, 2e-3, 2e-3), rounds=60)
-
-    # pin the scale-degenerate ray at its feasibility boundary
-    x, y, d = clip(search.best_params)
-    lam = 2.0 * y / (x * x + y * y)
-    search((lam * x, lam * y, lam * d))
-    x, y, d = clip((lam * x, lam * y, lam * d))
-    bare = pattern_b(x, y, d)
-    radius = covering_radius(bare, 2, tol).high
-    final = PeriodicConfig(bare.basis, bare.offsets, radius)
-    return _finish(search, ("x", "y", "d"), 2, tol, final)
-
-
-def _finish(
-    search: _Search,
-    param_names: tuple[str, ...],
-    k: int,
-    tol: float,
-    config: PeriodicConfig,
-) -> OptimizationResult:
-    certificate = verify_k_coverage(config, k, tol)
-    return OptimizationResult(
-        best_config=config,
-        density=config_density(config),
-        certificate=certificate,
-        evaluations=search.evaluations,
-        history=search.history,
-        converged=search.evaluations < search.budget,
-        param_names=param_names,
+    grid = [
+        (x, y, y * dfrac)
+        for x in np.linspace(0.3, 1.0, 8)
+        for y in (y_max(x) * yfrac for yfrac in (0.5, 0.8, 1.0))
+        for dfrac in (0.4, 0.7, 1.0)
+    ]
+    return _multistart(
+        ("x", "y", "d"), 2, grid, clip, lambda p: pattern_b(*p), 4, 900,
+        budget, tol, seed, pin,
     )

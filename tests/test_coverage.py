@@ -141,6 +141,13 @@ class TestVerifyKCoverage:
         cert = verify_k_coverage(shrunk, 2, tol=1e-6)
         assert cert.status == "certified_uncovered"
         assert kth_nearest_distance(cert.witness, shrunk, 2) > shrunk.radius
+        # A coarse enclosure that still brackets r within tol: its sampled
+        # low bound 0.998 > r already proves non-coverage.
+        near = PeriodicConfig(base.basis, base.offsets, radius=0.997)
+        cert = verify_k_coverage(near, 2, tol=1e-2)
+        assert cert.radius_low > near.radius
+        assert cert.status == "certified_uncovered"
+        assert kth_nearest_distance(cert.witness, near, 2) > near.radius
 
     def test_certificate_fields(self):
         cert = verify_k_coverage(triangle_pattern(), 2, tol=1e-6)

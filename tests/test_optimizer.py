@@ -102,6 +102,12 @@ class TestOptimizePatternB:
         assert res.param_names == ("x", "y", "d")
         assert res.certificate.status in ("tight", "certified_covered")
 
+    def test_evaluations_within_budget(self):
+        # the scale-pinning evaluation comes out of the budget, not on top
+        res = optimize_pattern_b(budget=1000, tol=1e-4, seed=0)
+        assert res.evaluations <= 1000
+        assert res.evaluations == len(res.history)
+
     def test_reproducible(self):
         a = optimize_pattern_b(budget=2000, tol=1e-4, seed=5)
         b = optimize_pattern_b(budget=2000, tol=1e-4, seed=5)

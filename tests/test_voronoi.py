@@ -9,6 +9,7 @@ from diskcover import (
     PeriodicConfig,
     all_cells_congruent,
     congruence_signature,
+    pattern_b,
     polygon_area,
     triangle_pattern,
     voronoi_cell,
@@ -133,6 +134,20 @@ class TestAllCellsCongruent:
             cfg2 = PeriodicConfig(cfg.basis, [(0.0, 0.0), cand], radius=1.0)
             ok, classes = all_cells_congruent(cfg2)
             assert ok and len(classes) == 1
+        # the pattern_b family: the optimizer's start grid, then random
+        # feasible triples
+        triples = []
+        for x in np.linspace(0.3, 1.0, 8):
+            y_max = math.sqrt(1.0 - x * x) + 1.0
+            for y in (0.5 * y_max, 0.8 * y_max, y_max):
+                triples += [(x, y, y * dfrac) for dfrac in (0.4, 0.7, 1.0)]
+        for _ in range(8):
+            x = rng.uniform(0.1, 1.0)
+            y = rng.uniform(0.15, math.sqrt(1.0 - x * x) + 1.0)
+            triples.append((x, y, rng.uniform(0.05 * y, 1.95 * y)))
+        for x, y, d in triples:
+            ok, classes = all_cells_congruent(pattern_b(x, y, d))
+            assert ok and len(classes) == 1, (x, y, d)
 
     def test_honeycomb_congruent(self):
         ok, classes = all_cells_congruent(triangle_pattern())
