@@ -8,6 +8,14 @@ d_k(m) from below, d_k(m) + half-diagonal from above.  Branch-and-bound
 on those bounds yields a certified enclosure of the covering radius
 max d_k without any exact arrangement machinery.  Boxes of one level are
 evaluated in a batch; the final bounds do not depend on that ordering.
+
+The same bound prunes the centers each level scans.  If a box with
+center m and half-diagonal h survives, every point p of it has
+d_k(p) <= d_k(m) + h, so the k nearest centers of p lie within
+d_k(m) + 2h of m.  Centers farther than that from every surviving box
+center can be dropped before the next level: the kept set still holds
+each later query point's k nearest, so every d_k value, and with it
+every bound, witness and box count, is the same as with all centers.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Point
-from .lattice import PeriodicConfig, Rect, _translates_array, reduce_basis
+from .lattice import Basis, PeriodicConfig, Rect, _translates_array, reduce_basis
 
 STATUS_COVERED = "certified_covered"
 STATUS_UNCOVERED = "certified_uncovered"
@@ -26,7 +34,12 @@ STATUS_TIGHT = "tight"
 STATUS_UNDECIDED = "undecided"
 
 DEFAULT_MAX_BOXES = 10_000_000
-_CHUNK = 16384
+# d^2 entries per kernel block (8 MiB of float64), so the memory of one
+# block does not grow with k or with the number of centers
+_CHUNK_ELEMENTS = 2**20
+# relative padding of the pruning radius; far above the rounding error of
+# d^2, whose coordinates share the scale of the radius
+_PRUNE_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -63,21 +76,28 @@ class _CenterField:
 
     The reach starts from an estimate of how far one must look to see k
     centers and doubles whenever a query value comes back at the edge of
-    what the cache can certify.
+    what the cache can certify; a doubling enumerates every center within
+    the new reach of the rect again.  Between doublings `prune` narrows
+    the cache to the centers later queries can still need.
     """
 
-    def __init__(self, config: PeriodicConfig, rect: Rect, k: int):
+    def __init__(
+        self, config: PeriodicConfig, rect: Rect, k: int, reduced: Basis
+    ):
         self.config = config
         self.rect = rect
         self.k = k
-        reduced = reduce_basis(config.basis)
+        self.reduced = reduced
         len_u, len_v = reduced.lengths()
         per_center = config.basis.det / len(config.offsets)
         self.reach = math.sqrt(k * per_center / math.pi) + len_u + len_v
         self._rebuild()
 
     def _rebuild(self) -> None:
-        self.centers = _translates_array(self.config, self.rect, self.reach)
+        self.centers = _translates_array(
+            self.config, self.rect, self.reach, self.reduced
+        )
+        self._d2 = None
 
     def dk(self, pts: np.ndarray) -> np.ndarray:
         while True:
@@ -90,22 +110,44 @@ class _CenterField:
     def _dk_once(self, pts: np.ndarray) -> np.ndarray:
         cx = self.centers[:, 0]
         cy = self.centers[:, 1]
+        rows = max(1, _CHUNK_ELEMENTS // len(cx))
         out = np.empty(len(pts))
-        for start in range(0, len(pts), _CHUNK):
-            block = pts[start : start + _CHUNK]
+        d2 = None
+        for start in range(0, len(pts), rows):
+            block = pts[start : start + rows]
             d2 = (block[:, 0:1] - cx) ** 2 + (block[:, 1:2] - cy) ** 2
             if self.k == 1:
                 kth = d2.min(axis=1)
             else:
                 kth = np.partition(d2, self.k - 1, axis=1)[:, self.k - 1]
-            out[start : start + _CHUNK] = np.sqrt(kth)
+            out[start : start + rows] = np.sqrt(kth)
+        # only a query that fit one block leaves its d^2 for `prune`
+        self._d2 = d2 if len(pts) <= rows else None
         return out
+
+    def prune(self, vals: np.ndarray, kept: np.ndarray, half_diag: float) -> None:
+        """Drop the centers no point of the kept boxes can have as k-nearest.
+
+        `vals` are the d_k values of the last `dk` query, whose points are
+        the centers of boxes with half-diagonal `half_diag`; `kept` masks
+        the boxes searched further.  A center stays if it lies within
+        d_k(m) + 2 * half_diag of some kept box center m.  Reuses that
+        query's d^2, so a query too large for one block prunes nothing.
+        """
+        if self._d2 is None:
+            return
+        radius = (vals[kept] + 2.0 * half_diag) * (1.0 + _PRUNE_SLACK)
+        near = (self._d2[kept] <= (radius * radius)[:, None]).any(axis=0)
+        self.centers = self.centers[near]
+        self._d2 = None
 
 
 def kth_nearest_distance(p: Point, config: PeriodicConfig, k: int) -> float:
     """Distance from p to the k-th nearest center of the periodic set."""
     _check_k(k)
-    field = _CenterField(config, Rect(p.x, p.y, p.x, p.y), k)
+    field = _CenterField(
+        config, Rect(p.x, p.y, p.x, p.y), k, reduce_basis(config.basis)
+    )
     return float(field.dk(np.array([[p.x, p.y]]))[0])
 
 
@@ -123,7 +165,7 @@ def kth_nearest_distance_batch(
         float(pts[:, 0].max()),
         float(pts[:, 1].max()),
     )
-    return _CenterField(config, rect, k).dk(pts)
+    return _CenterField(config, rect, k, reduce_basis(config.basis)).dk(pts)
 
 
 def covering_radius(
@@ -171,6 +213,7 @@ def covering_radius(
         config,
         Rect(xmin - half, ymin - half, xmax + half, ymax + half),
         k,
+        reduced,
     )
 
     low = -math.inf
@@ -195,6 +238,7 @@ def covering_radius(
             break
         if processed >= max_boxes:
             break
+        field.prune(vals, survivors, diag)
         parents = boxes[survivors]
         half /= 2.0
         shift = np.array(

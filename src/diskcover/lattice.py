@@ -18,6 +18,7 @@ from .geometry import Point
 
 DET_TOL = 1e-12
 SEPARATION_TOL = 1e-9
+_MAX_REDUCTION_STEPS = 256
 
 
 class ConfigFormatError(ValueError):
@@ -56,17 +57,25 @@ def reduce_basis(basis: Basis) -> Basis:
     """Lagrange-Gauss reduction of a planar basis.
 
     The reduced basis spans the same lattice and the same determinant,
-    with |u| <= |v| and |dot(u, v)| <= |u|^2 / 2.
+    with |u| <= |v| and |dot(u, v)| <= |u|^2 / 2.  Raises ValueError when
+    the reduction stalls: on extremely skewed bases the rounding of
+    v - mu * u can undo every step.
     """
     u = np.array(basis.u, dtype=float)
     v = np.array(basis.v, dtype=float)
-    for _ in range(256):
+    for _ in range(_MAX_REDUCTION_STEPS):
         if v @ v < u @ u:
             u, v = v, u
         mu = round((u @ v) / (u @ u))
         if mu == 0:
             break
         v = v - mu * u
+    else:
+        # on a reduced pair with dot(u, v) within an ulp of |u|^2 / 2 (the
+        # hexagonal lattice) rounding flips mu between +1 and -1 for good;
+        # any other mu at the step bound means the reduction stalled
+        if abs(mu) != 1:
+            raise ValueError("basis reduction did not converge")
     if u @ u > v @ v:
         u, v = v, u
     return Basis((u[0], u[1]), (v[0], v[1]))
@@ -220,14 +229,15 @@ def _periodic_distance(p: Point, q: Point, reduced: Basis) -> float:
 
 
 def _translates_array(
-    config: PeriodicConfig, rect: Rect, margin: float
+    config: PeriodicConfig, rect: Rect, margin: float, reduced: Basis
 ) -> np.ndarray:
     """All centers within `margin` of `rect`, as an (N, 2) array.
 
-    Integer ranges follow from mapping the expanded rect's corners through
-    the inverse of the reduced basis; padding by one absorbs rounding.
+    `reduced` is the reduced basis of `config`, which callers already
+    hold.  Integer ranges follow from mapping the expanded rect's corners
+    through the inverse of the reduced basis; padding by one absorbs
+    rounding.
     """
-    reduced = reduce_basis(config.basis)
     u = np.array(reduced.u)
     v = np.array(reduced.v)
     minv = np.linalg.inv(np.column_stack([u, v]))
@@ -262,6 +272,6 @@ def enumerate_centers(
     """Centers within `margin` of `rect`, sorted by x then y."""
     if not (math.isfinite(margin) and margin >= 0.0):
         raise ValueError(f"margin must be non-negative, got {margin}")
-    pts = _translates_array(config, rect, margin)
+    pts = _translates_array(config, rect, margin, reduce_basis(config.basis))
     order = np.lexsort((pts[:, 1], pts[:, 0]))
     return [Point(float(x), float(y)) for x, y in pts[order]]

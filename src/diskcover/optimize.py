@@ -152,18 +152,26 @@ def _multistart(
     turns clipped parameters into a unit-radius configuration; every
     evaluation is the scaled density of that configuration.  `pin`, when
     given, moves the winner along a ray the objective is constant on; its
-    one evaluation is reserved from the budget up front.  The winner is
-    reported with its disks shrunk to the certified covering radius.
+    one evaluation is reserved from the budget up front.  The objective is
+    memoized on the clipped parameters, since the simplex and the clip
+    revisit points; every evaluation still counts and enters the history.
+    The winner is reported with its disks shrunk to the certified
+    covering radius.
     """
     if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= MAX_FOLD:
         raise ValueError(f"k must be an integer in [1, {MAX_FOLD}], got {k!r}")
     if budget < 1000:
         raise ValueError(f"budget must be at least 1000, got {budget}")
     rng = np.random.default_rng(seed)
-    search = _Search(
-        lambda params: optimal_scaled_density(build(clip(params)), k, tol),
-        budget - (pin is not None),
-    )
+    memo: dict[tuple[float, ...], float] = {}
+
+    def objective(params):
+        key = clip(params)
+        if key not in memo:
+            memo[key] = optimal_scaled_density(build(key), k, tol)
+        return memo[key]
+
+    search = _Search(objective, budget - (pin is not None))
     for params in grid:
         if search.remaining <= 0:
             break

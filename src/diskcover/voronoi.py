@@ -48,7 +48,7 @@ def voronoi_cell(config: PeriodicConfig, offset_index: int) -> VoronoiCell:
     eps = 1e-12 * max(1.0, cutoff)
 
     neighbors = _translates_array(
-        config, Rect(site.x, site.y, site.x, site.y), cutoff
+        config, Rect(site.x, site.y, site.x, site.y), cutoff, reduced
     )
     d = np.hypot(neighbors[:, 0] - site.x, neighbors[:, 1] - site.y)
     order = np.argsort(d, kind="stable")

@@ -150,3 +150,37 @@ def random_config(rng: np.random.Generator, max_offsets: int = 4) -> PeriodicCon
             offsets.append(cand)
     radius = rng.uniform(0.5, 2.0)
     return PeriodicConfig(basis=((a, 0.0), (b, c)), offsets=offsets, radius=radius)
+
+
+def skewed_config(rng: np.random.Generator, n: int) -> PeriodicConfig:
+    """Random skewed lattice, given by a non-reduced basis, with n offsets.
+
+    The reduced shape (1, 0), (b, c) has aspect c up to about 4; it is
+    sheared by an integer multiple of u, rotated and scaled, and the
+    offsets keep a separation of at least 0.1 sqrt(det / n) modulo the
+    lattice.
+    """
+    while True:
+        b = rng.uniform(0.0, 0.5)
+        c = math.sqrt(1.0 - b * b) * math.exp(rng.uniform(0.0, math.log(4.0)))
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        scale = math.exp(rng.uniform(math.log(0.5), math.log(2.0)))
+        rot = scale * np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
+        u = rot @ np.array([1.0, 0.0])
+        v_reduced = rot @ np.array([b, c])
+        v = v_reduced + int(rng.integers(-2, 3)) * u
+        det = abs(u[0] * v[1] - u[1] * v[0])
+        st = rng.uniform(0.0, 1.0, (n, 2))
+        offsets = st[:, :1] * u + st[:, 1:] * v
+        shifts = [i * u + j * v_reduced for i in range(-2, 3) for j in range(-2, 3)]
+        gap = min(
+            (
+                float(np.hypot(*(offsets[i] - offsets[j] + s)))
+                for i in range(n)
+                for j in range(i + 1, n)
+                for s in shifts
+            ),
+            default=math.inf,
+        )
+        if gap >= 0.1 * math.sqrt(det / n):
+            return PeriodicConfig((tuple(u), tuple(v)), [tuple(o) for o in offsets], 1.0)

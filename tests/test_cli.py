@@ -70,6 +70,14 @@ class TestVerifyCommand:
     def test_missing_file_exit_3(self, capsys):
         assert main(["verify", "--config", "/nonexistent/cfg.json"]) == 3
 
+    def test_unreducible_basis_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "skewed.json"
+        path.write_text(
+            json.dumps({"u": [1e-16, 2e-16], "v": [4e29, -2e29], "offsets": [[0, 0]], "radius": 1.0})
+        )
+        assert main(["verify", "--config", str(path)]) == 3
+        assert "did not converge" in capsys.readouterr().err
+
     def test_no_config_no_pipe_exit_2(self, monkeypatch, capsys):
         class FakeTty:
             def isatty(self):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from diskcover import coverage
 from diskcover import (
     Basis,
     PeriodicConfig,
@@ -13,7 +14,7 @@ from diskcover import (
     triangle_pattern,
     verify_k_coverage,
 )
-from helpers import grid_covering_radii, random_config
+from helpers import grid_covering_radii, random_config, skewed_config
 
 SQUARE = PeriodicConfig(Basis((1, 0), (0, 1)), [(0, 0)], radius=1.0)
 
@@ -129,6 +130,122 @@ class TestCoveringRadius:
                 r = covering_radius(cfg, k, tol=1e-5)
                 mid = 0.5 * (r.low + r.high)
                 assert mid == pytest.approx(oracle[k], abs=2e-3)
+
+
+def _critical_configs():
+    """Classical patterns at their critical radius: (config, k), radius 1."""
+    s3 = math.sqrt(3.0)
+    x = 0.7
+    y = math.sqrt(1.0 - x * x) + 1.0
+    return [
+        (PeriodicConfig(Basis((s3, 0.0), (s3 / 2.0, 1.5)), [(0, 0), (0, 1)], 1.0), 2),
+        (PeriodicConfig(Basis((1.0, 0.0), (0.0, 1.0)), [(0, 0)], 1.0), 2),
+        (PeriodicConfig(Basis((1.0, 0.0), (0.0, 0.5)), [(0, 0)], 1.0), 4),
+        (PeriodicConfig(Basis((2.0 * x, 0.0), (x, y)), [(0, 0), (0, 0.8 * y)], 1.0), 2),
+    ]
+
+
+def _moved(config: PeriodicConfig, phi: float, shift) -> PeriodicConfig:
+    rot = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
+    offsets = [tuple(rot @ (p.x, p.y) + shift) for p in config.offsets]
+    basis = (tuple(rot @ config.basis.u), tuple(rot @ config.basis.v))
+    return PeriodicConfig(basis, offsets, config.radius)
+
+
+class TestCenterPruning:
+    """Pruned center sets must not change a single bit of the search."""
+
+    @staticmethod
+    def _assert_low_exact(cfg, k, tol=1e-9):
+        r = covering_radius(cfg, k, tol=tol)
+        # the batch query scans every center within its own reach, unpruned
+        fresh = kth_nearest_distance_batch(np.array([[r.witness.x, r.witness.y]]), cfg, k)
+        assert r.low == fresh[0]
+        return r
+
+    def test_low_is_unpruned_dk_at_witness_on_skewed_configs(self):
+        rng = np.random.default_rng(71)
+        for k in range(1, 9):
+            for n in range(1, 9):
+                self._assert_low_exact(skewed_config(rng, n), k)
+
+    def test_low_is_unpruned_dk_at_witness_on_critical_cases(self):
+        for cfg, k in _critical_configs():
+            for moved in (cfg, _moved(cfg, 0.83, (-1.7, 2.4))):
+                r = self._assert_low_exact(moved, k)
+                assert r.converged
+                assert r.low <= 1.0 + 1e-9 and r.high >= 1.0 - 1e-9
+
+    @pytest.mark.parametrize(
+        "cfg, k, tol, low, high, boxes",
+        [
+            # values recorded before centers were pruned
+            (triangle_pattern(), 2, 1e-9, 0.9999999997671694, 1.000000000754986, 2754),
+            (SQUARE, 3, 1e-8, 1.1180339837518933, 1.1180339890202493, 1637),
+            (
+                PeriodicConfig(
+                    Basis((1.0, 0.0), (2.3, 0.37)), [(0, 0), (0.4, 0.1), (1.9, 0.3)], 1.0
+                ),
+                5,
+                1e-9,
+                0.49127877717591223,
+                0.4912787780930263,
+                14302,
+            ),
+        ],
+    )
+    def test_pinned_enclosures(self, cfg, k, tol, low, high, boxes):
+        r = covering_radius(cfg, k, tol=tol)
+        assert (r.low, r.high, r.boxes) == (low, high, boxes)
+
+    def test_reach_doubling_after_pruning(self, monkeypatch):
+        cfg = skewed_config(np.random.default_rng(73), 3)
+        k = 4
+        expected = covering_radius(cfg, k, tol=1e-9)
+        init = coverage._CenterField.__init__
+        dk = coverage._CenterField.dk
+        first_vals = []
+
+        def recording_dk(self, pts):
+            vals = dk(self, pts)
+            first_vals.append(float(vals.max()))
+            return vals
+
+        monkeypatch.setattr(coverage._CenterField, "dk", recording_dk)
+        covering_radius(cfg, k, tol=1e-9)
+        # start below the covering radius but above every root-grid value,
+        # so the first doubling comes at a deeper level, after pruning
+        start_reach = 0.5 * (first_vals[0] + expected.low)
+        assert first_vals[0] < start_reach < expected.low
+        calls = []
+        full = []
+
+        def short_reach_init(self, *args):
+            init(self, *args)
+            self.reach = start_reach
+            self._rebuild()
+            full.append(len(self.centers))
+
+        def logging_dk(self, pts):
+            before = (self.reach, len(self.centers))
+            vals = dk(self, pts)
+            calls.append((*before, self.reach, len(self.centers)))
+            return vals
+
+        monkeypatch.setattr(coverage._CenterField, "__init__", short_reach_init)
+        monkeypatch.setattr(coverage._CenterField, "dk", logging_dk)
+        r = covering_radius(cfg, k, tol=1e-9)
+        doublings = [i for i, c in enumerate(calls) if c[2] > c[0]]
+        assert doublings and doublings[0] > 0
+        _, pruned, _, rebuilt = calls[doublings[0]]
+        assert pruned < full[0] < rebuilt
+        assert (r.low, r.high, r.witness, r.boxes, r.converged) == (
+            expected.low,
+            expected.high,
+            expected.witness,
+            expected.boxes,
+            expected.converged,
+        )
 
 
 class TestVerifyKCoverage:

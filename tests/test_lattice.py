@@ -85,6 +85,25 @@ class TestReduceBasis:
             assert abs(abs(np.linalg.det(t)) - 1.0) < 1e-6
             assert r.det == pytest.approx(b.det, rel=1e-9)
 
+    def test_hexagonal_rounding_cycle_is_reduced(self):
+        # a rotated honeycomb basis on which mu flips between +1 and -1 at
+        # every step until the step bound; the pair is reduced already
+        b = Basis((2.503729529556902, 1.1055676498193225), (0.29441509443265934, 2.7210772017112004))
+        r = reduce_basis(b)
+        assert r == b
+        assert abs(r.u[0] * r.v[0] + r.u[1] * r.v[1]) == pytest.approx(
+            0.5 * (r.u[0] ** 2 + r.u[1] ** 2), rel=1e-12
+        )
+
+    def test_raises_when_reduction_does_not_converge(self):
+        # |v| / |u| ~ 1e45: v - mu * u rounds back to v at every step, where
+        # the unreduced basis used to come back silently after the bound
+        skewed = {"u": [1e-16, 2e-16], "v": [4e29, -2e29], "offsets": [[0, 0]], "radius": 1.0}
+        with pytest.raises(ValueError, match="did not converge"):
+            reduce_basis(Basis(tuple(skewed["u"]), tuple(skewed["v"])))
+        with pytest.raises(ConfigFormatError, match="did not converge"):
+            PeriodicConfig.from_dict(skewed)
+
 
 class TestPeriodicConfig:
     def test_wraps_offsets_into_fundamental_cell(self):

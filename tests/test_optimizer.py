@@ -1,7 +1,9 @@
+import hashlib
 import math
 
 import pytest
 
+import diskcover.optimize
 from diskcover import (
     Basis,
     PeriodicConfig,
@@ -74,6 +76,25 @@ class TestOptimizeSingleLattice:
         best_seen = min(v for _, v in res.history)
         assert res.density <= best_seen + 1e-6
         assert res.evaluations == len(res.history)
+
+    def test_memoized_objective_keeps_history(self, monkeypatch):
+        calls = []
+        radius = diskcover.optimize.covering_radius
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return radius(*args, **kwargs)
+
+        monkeypatch.setattr(diskcover.optimize, "covering_radius", counted)
+        res = optimize_single_lattice(1, budget=1000, tol=1e-4, seed=7)
+        # history recorded before the objective was memoized
+        digest = hashlib.sha256(repr(res.history).encode()).hexdigest()
+        assert digest == "c8d0f13fc7f293f7c8b3af0db461d1d14291ad14910f34f2f3d2757b03a99dfa"
+        assert res.evaluations == len(res.history) == 1000
+        # one call per distinct clipped point plus the final radius, where
+        # every evaluation used to make its own (1001 here)
+        assert len(calls) <= len({params for params, _ in res.history}) + 1
+        assert len(calls) < 0.8 * res.evaluations
 
     def test_history_csv(self):
         res = optimize_single_lattice(1, budget=2000, tol=1e-4, seed=1)
