@@ -181,7 +181,9 @@ def covering_radius(
     of the reduced fundamental parallelogram with a grid of squares and
     refines.  A surviving box is quartered; one whose upper bound cannot
     beat the best sampled value is dropped.  Stops once high - low <= tol
-    or the box budget is exhausted (bounds stay valid either way).
+    or when the next level would take the boxes evaluated past
+    `max_boxes`; the root grid (at most 64 boxes) is always evaluated, and
+    the bounds stay valid either way.
     """
     _check_k(k)
     if not (math.isfinite(tol) and tol > 0.0):
@@ -236,10 +238,12 @@ def covering_radius(
         if high - low <= tol:
             converged = True
             break
-        if processed >= max_boxes:
+        parents = boxes[survivors]
+        # the next level quarters every parent; skip it whole rather than
+        # let it overshoot the budget
+        if processed + 4 * len(parents) > max_boxes:
             break
         field.prune(vals, survivors, diag)
-        parents = boxes[survivors]
         half /= 2.0
         shift = np.array(
             [[-half, -half], [half, -half], [-half, half], [half, half]]

@@ -36,6 +36,9 @@ class Basis:
         if not all(math.isfinite(t) for t in (*u, *v)):
             raise ValueError("basis vectors must be finite")
         det = u[0] * v[1] - u[1] * v[0]
+        squares = (u[0] * u[0] + u[1] * u[1], v[0] * v[0] + v[1] * v[1])
+        if not all(math.isfinite(t) for t in (det, *squares)):
+            raise ValueError("basis overflows the float range")
         if det < 0.0:
             # -v spans the same lattice; keep orientation positive
             v = (-v[0], -v[1])
@@ -59,14 +62,19 @@ def reduce_basis(basis: Basis) -> Basis:
     The reduced basis spans the same lattice and the same determinant,
     with |u| <= |v| and |dot(u, v)| <= |u|^2 / 2.  Raises ValueError when
     the reduction stalls: on extremely skewed bases the rounding of
-    v - mu * u can undo every step.
+    v - mu * u can undo every step, or |u|^2 can underflow.
     """
     u = np.array(basis.u, dtype=float)
     v = np.array(basis.v, dtype=float)
     for _ in range(_MAX_REDUCTION_STEPS):
         if v @ v < u @ u:
             u, v = v, u
-        mu = round((u @ v) / (u @ u))
+        uu = float(u @ u)
+        ratio = float(u @ v) / uu if uu > 0.0 else math.inf
+        if not math.isfinite(ratio):
+            # |u|^2 underflowed: the basis is too skewed for float64
+            raise ValueError("basis too skewed to reduce in floating point")
+        mu = round(ratio)
         if mu == 0:
             break
         v = v - mu * u
@@ -135,6 +143,8 @@ class PeriodicConfig:
         det = self.basis.det
         s = (p.x * vy - p.y * vx) / det
         t = (p.y * ux - p.x * uy) / det
+        if not (math.isfinite(s) and math.isfinite(t)):
+            raise ValueError("offset overflows the float range in lattice coordinates")
         s -= math.floor(s)
         t -= math.floor(t)
         if s >= 1.0:

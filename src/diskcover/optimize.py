@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .coverage import CoverageCertificate, covering_radius, verify_k_coverage
 from .density import config_density
@@ -57,13 +56,27 @@ class OptimizationResult:
         return buf.getvalue()
 
 
+def minimize(*args, **kwargs):
+    """`scipy.optimize.minimize`, imported on the first call.
+
+    The simplex refinement is the package's only use of scipy, whose import
+    costs more than the rest of the package together; deferring it keeps
+    `import diskcover` and every CLI subcommand but `optimize` free of it.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
+
+
 def optimal_scaled_density(
     config: PeriodicConfig, k: int, tol: float = 1e-6
 ) -> float:
     """Density after shrinking the disks to the certified k-cover radius."""
-    enclosure = covering_radius(config, k, tol)
-    n = len(config.offsets)
-    return n * math.pi * enclosure.high**2 / config.basis.det
+    return _scaled_density(config, covering_radius(config, k, tol).high)
+
+
+def _scaled_density(config: PeriodicConfig, radius: float) -> float:
+    return len(config.offsets) * math.pi * radius**2 / config.basis.det
 
 
 def golden_section(
@@ -163,13 +176,16 @@ def _multistart(
     if budget < 1000:
         raise ValueError(f"budget must be at least 1000, got {budget}")
     rng = np.random.default_rng(seed)
-    memo: dict[tuple[float, ...], float] = {}
+    # clipped parameters -> (scaled density, certified covering radius)
+    memo: dict[tuple[float, ...], tuple[float, float]] = {}
 
     def objective(params):
         key = clip(params)
         if key not in memo:
-            memo[key] = optimal_scaled_density(build(key), k, tol)
-        return memo[key]
+            config = build(key)
+            radius = covering_radius(config, k, tol).high
+            memo[key] = (_scaled_density(config, radius), radius)
+        return memo[key][0]
 
     search = _Search(objective, budget - (pin is not None))
     for params in grid:
@@ -185,9 +201,9 @@ def _multistart(
         best = pin(best)
         search(best)
         best = clip(best)
+    # the winner was evaluated, so its enclosure is in the memo
     bare = build(best)
-    radius = covering_radius(bare, k, tol).high
-    config = PeriodicConfig(bare.basis, bare.offsets, radius)
+    config = PeriodicConfig(bare.basis, bare.offsets, memo[best][1])
     return OptimizationResult(
         best_config=config,
         density=config_density(config),

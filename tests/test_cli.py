@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from diskcover import kershner_theta, triangle_pattern
+from diskcover import kershner_theta, optimize_single_lattice, triangle_pattern
 from diskcover.cli import main
 
 THETA = kershner_theta()
@@ -15,6 +15,15 @@ def _run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def _imported_modules(importtime_log: str) -> set[str]:
+    """Module names from the stderr of `python -X importtime`."""
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in importtime_log.splitlines()
+        if line.startswith("import time:") and "|" in line
+    }
 
 
 @pytest.fixture()
@@ -77,6 +86,22 @@ class TestVerifyCommand:
         )
         assert main(["verify", "--config", str(path)]) == 3
         assert "did not converge" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            # |v|^2 overflows, and the offset's lattice coordinates are inf
+            {"u": [4.72e16, 85532.1], "v": [1.55e224, -4.28e16],
+             "offsets": [[-1.797e308, -5e-324]], "radius": 1e-6},
+            # det overflows to inf, which leaves no center to search
+            {"u": [1e200, 0], "v": [0, 1e200], "offsets": [[0, 0]], "radius": 1},
+        ],
+    )
+    def test_overflowing_config_exit_3(self, tmp_path, capsys, payload):
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(payload))
+        assert main(["verify", "--config", str(path), "--k", "2"]) == 3
+        assert "overflows" in capsys.readouterr().err
 
     def test_no_config_no_pipe_exit_2(self, monkeypatch, capsys):
         class FakeTty:
@@ -200,12 +225,57 @@ class TestUsageErrors:
 
 class TestPipeline:
     def test_pattern_pipes_into_verify(self):
+        # -X importtime lists every module both processes import on stderr
         command = (
-            f"{sys.executable} -m diskcover pattern --name triangle"
-            f" | {sys.executable} -m diskcover verify --k 2 --tol 1e-6"
+            f"{sys.executable} -X importtime -m diskcover pattern --name triangle"
+            f" | {sys.executable} -X importtime -m diskcover verify --k 2 --tol 1e-6"
         )
         proc = subprocess.run(
             command, shell=True, capture_output=True, text=True, timeout=120
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["status"] == "tight"
+        modules = _imported_modules(proc.stderr)
+        assert "diskcover.optimize" in modules
+        assert not any(m == "scipy" or m.startswith("scipy.") for m in modules)
+
+
+class TestImportGraph:
+    """scipy is imported by the optimizer's first refinement and nowhere else."""
+
+    def test_package_and_cli_import_without_scipy(self):
+        code = "import sys, diskcover, diskcover.cli; print('scipy' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_optimizer_reaches_scipy_with_pinned_history(self):
+        code = (
+            "import hashlib, sys\n"
+            "from diskcover import optimize_single_lattice\n"
+            "before = 'scipy.optimize' in sys.modules\n"
+            "res = optimize_single_lattice(1, budget=1000, tol=1e-4, seed=7)\n"
+            "print(before, 'scipy.optimize' in sys.modules,"
+            " hashlib.sha256(repr(res.history).encode()).hexdigest())\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        # the history digest pinned in test_memoized_objective_keeps_history
+        assert proc.stdout.split() == [
+            "False", "True", "c8d0f13fc7f293f7c8b3af0db461d1d14291ad14910f34f2f3d2757b03a99dfa"
+        ]
+        argv = ["optimize", "--mode", "single-lattice", "--k", "1", "--budget", "1000",
+                "--tol", "1e-4", "--seed", "7"]
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "diskcover", *argv],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0
+        assert "scipy.optimize" in _imported_modules(proc.stderr)
+        assert json.loads(proc.stdout) == optimize_single_lattice(
+            1, budget=1000, tol=1e-4, seed=7
+        ).to_dict()

@@ -121,6 +121,21 @@ class TestCoveringRadius:
         assert not r.converged
         assert r.low <= r.high
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_box_budget_caps_the_frontier(self, k):
+        # A level that would pass the budget is skipped whole, so the count
+        # never overshoots it; only the root grid is evaluated regardless.
+        cfg = skewed_config(np.random.default_rng(71 + k), 3)
+        exact = covering_radius(cfg, k, tol=1e-10)
+        assert exact.converged
+        root = covering_radius(cfg, k, tol=1e-12, max_boxes=1).boxes
+        assert 1 <= root <= 64
+        for budget in (1, 10, 50, 100, 333, 1000, 5000, 20000):
+            r = covering_radius(cfg, k, tol=1e-12, max_boxes=budget)
+            assert r.boxes <= max(budget, root)
+            assert r.low <= exact.high and exact.low <= r.high
+            assert kth_nearest_distance(r.witness, cfg, k) == pytest.approx(r.low, abs=1e-12)
+
     def test_agrees_with_dense_grid(self):
         rng = np.random.default_rng(67)
         for _ in range(3):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diskcover import (
     Basis,
@@ -104,6 +106,19 @@ class TestReduceBasis:
         with pytest.raises(ConfigFormatError, match="did not converge"):
             PeriodicConfig.from_dict(skewed)
 
+    @pytest.mark.parametrize(
+        "u, v",
+        [
+            # |u|^2 underflows to 0 on the input basis
+            ((1e-163, 0.0), (1e153, 1e153)),
+            # both inputs are normal; their difference (1e-164, 0) is not
+            ((1e-158, 1e153), (1.000001e-158, 1e153)),
+        ],
+    )
+    def test_raises_when_squared_length_underflows(self, u, v):
+        with pytest.raises(ValueError, match="too skewed"):
+            reduce_basis(Basis(u, v))
+
 
 class TestPeriodicConfig:
     def test_wraps_offsets_into_fundamental_cell(self):
@@ -153,6 +168,13 @@ class TestPeriodicConfig:
             '{"basis": [[1, 0], [0, 1]], "offsets": [[0, 0]], "radius": "big"}',
             '{"basis": [[1, 0], [0, "x"]], "offsets": [[0, 0]], "radius": 1}',
             '{"basis": [[1, 0], [0, 1]], "offsets": [[0, 0, 0]], "radius": 1}',
+            # |v|^2 overflows, and so would the offset's lattice coordinates
+            '{"u": [4.72e16, 85532.1], "v": [1.55e224, -4.28e16],'
+            ' "offsets": [[-1.797e308, -5e-324]], "radius": 1e-6}',
+            # det overflows
+            '{"u": [1e200, 0], "v": [0, 1e200], "offsets": [[0, 0]], "radius": 1}',
+            # the basis is fine, the offset's lattice coordinates overflow
+            '{"u": [1e-5, 0], "v": [0, 1e-5], "offsets": [[1e308, 0]], "radius": 1}',
         ],
     )
     def test_malformed_json_raises_config_error(self, payload):
@@ -161,6 +183,23 @@ class TestPeriodicConfig:
 
     def test_config_error_is_value_error(self):
         assert issubclass(ConfigFormatError, ValueError)
+
+
+# every float, plus a well-scaled range so that valid configs occur too
+_ANY_FLOAT = st.one_of(st.floats(), st.floats(-4.0, 4.0))
+_PAIR = st.lists(_ANY_FLOAT, min_size=2, max_size=2)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(u=_PAIR, v=_PAIR, offsets=st.lists(_PAIR, min_size=1, max_size=3), radius=_ANY_FLOAT)
+def test_from_dict_returns_config_or_raises_config_error(u, v, offsets, radius):
+    data = {"u": u, "v": v, "offsets": offsets, "radius": radius}
+    try:
+        cfg = PeriodicConfig.from_dict(data)
+    except ConfigFormatError:
+        return
+    assert cfg.basis.det > 0.0 and math.isfinite(cfg.basis.det)
+    assert all(math.isfinite(p.x) and math.isfinite(p.y) for p in cfg.offsets)
 
 
 def _brute_centers(cfg: PeriodicConfig, rect: Rect, margin: float, bound: int = 12):
