@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Point
-from .lattice import Basis, PeriodicConfig, Rect, _translates_array, reduce_basis
+from .lattice import PeriodicConfig, Rect, _translates_array
+from .lattice import reduce_basis  # noqa: F401 (unused here; perfbench hooks this name)
 
 STATUS_COVERED = "certified_covered"
 STATUS_UNCOVERED = "certified_uncovered"
@@ -81,22 +82,17 @@ class _CenterField:
     the cache to the centers later queries can still need.
     """
 
-    def __init__(
-        self, config: PeriodicConfig, rect: Rect, k: int, reduced: Basis
-    ):
+    def __init__(self, config: PeriodicConfig, rect: Rect, k: int):
         self.config = config
         self.rect = rect
         self.k = k
-        self.reduced = reduced
-        len_u, len_v = reduced.lengths()
+        len_u, len_v = config.reduced.lengths()
         per_center = config.basis.det / len(config.offsets)
         self.reach = math.sqrt(k * per_center / math.pi) + len_u + len_v
         self._rebuild()
 
     def _rebuild(self) -> None:
-        self.centers = _translates_array(
-            self.config, self.rect, self.reach, self.reduced
-        )
+        self.centers = _translates_array(self.config, self.rect, self.reach)
         self._d2 = None
 
     def dk(self, pts: np.ndarray) -> np.ndarray:
@@ -144,11 +140,7 @@ class _CenterField:
 
 def kth_nearest_distance(p: Point, config: PeriodicConfig, k: int) -> float:
     """Distance from p to the k-th nearest center of the periodic set."""
-    _check_k(k)
-    field = _CenterField(
-        config, Rect(p.x, p.y, p.x, p.y), k, reduce_basis(config.basis)
-    )
-    return float(field.dk(np.array([[p.x, p.y]]))[0])
+    return float(kth_nearest_distance_batch(np.array([[p.x, p.y]]), config, k)[0])
 
 
 def kth_nearest_distance_batch(
@@ -165,7 +157,7 @@ def kth_nearest_distance_batch(
         float(pts[:, 0].max()),
         float(pts[:, 1].max()),
     )
-    return _CenterField(config, rect, k, reduce_basis(config.basis)).dk(pts)
+    return _CenterField(config, rect, k).dk(pts)
 
 
 def covering_radius(
@@ -188,9 +180,8 @@ def covering_radius(
     _check_k(k)
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tolerance must be positive, got {tol}")
-    reduced = reduce_basis(config.basis)
-    ux, uy = reduced.u
-    vx, vy = reduced.v
+    ux, uy = config.reduced.u
+    vx, vy = config.reduced.v
     xs = [0.0, ux, vx, ux + vx]
     ys = [0.0, uy, vy, uy + vy]
     xmin, xmax = min(xs), max(xs)
@@ -212,10 +203,7 @@ def covering_radius(
     )
     boxes = np.column_stack([cx.ravel(), cy.ravel()])
     field = _CenterField(
-        config,
-        Rect(xmin - half, ymin - half, xmax + half, ymax + half),
-        k,
-        reduced,
+        config, Rect(xmin - half, ymin - half, xmax + half, ymax + half), k
     )
 
     low = -math.inf

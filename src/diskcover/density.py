@@ -62,16 +62,12 @@ def known_values() -> dict[str, float]:
     }
 
 
-_ALIASES = {"θ": "theta", "2θ": "2theta"}
-
-
 def known_value(name: str) -> float:
-    """Look up a reference density; Greek-letter spellings accepted."""
+    """Look up a reference density by its `known_values` key."""
     table = known_values()
-    key = _ALIASES.get(name, name)
-    if key not in table:
+    if name not in table:
         raise ValueError(f"unknown reference value {name!r}")
-    return table[key]
+    return table[name]
 
 
 @dataclass(frozen=True)

@@ -48,14 +48,14 @@ class ConvexPolygon:
     """Strictly convex polygon with counter-clockwise vertices.
 
     Construction canonicalizes the boundary: orientation is flipped to
-    counter-clockwise if needed, consecutive vertices closer than the
-    merge tolerance are fused, and collinear vertices are dropped.  What
-    remains must be strictly convex.
+    counter-clockwise if needed, consecutive vertices closer than REP_TOL
+    (relative to the span) are fused, and collinear vertices are dropped.
+    What remains must be strictly convex.
     """
 
     __slots__ = ("vertices",)
 
-    def __init__(self, vertices, merge_tol: float = REP_TOL):
+    def __init__(self, vertices):
         pts = [p if isinstance(p, Point) else Point(p[0], p[1]) for p in vertices]
         if len(pts) < 3:
             raise ValueError("polygon needs at least 3 vertices")
@@ -65,7 +65,7 @@ class ConvexPolygon:
             max(p.x for p in pts) - min(p.x for p in pts),
             max(p.y for p in pts) - min(p.y for p in pts),
         )
-        eps = merge_tol * max(1.0, span)
+        eps = REP_TOL * max(1.0, span)
         pts = _merge_close(pts, eps)
         pts = _drop_collinear(pts, eps * max(1.0, span))
         if len(pts) < 3:
@@ -129,11 +129,6 @@ def _drop_collinear(pts: list[Point], eps_area: float) -> list[Point]:
             out.append(b)
         pts = out
     return pts
-
-
-def polygon_area(poly: ConvexPolygon) -> float:
-    """Area of a convex polygon (shoelace)."""
-    return poly.area
 
 
 def circle_circle_intersections(c1: Circle, c2: Circle) -> list[Point]:

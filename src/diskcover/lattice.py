@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,6 +19,9 @@ from .geometry import Point
 DET_TOL = 1e-12
 SEPARATION_TOL = 1e-9
 _MAX_REDUCTION_STEPS = 256
+# lattice points one center enumeration may visit (64 MiB of float64
+# pairs); only bases far too skewed for their scale ask for more
+_MAX_ENUMERATED_POINTS = 2**22
 
 
 class ConfigFormatError(ValueError):
@@ -117,6 +120,8 @@ class PeriodicConfig:
     basis: Basis
     offsets: tuple[Point, ...]
     radius: float
+    # Lagrange-Gauss reduction of `basis`, derived once per configuration
+    reduced: Basis = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.basis, Basis):
@@ -131,10 +136,10 @@ class PeriodicConfig:
             raise ValueError("at least one offset required")
         offs = tuple(self._wrap(p) for p in offs)
         object.__setattr__(self, "offsets", offs)
-        reduced = reduce_basis(self.basis)
+        object.__setattr__(self, "reduced", reduce_basis(self.basis))
         for i in range(len(offs)):
             for j in range(i + 1, len(offs)):
-                if _periodic_distance(offs[i], offs[j], reduced) <= SEPARATION_TOL:
+                if _periodic_distance(offs[i], offs[j], self.reduced) <= SEPARATION_TOL:
                     raise ValueError("offsets coincide modulo the lattice")
 
     def _wrap(self, p: Point) -> Point:
@@ -238,18 +243,16 @@ def _periodic_distance(p: Point, q: Point, reduced: Basis) -> float:
     return best
 
 
-def _translates_array(
-    config: PeriodicConfig, rect: Rect, margin: float, reduced: Basis
-) -> np.ndarray:
+def _translates_array(config: PeriodicConfig, rect: Rect, margin: float) -> np.ndarray:
     """All centers within `margin` of `rect`, as an (N, 2) array.
 
-    `reduced` is the reduced basis of `config`, which callers already
-    hold.  Integer ranges follow from mapping the expanded rect's corners
+    Integer ranges follow from mapping the expanded rect's corners
     through the inverse of the reduced basis; padding by one absorbs
-    rounding.
+    rounding.  Raises ValueError when those ranges are not finite or span
+    more than _MAX_ENUMERATED_POINTS centers.
     """
-    u = np.array(reduced.u)
-    v = np.array(reduced.v)
+    u = np.array(config.reduced.u)
+    v = np.array(config.reduced.v)
     minv = np.linalg.inv(np.column_stack([u, v]))
     corners = np.array(
         [
@@ -262,8 +265,16 @@ def _translates_array(
     offsets = np.array([[p.x, p.y] for p in config.offsets])
     shifted = corners[None, :, :] - offsets[:, None, :]
     coords = shifted.reshape(-1, 2) @ minv.T
-    lo = np.floor(coords.min(axis=0)).astype(int) - 1
-    hi = np.ceil(coords.max(axis=0)).astype(int) + 1
+    if not np.isfinite(coords).all():
+        raise ValueError("center enumeration overflows the float range")
+    # exact Python ints, so no range can wrap before the budget check
+    lo = [math.floor(c) - 1 for c in coords.min(axis=0)]
+    hi = [math.ceil(c) + 1 for c in coords.max(axis=0)]
+    count = len(offsets) * (hi[0] - lo[0] + 1) * (hi[1] - lo[1] + 1)
+    if count > _MAX_ENUMERATED_POINTS:
+        raise ValueError(
+            f"center enumeration needs more than {_MAX_ENUMERATED_POINTS} points"
+        )
     ii, jj = np.meshgrid(
         np.arange(lo[0], hi[0] + 1), np.arange(lo[1], hi[1] + 1), indexing="ij"
     )
@@ -271,7 +282,7 @@ def _translates_array(
     pts = (lattice_pts[None, :, :] + offsets[:, None, :]).reshape(-1, 2)
     dx = np.maximum(np.maximum(rect.xmin - pts[:, 0], 0.0), pts[:, 0] - rect.xmax)
     dy = np.maximum(np.maximum(rect.ymin - pts[:, 1], 0.0), pts[:, 1] - rect.ymax)
-    scale = max(1.0, margin, *reduced.lengths())
+    scale = max(1.0, margin, *config.reduced.lengths())
     keep = dx * dx + dy * dy <= (margin + 1e-12 * scale) ** 2
     return pts[keep]
 
@@ -282,6 +293,6 @@ def enumerate_centers(
     """Centers within `margin` of `rect`, sorted by x then y."""
     if not (math.isfinite(margin) and margin >= 0.0):
         raise ValueError(f"margin must be non-negative, got {margin}")
-    pts = _translates_array(config, rect, margin, reduce_basis(config.basis))
+    pts = _translates_array(config, rect, margin)
     order = np.lexsort((pts[:, 1], pts[:, 0]))
     return [Point(float(x), float(y)) for x, y in pts[order]]

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ConvexPolygon, Point
-from .lattice import PeriodicConfig, Rect, _translates_array, reduce_basis
+from .geometry import ConvexPolygon, Point, _merge_close
+from .lattice import PeriodicConfig, Rect, _translates_array
+from .lattice import reduce_basis  # noqa: F401 (unused here; perfbench hooks this name)
 
 CONGRUENCE_TOL = 1e-6
 
@@ -41,15 +42,12 @@ def voronoi_cell(config: PeriodicConfig, offset_index: int) -> VoronoiCell:
     if not 0 <= offset_index < len(config.offsets):
         raise ValueError(f"offset index {offset_index} out of range")
     site = config.offsets[offset_index]
-    reduced = reduce_basis(config.basis)
-    span = max(reduced.lengths())
+    span = max(config.reduced.lengths())
     half = 4.0 * span
     cutoff = 8.0 * span
     eps = 1e-12 * max(1.0, cutoff)
 
-    neighbors = _translates_array(
-        config, Rect(site.x, site.y, site.x, site.y), cutoff, reduced
-    )
+    neighbors = _translates_array(config, Rect(site.x, site.y, site.x, site.y), cutoff)
     d = np.hypot(neighbors[:, 0] - site.x, neighbors[:, 1] - site.y)
     order = np.argsort(d, kind="stable")
     neighbors, d = neighbors[order], d[order]
@@ -76,7 +74,7 @@ def voronoi_cell(config: PeriodicConfig, offset_index: int) -> VoronoiCell:
     for px, py in poly:
         if max(abs(px - site.x), abs(py - site.y)) >= half - 1e-9 * half:
             raise ValueError("unbounded cell at the chosen cutoff")
-    cleaned = _clean_loop(poly, 1e-9 * max(1.0, span))
+    cleaned = _merge_close([Point(x, y) for x, y in poly], 1e-9 * max(1.0, span))
     return VoronoiCell(site, ConvexPolygon(cleaned))
 
 
@@ -104,19 +102,6 @@ def _line_hit(sx, sy, ex, ey, nx, ny, rhs):
     de = nx * ex + ny * ey - rhs
     t = ds / (ds - de)
     return (sx + t * (ex - sx), sy + t * (ey - sy))
-
-
-def _clean_loop(pts, eps):
-    out = []
-    for p in pts:
-        if out and math.hypot(p[0] - out[-1][0], p[1] - out[-1][1]) <= eps:
-            continue
-        out.append(p)
-    if len(out) > 1 and math.hypot(
-        out[0][0] - out[-1][0], out[0][1] - out[-1][1]
-    ) <= eps:
-        out.pop()
-    return out
 
 
 def congruence_signature(

@@ -27,7 +27,6 @@ from diskcover import (
     optimize_single_lattice,
     pattern_b,
     pattern_b_density_bound,
-    polygon_area,
     tangent_pattern_c,
     toth_lower_bound,
     triangle_pattern,
@@ -278,7 +277,7 @@ def test_criterion_9_property_suites(crit, capsys):
     for _ in range(10):
         cfg = random_config(rng)
         total = sum(
-            polygon_area(voronoi_cell(cfg, i).polygon)
+            voronoi_cell(cfg, i).polygon.area
             for i in range(len(cfg.offsets))
         )
         c.check(abs(total - cfg.det) <= 1e-8, f"tiling defect {abs(total - cfg.det):.2e}")

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -102,6 +103,27 @@ class TestVerifyCommand:
         path.write_text(json.dumps(payload))
         assert main(["verify", "--config", str(path), "--k", "2"]) == 3
         assert "overflows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            # lattice indices past the int64 range; an unguarded cast wrapped
+            # them and certified these disks, which do 2-cover, as uncovered
+            {"u": [1e-155, 0], "v": [1e150, 1e150], "offsets": [[0, 0]], "radius": 5.001e149},
+            # finite indices, but about 1.6e10 lattice points to enumerate
+            {"u": [1e-6, 0], "v": [0, 1000], "offsets": [[0, 0]], "radius": 1},
+        ],
+    )
+    def test_enumeration_over_budget_exit_4(self, tmp_path, capsys, payload):
+        path = tmp_path / "needle.json"
+        path.write_text(json.dumps(payload))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", "--config", str(path), "--k", "2"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: center enumeration needs more than")
+        assert captured.err.count("\n") == 1
 
     def test_no_config_no_pipe_exit_2(self, monkeypatch, capsys):
         class FakeTty:

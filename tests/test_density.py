@@ -85,10 +85,12 @@ class TestKnownValues:
         assert table["danzer_high"] == pytest.approx(2.347, abs=1e-12)
 
     def test_lookup_and_aliases(self):
-        assert known_value("theta") == known_value("θ")
-        assert known_value("2theta") == known_value("2θ")
-        with pytest.raises(ValueError, match="unknown"):
-            known_value("nope")
+        assert known_value("theta") == known_values()["theta"]
+        assert known_value("2theta") == known_values()["2theta"]
+        # keys only: the Greek spellings are not accepted
+        for name in ("θ", "2θ", "nope"):
+            with pytest.raises(ValueError, match="unknown"):
+                known_value(name)
 
     def test_danzer_brackets_toth(self):
         # The two-fold window starts essentially at the Toth bound.

@@ -10,7 +10,6 @@ from diskcover import (
     circle_circle_intersections,
     circumcircle,
     johnson_check,
-    polygon_area,
 )
 
 
@@ -42,7 +41,7 @@ class TestConvexPolygon:
     def test_canonical_ccw(self):
         cw = ConvexPolygon([(0, 0), (0, 1), (1, 1), (1, 0)])
         ccw = ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
-        assert polygon_area(cw) == pytest.approx(1.0, abs=1e-15)
+        assert cw.area == pytest.approx(1.0, abs=1e-15)
         for poly in (cw, ccw):
             # Counter-clockwise: positive shoelace sum regardless of input order.
             verts = poly.vertices
@@ -67,7 +66,7 @@ class TestConvexPolygon:
 
     def test_area_triangle(self):
         poly = ConvexPolygon([(0, 0), (2, 0), (0, 3)])
-        assert polygon_area(poly) == pytest.approx(3.0, abs=1e-15)
+        assert poly.area == pytest.approx(3.0, abs=1e-15)
 
 
 class TestCircleIntersections:

@@ -13,9 +13,15 @@ from diskcover import (
     PeriodicConfig,
     Point,
     Rect,
+    covering_radius,
     enumerate_centers,
+    kth_nearest_distance,
+    kth_nearest_distance_batch,
     reduce_basis,
+    verify_k_coverage,
+    voronoi_cell,
 )
+from diskcover import coverage, lattice, voronoi
 
 
 class TestBasis:
@@ -183,6 +189,48 @@ class TestPeriodicConfig:
 
     def test_config_error_is_value_error(self):
         assert issubclass(ConfigFormatError, ValueError)
+
+    def test_carries_its_reduced_basis(self):
+        a = PeriodicConfig(Basis((1, 0), (5, 1)), [(0, 0), (2.5, 0.5)], radius=1.0)
+        b = PeriodicConfig(Basis((1, 0), (5, 1)), [(0, 0), (2.5, 0.5)], radius=1.0)
+        assert a.reduced == reduce_basis(a.basis)
+        assert a.reduced != a.basis
+        # derived, so invisible to equality, hash, repr and serialisation
+        assert a == b and hash(a) == hash(b)
+        assert hash(a) == hash((a.basis, a.offsets, a.radius))
+        assert repr(a) == (
+            f"PeriodicConfig(basis={a.basis!r}, offsets={a.offsets!r}, radius={a.radius!r})"
+        )
+        assert a.to_dict() == {
+            "u": [1.0, 0.0],
+            "v": [5.0, 1.0],
+            "offsets": [[0.0, 0.0], [2.5, 0.5]],
+            "radius": 1.0,
+        }
+        with pytest.raises(TypeError):
+            PeriodicConfig(a.basis, a.offsets, a.radius, a.reduced)
+
+    def test_consumers_reuse_the_reduced_basis(self, monkeypatch):
+        cfg = PeriodicConfig(Basis((1, 0), (5, 1)), [(0, 0), (0.5, 0.5)], radius=1.0)
+        original = lattice.reduce_basis
+        calls = []
+
+        def counting(basis):
+            calls.append(basis)
+            return original(basis)
+
+        for module in (lattice, coverage, voronoi):
+            monkeypatch.setattr(module, "reduce_basis", counting)
+        covering_radius(cfg, 2, tol=1e-3)
+        verify_k_coverage(cfg, 2, tol=1e-3)
+        kth_nearest_distance(Point(0.1, 0.2), cfg, 2)
+        kth_nearest_distance_batch(np.array([[0.1, 0.2], [0.7, 0.4]]), cfg, 3)
+        voronoi_cell(cfg, 0)
+        voronoi_cell(cfg, 1)
+        enumerate_centers(cfg, Rect(0, 0, 1, 1), 1.0)
+        assert calls == []
+        PeriodicConfig(cfg.basis, cfg.offsets, cfg.radius)
+        assert calls == [cfg.basis]
 
 
 # every float, plus a well-scaled range so that valid configs occur too

@@ -10,7 +10,6 @@ from diskcover import (
     all_cells_congruent,
     congruence_signature,
     pattern_b,
-    polygon_area,
     triangle_pattern,
     voronoi_cell,
 )
@@ -22,7 +21,7 @@ class TestVoronoiCell:
         cfg = PeriodicConfig(Basis((1, 0), (0, 1)), [(0, 0)], radius=1.0)
         cell = voronoi_cell(cfg, 0)
         assert len(cell.polygon.vertices) == 4
-        assert polygon_area(cell.polygon) == pytest.approx(1.0, abs=1e-12)
+        assert cell.polygon.area == pytest.approx(1.0, abs=1e-12)
         xs = sorted(p.x for p in cell.polygon.vertices)
         assert xs == pytest.approx([-0.5, -0.5, 0.5, 0.5], abs=1e-9)
 
@@ -31,7 +30,7 @@ class TestVoronoiCell:
         cfg = PeriodicConfig(b, [(0, 0)], radius=1.0)
         cell = voronoi_cell(cfg, 0)
         assert len(cell.polygon.vertices) == 6
-        assert polygon_area(cell.polygon) == pytest.approx(b.det, abs=1e-12)
+        assert cell.polygon.area == pytest.approx(b.det, abs=1e-12)
         verts = cell.polygon.vertices
         n = len(verts)
         sides = [verts[i].distance_to(verts[(i + 1) % n]) for i in range(n)]
@@ -47,7 +46,7 @@ class TestVoronoiCell:
                 verts[i].distance_to(verts[(i + 1) % 3]) for i in range(3)
             )
             assert sides == pytest.approx([math.sqrt(3)] * 3, abs=1e-9)
-            assert polygon_area(cell.polygon) == pytest.approx(cfg.det / 2, abs=1e-9)
+            assert cell.polygon.area == pytest.approx(cfg.det / 2, abs=1e-9)
 
     def test_site_recorded(self):
         cfg = triangle_pattern()
@@ -67,7 +66,7 @@ class TestVoronoiCell:
         for _ in range(20):
             cfg = random_config(rng)
             total = sum(
-                polygon_area(voronoi_cell(cfg, i).polygon)
+                voronoi_cell(cfg, i).polygon.area
                 for i in range(len(cfg.offsets))
             )
             assert total == pytest.approx(cfg.det, abs=1e-8)
