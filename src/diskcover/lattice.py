@@ -8,6 +8,7 @@ so equality of configurations modulo the lattice is equality of fields.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -22,6 +23,10 @@ _MAX_REDUCTION_STEPS = 256
 # lattice points one center enumeration may visit (64 MiB of float64
 # pairs); only bases far too skewed for their scale ask for more
 _MAX_ENUMERATED_POINTS = 2**22
+# lattice shifts (i, j), |i|, |j| <= 2, for the offset-separation check
+_SHIFT_I, _SHIFT_J = (
+    g.ravel() for g in np.meshgrid(np.arange(-2.0, 3.0), np.arange(-2.0, 3.0), indexing="ij")
+)
 
 
 class ConfigFormatError(ValueError):
@@ -69,7 +74,23 @@ def reduce_basis(basis: Basis) -> Basis:
     """
     u = np.array(basis.u, dtype=float)
     v = np.array(basis.v, dtype=float)
-    for _ in range(_MAX_REDUCTION_STEPS):
+    mu = 0
+    # per step: the state it started from, keyed by its bits, and its mu
+    seen: dict[bytes, int] = {}
+    states: list[tuple[np.ndarray, np.ndarray]] = []
+    mus: list[int] = []
+    for step in range(_MAX_REDUCTION_STEPS):
+        state = u.tobytes() + v.tobytes()
+        if state in seen:
+            # the remaining steps repeat a cycle: jump to the state and the
+            # mu the step bound ends at, keeping the bound's parity
+            first = seen[state]
+            period = step - first
+            u, v = states[first + (_MAX_REDUCTION_STEPS - first) % period]
+            mu = mus[first + (_MAX_REDUCTION_STEPS - 1 - first) % period]
+            break
+        seen[state] = step
+        states.append((u, v))
         if v @ v < u @ u:
             u, v = v, u
         uu = float(u @ u)
@@ -78,15 +99,16 @@ def reduce_basis(basis: Basis) -> Basis:
             # |u|^2 underflowed: the basis is too skewed for float64
             raise ValueError("basis too skewed to reduce in floating point")
         mu = round(ratio)
+        mus.append(mu)
         if mu == 0:
             break
         v = v - mu * u
-    else:
-        # on a reduced pair with dot(u, v) within an ulp of |u|^2 / 2 (the
-        # hexagonal lattice) rounding flips mu between +1 and -1 for good;
-        # any other mu at the step bound means the reduction stalled
-        if abs(mu) != 1:
-            raise ValueError("basis reduction did not converge")
+    # a nonzero mu means the step bound was reached (or jumped to).  On a
+    # reduced pair with dot(u, v) within an ulp of |u|^2 / 2 (hexagonal)
+    # rounding flips mu between +1 and -1 for good; any other mu at the
+    # step bound means the reduction stalled
+    if abs(mu) > 1:
+        raise ValueError("basis reduction did not converge")
     if u @ u > v @ v:
         u, v = v, u
     return Basis((u[0], u[1]), (v[0], v[1]))
@@ -137,10 +159,8 @@ class PeriodicConfig:
         offs = tuple(self._wrap(p) for p in offs)
         object.__setattr__(self, "offsets", offs)
         object.__setattr__(self, "reduced", reduce_basis(self.basis))
-        for i in range(len(offs)):
-            for j in range(i + 1, len(offs)):
-                if _periodic_distance(offs[i], offs[j], self.reduced) <= SEPARATION_TOL:
-                    raise ValueError("offsets coincide modulo the lattice")
+        if len(offs) > 1 and _min_periodic_gap(offs, self.reduced) <= SEPARATION_TOL:
+            raise ValueError("offsets coincide modulo the lattice")
 
     def _wrap(self, p: Point) -> Point:
         ux, uy = self.basis.u
@@ -232,15 +252,17 @@ class PeriodicConfig:
         return cls.from_dict(data)
 
 
-def _periodic_distance(p: Point, q: Point, reduced: Basis) -> float:
-    ux, uy = reduced.u
-    vx, vy = reduced.v
-    dx, dy = p.x - q.x, p.y - q.y
-    best = math.inf
-    for i in range(-2, 3):
-        for j in range(-2, 3):
-            best = min(best, math.hypot(dx + i * ux + j * vx, dy + i * uy + j * vy))
-    return best
+def _min_periodic_gap(offsets: tuple[Point, ...], reduced: Basis) -> float:
+    """Least distance between two offsets over the shifts of `reduced`.
+
+    The shifts are i*u + j*v with |i|, |j| <= 2.
+    """
+    z = np.array([complex(p.x, p.y) for p in offsets])
+    a, b = np.array(list(itertools.combinations(range(len(z)), 2))).T
+    # points as complex numbers: (difference + i*u) + j*v for every
+    # pair and shift, and abs() is the hypotenuse
+    gap = (z[a] - z[b])[:, None] + _SHIFT_I * complex(*reduced.u) + _SHIFT_J * complex(*reduced.v)
+    return float(np.abs(gap).min())
 
 
 def _translates_array(config: PeriodicConfig, rect: Rect, margin: float) -> np.ndarray:

@@ -16,7 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coverage import CoverageCertificate, covering_radius, verify_k_coverage
+from .coverage import (
+    CoverageCertificate,
+    _covering_radius_many,
+    covering_radius,
+    verify_k_coverage,
+)
 from .density import config_density
 from .geometry import Point
 from .lattice import Basis, PeriodicConfig
@@ -168,8 +173,9 @@ def _multistart(
     one evaluation is reserved from the budget up front.  The objective is
     memoized on the clipped parameters, since the simplex and the clip
     revisit points; every evaluation still counts and enters the history.
-    The winner is reported with its disks shrunk to the certified
-    covering radius.
+    The grid's enclosures come from one lockstep search filling the memo
+    before the grid is evaluated in order.  The winner is reported with
+    its disks shrunk to the certified covering radius.
     """
     if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= MAX_FOLD:
         raise ValueError(f"k must be an integer in [1, {MAX_FOLD}], got {k!r}")
@@ -179,18 +185,23 @@ def _multistart(
     # clipped parameters -> (scaled density, certified covering radius)
     memo: dict[tuple[float, ...], tuple[float, float]] = {}
 
+    def remember(key, config, radius):
+        memo[key] = (_scaled_density(config, radius), radius)
+
     def objective(params):
         key = clip(params)
         if key not in memo:
             config = build(key)
-            radius = covering_radius(config, k, tol).high
-            memo[key] = (_scaled_density(config, radius), radius)
+            remember(key, config, covering_radius(config, k, tol).high)
         return memo[key][0]
 
     search = _Search(objective, budget - (pin is not None))
+    grid = grid[: search.remaining]
+    keys = list(dict.fromkeys(clip(tuple(float(p) for p in params)) for params in grid))
+    configs = [build(key) for key in keys]
+    for key, config, enclosure in zip(keys, configs, _covering_radius_many(configs, k, tol)):
+        remember(key, config, enclosure.high)
     for params in grid:
-        if search.remaining <= 0:
-            break
         search(params)
     for params, _ in sorted(search.history, key=lambda item: item[1])[:starts]:
         search.refine(params, refine_cap)

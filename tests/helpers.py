@@ -184,3 +184,21 @@ def skewed_config(rng: np.random.Generator, n: int) -> PeriodicConfig:
         )
         if gap >= 0.1 * math.sqrt(det / n):
             return PeriodicConfig((tuple(u), tuple(v)), [tuple(o) for o in offsets], 1.0)
+
+
+def min_offset_gap(offsets, reduced) -> float:
+    """Least distance between two offsets modulo the lattice, by scalar loops.
+
+    Takes wrapped offsets and a reduced basis, and scans the shifts
+    i*u + j*v with |i|, |j| <= 2 one `math.hypot` at a time.
+    """
+    (ux, uy), (vx, vy) = reduced.u, reduced.v
+    best = math.inf
+    for a in range(len(offsets)):
+        for b in range(a + 1, len(offsets)):
+            dx = offsets[a].x - offsets[b].x
+            dy = offsets[a].y - offsets[b].y
+            for i in range(-2, 3):
+                for j in range(-2, 3):
+                    best = min(best, math.hypot(dx + i * ux + j * vx, dy + i * uy + j * vy))
+    return best

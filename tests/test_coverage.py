@@ -263,6 +263,102 @@ class TestCenterPruning:
         )
 
 
+def _fields(r):
+    return (r.low, r.high, r.witness, r.boxes, r.converged)
+
+
+class TestCoveringRadiusMany:
+    """The lockstep search must equal one `covering_radius` call per config."""
+
+    @staticmethod
+    def _mixed_batch(seed):
+        # 1..8 offsets, twice each, and a needle-shaped cell: root grids of
+        # different sizes and center sets of different widths share levels
+        rng = np.random.default_rng(seed)
+        needle = PeriodicConfig(Basis((1.0, 0.0), (0.3, 3.9)), [(0, 0), (0.5, 1.2)], 1.0)
+        cfgs = [skewed_config(rng, n) for _ in range(2) for n in range(1, 9)]
+        return cfgs[:8] + [needle, SQUARE] + cfgs[8:]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_equals_single_search_field_by_field(self, k):
+        cfgs = self._mixed_batch(80 + k)
+        assert len({len(coverage._root_grid(c)[0]) for c in cfgs}) > 2
+        many = coverage._covering_radius_many(cfgs, k, tol=1e-7)
+        assert len(many) == len(cfgs)
+        for cfg, got in zip(cfgs, many):
+            assert _fields(got) == _fields(covering_radius(cfg, k, tol=1e-7))
+
+    def test_batch_of_one_and_empty_batch(self):
+        assert coverage._covering_radius_many([], 2, tol=1e-6) == []
+        for cfg, k in _critical_configs():
+            (got,) = coverage._covering_radius_many([cfg], k, tol=1e-9)
+            assert _fields(got) == _fields(covering_radius(cfg, k, tol=1e-9))
+
+    def test_box_budget_stops_each_config_on_its_own(self):
+        cfgs = self._mixed_batch(91)
+        # a budget one config spends exactly on its way to converging
+        budget = covering_radius(cfgs[3], 3, tol=1e-9).boxes
+        many = coverage._covering_radius_many(cfgs, 3, tol=1e-9, max_boxes=budget)
+        single = [covering_radius(c, 3, tol=1e-9, max_boxes=budget) for c in cfgs]
+        assert [_fields(r) for r in many] == [_fields(r) for r in single]
+        assert many[3].converged and many[3].boxes == budget
+        assert not all(r.converged for r in many)
+
+    def test_kernel_blocks_stay_bounded(self, monkeypatch):
+        # a small block forces many blocks per level and configs whose level
+        # alone is larger than a block, which run through their own field
+        chunk = 4000
+        cfgs = self._mixed_batch(93)
+        expected = [_fields(covering_radius(c, 4, tol=1e-8)) for c in cfgs]
+        monkeypatch.setattr(coverage, "_CHUNK_ELEMENTS", chunk)
+        monkeypatch.setattr(coverage, "_BATCH_ELEMENTS", chunk)
+        square_sum = coverage._square_sum
+        sizes = []
+
+        def recording(dx, dy):
+            sizes.append(dx.size)
+            return square_sum(dx, dy)
+
+        monkeypatch.setattr(coverage, "_square_sum", recording)
+        many = coverage._covering_radius_many(cfgs, 4, tol=1e-8)
+        assert [_fields(r) for r in many] == expected
+        assert max(sizes) <= chunk
+
+    def test_reach_doubling_in_one_config_of_a_batch(self, monkeypatch):
+        cfgs = self._mixed_batch(95)
+        target = cfgs[5]
+        k = 4
+        expected = [_fields(covering_radius(c, k, tol=1e-9)) for c in cfgs]
+        # start below the covering radius but above every root-grid value,
+        # so the doubling comes at a deeper level, after pruning
+        boxes, _, rect = coverage._root_grid(target)
+        root_max = float(coverage._CenterField(target, rect, k).dk(boxes).max())
+        start_reach = 0.5 * (root_max + expected[5][0])
+        assert root_max < start_reach < expected[5][0]
+        init = coverage._CenterField.__init__
+        rebuild = coverage._CenterField._rebuild
+        rebuilds = []
+
+        def short_reach_init(self, config, *args):
+            init(self, config, *args)
+            if config is target:
+                self.reach = start_reach
+                self._rebuild()
+
+        def logging_rebuild(self):
+            rebuilds.append(self.config is target)
+            rebuild(self)
+
+        monkeypatch.setattr(coverage._CenterField, "__init__", short_reach_init)
+        monkeypatch.setattr(coverage._CenterField, "_rebuild", logging_rebuild)
+        many = coverage._covering_radius_many(cfgs, k, tol=1e-9)
+        assert [_fields(r) for r in many] == expected
+        # one build per config and the shortened one, then the doublings,
+        # all of the target
+        doublings = rebuilds[len(cfgs) + 1 :]
+        assert doublings and all(doublings)
+
+
 class TestVerifyKCoverage:
     def test_honeycomb_statuses_by_radius(self):
         base = triangle_pattern()

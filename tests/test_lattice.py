@@ -22,6 +22,29 @@ from diskcover import (
     voronoi_cell,
 )
 from diskcover import coverage, lattice, voronoi
+from helpers import min_offset_gap
+
+# a rotated honeycomb basis on which mu flips between +1 and -1 at every
+# step of the reduction; the pair is reduced already
+ROTATED_HONEYCOMB = Basis(
+    (2.503729529556902, 1.1055676498193225), (0.29441509443265934, 2.7210772017112004)
+)
+
+
+def _full_reduction(basis: Basis, steps: int) -> Basis:
+    """Lagrange-Gauss reduction that runs every step up to the bound."""
+    u = np.array(basis.u, dtype=float)
+    v = np.array(basis.v, dtype=float)
+    for _ in range(steps):
+        if v @ v < u @ u:
+            u, v = v, u
+        mu = round(float(u @ v) / float(u @ u))
+        if mu == 0:
+            break
+        v = v - mu * u
+    if u @ u > v @ v:
+        u, v = v, u
+    return Basis((u[0], u[1]), (v[0], v[1]))
 
 
 class TestBasis:
@@ -94,14 +117,30 @@ class TestReduceBasis:
             assert r.det == pytest.approx(b.det, rel=1e-9)
 
     def test_hexagonal_rounding_cycle_is_reduced(self):
-        # a rotated honeycomb basis on which mu flips between +1 and -1 at
-        # every step until the step bound; the pair is reduced already
-        b = Basis((2.503729529556902, 1.1055676498193225), (0.29441509443265934, 2.7210772017112004))
+        b = ROTATED_HONEYCOMB
         r = reduce_basis(b)
         assert r == b
         assert abs(r.u[0] * r.v[0] + r.u[1] * r.v[1]) == pytest.approx(
             0.5 * (r.u[0] ** 2 + r.u[1] ** 2), rel=1e-12
         )
+
+    @pytest.mark.parametrize("steps", [256, 255, 8, 7])
+    def test_cycle_exit_keeps_the_step_bound_parity(self, monkeypatch, steps):
+        # the full loop ends on the other state of the cycle after an odd
+        # bound; leaving at the first repeated state must land on the same
+        expected = _full_reduction(ROTATED_HONEYCOMB, steps)
+        assert expected != _full_reduction(ROTATED_HONEYCOMB, steps + 1)
+        ratios = []
+
+        def counting_round(x):
+            ratios.append(x)
+            return round(x)
+
+        monkeypatch.setattr(lattice, "_MAX_REDUCTION_STEPS", steps)
+        monkeypatch.setattr(lattice, "round", counting_round, raising=False)
+        assert reduce_basis(ROTATED_HONEYCOMB) == expected
+        # two steps of the cycle, then the repeated state
+        assert len(ratios) == 2
 
     def test_raises_when_reduction_does_not_converge(self):
         # |v| / |u| ~ 1e45: v - mu * u rounds back to v at every step, where
@@ -139,6 +178,23 @@ class TestPeriodicConfig:
     def test_rejects_coincident_offsets_mod_lattice(self):
         with pytest.raises(ValueError, match="coincide"):
             PeriodicConfig(Basis((1, 0), (0, 1)), [(0.1, 0.1), (1.1, 2.1)], radius=1.0)
+
+    @pytest.mark.parametrize("factor, rejected", [(1.0 - 1e-6, True), (1.0 + 1e-6, False)])
+    def test_separation_tolerance_boundary(self, factor, rejected):
+        # a small cell keeps the wrapping error far below the 1e-15 margin
+        basis = Basis((1e-3, 0.0), (0.3e-3, 1.1e-3))
+        gap = lattice.SEPARATION_TOL * factor
+        for p in ((0.0, 0.0), (0.49e-3, 0.33e-3)):
+            for phi in np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False):
+                q = (p[0] + gap * math.cos(phi), p[1] + gap * math.sin(phi))
+                wrapped = [PeriodicConfig(basis, [x], 1.0).offsets[0] for x in (p, q)]
+                brute = min_offset_gap(wrapped, reduce_basis(basis))
+                assert (brute <= lattice.SEPARATION_TOL) == rejected
+                if rejected:
+                    with pytest.raises(ValueError, match="coincide"):
+                        PeriodicConfig(basis, [p, q], 1.0)
+                else:
+                    PeriodicConfig(basis, [p, q], 1.0)
 
     def test_rejects_bad_radius(self):
         with pytest.raises(ValueError, match="radius"):
@@ -248,6 +304,34 @@ def test_from_dict_returns_config_or_raises_config_error(u, v, offsets, radius):
         return
     assert cfg.basis.det > 0.0 and math.isfinite(cfg.basis.det)
     assert all(math.isfinite(p.x) and math.isfinite(p.y) for p in cfg.offsets)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    b=st.floats(-2.0, 2.0),
+    c=st.floats(0.2, 3.0),
+    scale=st.floats(1e-3, 1e3),
+    coords=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)), min_size=2, max_size=6),
+    copy=st.one_of(st.none(), st.tuples(st.integers(-3, 3), st.integers(-3, 3))),
+)
+def test_separation_check_matches_scalar_loop(b, c, scale, coords, copy):
+    basis = Basis((scale, 0.0), (scale * b, scale * c))
+    (ux, uy), (vx, vy) = basis.u, basis.v
+    pts = [(scale * x, scale * y) for x, y in coords]
+    if copy is not None:
+        # an exact copy of the first offset modulo the lattice
+        i, j = copy
+        pts.append((pts[0][0] + i * ux + j * vx, pts[0][1] + i * uy + j * vy))
+    wrapped = [PeriodicConfig(basis, [p], 1.0).offsets[0] for p in pts]
+    coincide = min_offset_gap(wrapped, reduce_basis(basis)) <= lattice.SEPARATION_TOL
+    assert coincide or copy is None
+    try:
+        PeriodicConfig(basis, pts, 1.0)
+    except ValueError as exc:
+        assert "coincide" in str(exc)
+        assert coincide
+    else:
+        assert not coincide
 
 
 def _brute_centers(cfg: PeriodicConfig, rect: Rect, margin: float, bound: int = 12):

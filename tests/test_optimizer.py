@@ -116,6 +116,43 @@ class TestOptimizeSingleLattice:
             optimize_single_lattice(2, budget=10)
 
 
+class TestGridPhase:
+    @pytest.mark.parametrize(
+        "search, grid_size",
+        [
+            (lambda: optimize_single_lattice(2, budget=1000, tol=1e-4, seed=7), 504),
+            (lambda: optimize_pattern_b(budget=1000, tol=1e-4, seed=7), 72),
+        ],
+    )
+    def test_grid_is_one_batched_search(self, monkeypatch, search, grid_size):
+        module = diskcover.optimize
+        radius, many, minimize = module.covering_radius, module._covering_radius_many, module.minimize
+        single, batched, before_refine = [], [], []
+
+        def counted(*args, **kwargs):
+            single.append(args)
+            return radius(*args, **kwargs)
+
+        def counted_many(configs, *args, **kwargs):
+            batched.append(len(configs))
+            return many(configs, *args, **kwargs)
+
+        def first_refine(*args, **kwargs):
+            if not before_refine:
+                before_refine.append((len(single), list(batched)))
+            return minimize(*args, **kwargs)
+
+        monkeypatch.setattr(module, "covering_radius", counted)
+        monkeypatch.setattr(module, "_covering_radius_many", counted_many)
+        monkeypatch.setattr(module, "minimize", first_refine)
+        res = search()
+        # the whole grid in one lockstep call, no single search before the
+        # first refinement, and none of the later phases batched
+        assert before_refine == [(0, [grid_size])]
+        assert batched == [grid_size]
+        assert single and res.evaluations == len(res.history) > grid_size
+
+
 class TestOptimizePatternB:
     def test_recovers_honeycomb(self):
         res = optimize_pattern_b(budget=4000, tol=1e-4, seed=0)
