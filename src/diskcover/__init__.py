@@ -40,7 +40,6 @@ from .lattice import (
 )
 from .optimize import (
     OptimizationResult,
-    golden_section,
     optimal_scaled_density,
     optimize_pattern_b,
     optimize_single_lattice,
@@ -93,7 +92,6 @@ __all__ = [
     "covering_radius",
     "density_report",
     "enumerate_centers",
-    "golden_section",
     "johnson_check",
     "kershner_theta",
     "known_value",

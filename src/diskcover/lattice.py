@@ -253,15 +253,23 @@ class PeriodicConfig:
 
 
 def _min_periodic_gap(offsets: tuple[Point, ...], reduced: Basis) -> float:
-    """Least distance between two offsets over the shifts of `reduced`.
+    """Least distance between two offsets modulo the lattice of `reduced`.
 
-    The shifts are i*u + j*v with |i|, |j| <= 2.
+    Each difference, at coordinates (s, t) in the reduced basis, is first
+    moved into the cell centred at the origin by subtracting
+    round(s)*u + round(t)*v.  A reduced basis has |u| <= |v| and an angle
+    between 60 and 120 degrees, so the lattice point nearest a point of
+    that cell is among the scanned shifts i*u + j*v with |i|, |j| <= 2.
     """
     z = np.array([complex(p.x, p.y) for p in offsets])
     a, b = np.array(list(itertools.combinations(range(len(z)), 2))).T
-    # points as complex numbers: (difference + i*u) + j*v for every
-    # pair and shift, and abs() is the hypotenuse
-    gap = (z[a] - z[b])[:, None] + _SHIFT_I * complex(*reduced.u) + _SHIFT_J * complex(*reduced.v)
+    # points as complex numbers: cross(p, q) is (conj(p) * q).imag, and
+    # abs() is the hypotenuse
+    u, v = complex(*reduced.u), complex(*reduced.v)
+    diff = z[a] - z[b]
+    s = np.rint((diff.conjugate() * v).imag / reduced.det)
+    t = np.rint((u.conjugate() * diff).imag / reduced.det)
+    gap = (diff - s * u - t * v)[:, None] + _SHIFT_I * u + _SHIFT_J * v
     return float(np.abs(gap).min())
 
 

@@ -5,7 +5,9 @@ cheapest certified k-cover scales the disks to the certified upper bound
 of the order-k covering radius, giving the objective n * pi * R^2 / det.
 Both searches run one multi-start driver: a coarse grid, simplex
 refinements of its best points, and a small seeded random polish at the
-end; with a fixed seed the whole run is deterministic.
+end; with a fixed seed the whole run is deterministic.  The simplex step
+is `minimize`, a Nelder-Mead port kept here so the package needs numpy
+alone.
 """
 
 from __future__ import annotations
@@ -61,16 +63,92 @@ class OptimizationResult:
         return buf.getvalue()
 
 
-def minimize(*args, **kwargs):
-    """`scipy.optimize.minimize`, imported on the first call.
+# Nelder-Mead stops once every vertex is within _XATOL of the best one in
+# each coordinate and every value within _FATOL of the best value
+_XATOL = 1e-7
+_FATOL = 1e-10
 
-    The simplex refinement is the package's only use of scipy, whose import
-    costs more than the rest of the package together; deferring it keeps
-    `import diskcover` and every CLI subcommand but `optimize` free of it.
+
+class _OutOfEvaluations(Exception):
+    """Raised in place of the objective call that would pass `maxfev`."""
+
+
+def minimize(func, x0, maxfev: int) -> None:
+    """Nelder-Mead simplex descent on `func` from `x0`, at most `maxfev` calls.
+
+    Nelder & Mead (1965) as the standard non-adaptive implementation in
+    SciPy runs it: reflection 1, expansion 2, contraction 1/2, shrink 1/2,
+    a start simplex that scales each coordinate by 1.05 (or sets it to
+    0.00025 where it is 0), a re-sort by value after every step, and a stop
+    once `_XATOL` and `_FATOL` both hold.  It calls `func` on the same
+    points in the same order, bit for bit, which the tests check where
+    that library is installed.  The caller reads the outcome from what
+    `func` records, so nothing is returned.
     """
-    from scipy.optimize import minimize as scipy_minimize
+    calls = 0
 
-    return scipy_minimize(*args, **kwargs)
+    def f(x):
+        nonlocal calls
+        if calls >= maxfev:
+            raise _OutOfEvaluations
+        calls += 1
+        return func(x.copy())
+
+    def by_value(sim, fsim):
+        # argsort's default kind, as in the reference: it is not stable,
+        # and the order it gives ties decides which vertex moves next
+        order = np.argsort(fsim)
+        return sim[order], fsim[order]
+
+    x0 = np.asarray(x0, dtype=float)
+    n = len(x0)
+    sim = np.tile(x0, (n + 1, 1))
+    for i in range(n):
+        sim[i + 1, i] = 1.05 * x0[i] if x0[i] != 0 else 0.00025
+    fsim = np.full(n + 1, np.inf)
+    try:
+        for i in range(n + 1):
+            fsim[i] = f(sim[i])
+    except _OutOfEvaluations:
+        pass
+    sim, fsim = by_value(sim, fsim)
+
+    while calls < maxfev:
+        try:
+            if (
+                np.max(np.abs(sim[1:] - sim[0])) <= _XATOL
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= _FATOL
+            ):
+                break
+            xbar = sim[:-1].sum(axis=0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    # outside contraction
+                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc <= fxr
+                else:
+                    # inside contraction
+                    xc = 0.5 * xbar + 0.5 * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+        except _OutOfEvaluations:
+            pass
+        sim, fsim = by_value(sim, fsim)
 
 
 def optimal_scaled_density(
@@ -82,30 +160,6 @@ def optimal_scaled_density(
 
 def _scaled_density(config: PeriodicConfig, radius: float) -> float:
     return len(config.offsets) * math.pi * radius**2 / config.basis.det
-
-
-def golden_section(
-    f, a: float, b: float, tol: float = 1e-10, maximize: bool = False
-) -> tuple[float, float]:
-    """Golden-section search on [a, b] for a unimodal objective."""
-    if not b > a:
-        raise ValueError("empty interval")
-    sign = -1.0 if maximize else 1.0
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = sign * f(c), sign * f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = sign * f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = sign * f(d)
-    x = (a + b) / 2.0
-    return x, f(x)
 
 
 class _Search:
@@ -139,17 +193,7 @@ class _Search:
         cap = min(max_evals, self.remaining)
         if cap < 8:
             return
-        minimize(
-            lambda p: self(p),
-            np.asarray(start, dtype=float),
-            method="Nelder-Mead",
-            options={
-                "xatol": 1e-7,
-                "fatol": 1e-10,
-                "maxfev": cap,
-                "maxiter": 10 * cap,
-            },
-        )
+        minimize(self, start, cap)
 
     def polish(self, rng: np.random.Generator, sigma, rounds: int) -> None:
         sigma = np.asarray(sigma, dtype=float)

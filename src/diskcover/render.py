@@ -21,6 +21,9 @@ def _fmt(value: float) -> str:
 
 
 def render_svg(config: PeriodicConfig, size: int = 640) -> str:
+    """SVG of `config` whose longer side is `size` pixels, at least 1."""
+    if size < 1:
+        raise ValueError(f"size must be at least 1, got {size}")
     ux, uy = config.basis.u
     vx, vy = config.basis.v
     corners = [

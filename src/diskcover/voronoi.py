@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coverage import _check_tol
 from .geometry import ConvexPolygon, Point, _merge_close
 from .lattice import PeriodicConfig, Rect, _translates_array
 from .lattice import reduce_basis  # noqa: F401 (unused here; perfbench hooks this name)
@@ -108,8 +109,7 @@ def congruence_signature(
     cell: VoronoiCell | ConvexPolygon, tol: float = CONGRUENCE_TOL
 ) -> CongruenceSignature:
     """Signature invariant under rigid motions, reflections included."""
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    _check_tol(tol)
     poly = cell.polygon if isinstance(cell, VoronoiCell) else cell
     verts = list(poly.vertices)
     forward = _quantized_pairs(verts, tol)

@@ -186,19 +186,26 @@ def skewed_config(rng: np.random.Generator, n: int) -> PeriodicConfig:
             return PeriodicConfig((tuple(u), tuple(v)), [tuple(o) for o in offsets], 1.0)
 
 
-def min_offset_gap(offsets, reduced) -> float:
+def min_offset_gap(offsets, basis) -> float:
     """Least distance between two offsets modulo the lattice, by scalar loops.
 
-    Takes wrapped offsets and a reduced basis, and scans the shifts
-    i*u + j*v with |i|, |j| <= 2 one `math.hypot` at a time.
+    For a difference d, a lattice vector w = i*u + j*v beats w = 0 only
+    when |w| <= 2|d|, and then |i| = |cross(w, v)| / det <= 2|d||v| / det
+    and |j| <= 2|d||u| / det.  The loops scan that window, one more on each
+    side against rounding, one `math.hypot` at a time, so no skew of
+    `basis` can hide the nearest copy.
     """
-    (ux, uy), (vx, vy) = reduced.u, reduced.v
+    (ux, uy), (vx, vy) = basis.u, basis.v
+    det = abs(ux * vy - uy * vx)
     best = math.inf
     for a in range(len(offsets)):
         for b in range(a + 1, len(offsets)):
             dx = offsets[a].x - offsets[b].x
             dy = offsets[a].y - offsets[b].y
-            for i in range(-2, 3):
-                for j in range(-2, 3):
+            reach = 2.0 * math.hypot(dx, dy) / det
+            ni = math.ceil(reach * math.hypot(vx, vy)) + 1
+            nj = math.ceil(reach * math.hypot(ux, uy)) + 1
+            for i in range(-ni, ni + 1):
+                for j in range(-nj, nj + 1):
                     best = min(best, math.hypot(dx + i * ux + j * vx, dy + i * uy + j * vy))
     return best

@@ -179,6 +179,13 @@ class TestPeriodicConfig:
         with pytest.raises(ValueError, match="coincide"):
             PeriodicConfig(Basis((1, 0), (0, 1)), [(0.1, 0.1), (1.1, 2.1)], radius=1.0)
 
+    def test_rejects_coincident_offsets_on_skewed_basis(self):
+        # 1e-11 apart modulo the lattice, on opposite edges of the skewed
+        # cell, so their raw difference is (5, 1), far outside the reduced one
+        offsets = [(0.3 + 5e-12, 1e-12), (5.3 - 5e-12, 1 - 1e-12)]
+        with pytest.raises(ValueError, match="coincide"):
+            PeriodicConfig(Basis((1, 0), (5, 1)), offsets, radius=1.0)
+
     @pytest.mark.parametrize("factor, rejected", [(1.0 - 1e-6, True), (1.0 + 1e-6, False)])
     def test_separation_tolerance_boundary(self, factor, rejected):
         # a small cell keeps the wrapping error far below the 1e-15 margin
@@ -308,7 +315,7 @@ def test_from_dict_returns_config_or_raises_config_error(u, v, offsets, radius):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(
-    b=st.floats(-2.0, 2.0),
+    b=st.floats(-6.0, 6.0),
     c=st.floats(0.2, 3.0),
     scale=st.floats(1e-3, 1e3),
     coords=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)), min_size=2, max_size=6),

@@ -1,44 +1,94 @@
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
 import diskcover.optimize
 from diskcover import (
     Basis,
     PeriodicConfig,
-    golden_section,
     kershner_theta,
     optimal_scaled_density,
     optimize_pattern_b,
     optimize_single_lattice,
-    pattern_b_density_bound,
 )
 
 THETA = kershner_theta()
 
 
-class TestGoldenSection:
-    def test_quadratic_minimum(self):
-        x, fx = golden_section(lambda t: (t - 2.0) ** 2, 0.0, 5.0, tol=1e-10)
-        assert x == pytest.approx(2.0, abs=1e-8)
-        assert fx == pytest.approx(0.0, abs=1e-15)
+def _quadratic(x):
+    return float((x[0] - 1.0) ** 2 + 3.0 * (x[1] + 0.5) ** 2 + 0.1 * x[2] ** 2)
 
-    def test_maximize(self):
-        # Near the flat top the offset constant absorbs the quadratic term,
-        # so the bracket can drift within the float plateau of width ~1e-8.
-        x, fx = golden_section(lambda t: -((t - 1.0) ** 2) + 3, -2.0, 4.0, tol=1e-10, maximize=True)
-        assert x == pytest.approx(1.0, abs=1e-6)
-        assert fx == pytest.approx(3.0, abs=1e-12)
 
-    def test_recovers_pattern_b_optimum(self):
-        x, fx = golden_section(pattern_b_density_bound, 0.05, 0.999, tol=1e-9)
-        assert x == pytest.approx(math.sqrt(3) / 2, abs=1e-7)
-        assert fx == pytest.approx(2 * THETA, abs=1e-12)
+def _rosenbrock(x):
+    return float(sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
 
-    def test_rejects_empty_interval(self):
-        with pytest.raises(ValueError):
-            golden_section(lambda t: t, 1.0, 1.0, tol=1e-8)
+
+def _plateau(x):
+    # flat steps: trial points tie with the worst vertex, so the simplex
+    # shrinks, and the start simplex's values (2, 2, 1, 1) meet the
+    # unstable argsort
+    return float(math.floor(25.0 * (2.0 * abs(x[0]) + abs(x[1] - 1.25) + abs(x[2] + 0.75))))
+
+
+def _walled(x):
+    # inf beyond a wall the start simplex already crosses
+    return math.inf if x[1] > 1.25 else _quadratic(x)
+
+
+class TestNelderMead:
+    """The in-repo port makes scipy's Nelder-Mead calls, bit for bit."""
+
+    # in 3-D the start simplex takes 4 calls, so caps 1..3 stop inside it;
+    # on the plateau cap 13 stops inside a shrink (see below)
+    @pytest.mark.parametrize("cap", [1, 2, 3, 8, 13, 200])
+    @pytest.mark.parametrize("objective", [_quadratic, _rosenbrock, _plateau, _walled])
+    def test_same_calls_as_scipy(self, objective, cap):
+        scipy_optimize = pytest.importorskip("scipy.optimize")
+        x0 = (0.0, 1.2, -0.7)
+
+        def recorded(calls):
+            def f(x):
+                value = objective(x)
+                calls.append((repr(x.tolist()), repr(value)))
+                return value
+
+            return f
+
+        ours, theirs = [], []
+        diskcover.optimize.minimize(recorded(ours), x0, cap)
+        scipy_optimize.minimize(
+            recorded(theirs),
+            np.asarray(x0),
+            method="Nelder-Mead",
+            options={
+                "xatol": diskcover.optimize._XATOL,
+                "fatol": diskcover.optimize._FATOL,
+                "maxfev": cap,
+            },
+        )
+        assert ours == theirs
+        assert len(ours) <= cap
+
+    def test_cap_stops_inside_a_shrink(self):
+        points = []
+
+        def f(x):
+            points.append(x.copy())
+            return _plateau(x)
+
+        diskcover.optimize.minimize(f, (0.0, 1.2, -0.7), 13)
+        *earlier, a, b = points
+
+        def halfway(x, p):
+            # x lies halfway between p and an earlier point
+            return any(np.allclose(2.0 * x - p, q, rtol=0.0, atol=1e-15) for q in earlier)
+
+        # the last two calls move two vertices halfway to the best one; the
+        # shrink's third call would pass the cap
+        assert len(points) == 13
+        assert any(halfway(a, p) and halfway(b, p) for p in earlier)
 
 
 class TestOptimalScaledDensity:

@@ -115,6 +115,12 @@ class TestCongruenceSignature:
         b = ConvexPolygon(verts[2:] + verts[:2])
         assert congruence_signature(a) == congruence_signature(b)
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0])
+    def test_rejects_non_finite_or_non_positive_tol(self, tol):
+        cell = voronoi_cell(triangle_pattern(), 0)
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            congruence_signature(cell, tol)
+
 
 class TestAllCellsCongruent:
     def test_single_offset_always_congruent(self):
