@@ -16,6 +16,9 @@ d_k(m) + 2h of m.  Centers farther than that from every surviving box
 center can be dropped before the next level: the kept set still holds
 each later query point's k nearest, so every d_k value, and with it
 every bound, witness and box count, is the same as with all centers.
+A center field therefore prunes only where it pays: after a level whose
+query fit one kernel block, whose d^2 it reuses, and only while it holds
+more than _PRUNE_MIN centers.
 
 Searches of many configurations, such as an optimizer's start grid, run
 in lockstep through `_covering_radius_many`: one frontier holds every
@@ -26,8 +29,9 @@ own center field, pruning and reach doublings, and its own stop rules,
 so every enclosure, witness and box count equals that of its own
 `covering_radius` call.  The one-configuration loop stays separate: it
 is the reference the batched engine is tested against, and a batch of
-one took 2.5 to 2.9 times as long as `covering_radius` on single
-searches at tol 1e-4 and 1e-9.
+one took 5.2 to 5.4 times as long as `covering_radius` on an optimizer's
+single searches at tol 1e-4, and 3.7 to 4.0 times on random skewed
+configurations at tol 1e-9 (2-vCPU VM, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -58,8 +62,13 @@ _BATCH_ELEMENTS = 2**16
 # relative padding of the pruning radius; far above the rounding error of
 # d^2, whose coordinates share the scale of the radius
 _PRUNE_SLACK = 1e-9
+# a center field this small is not pruned: a pass over the level's d^2
+# costs more than it saves on the levels below
+_PRUNE_MIN = 16
 # the four children of a box, as multiples of the child half side
 _SIGNS = np.array([[-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]])
+# the same signs as (coordinate, 1, child), for boxes held as rows x and y
+_SIGN_ROWS = np.ascontiguousarray(_SIGNS.T[:, None, :])
 
 
 @dataclass(frozen=True)
@@ -94,11 +103,13 @@ class CoveringRadius:
 class _CenterField:
     """Cached center enumeration serving batched d_k queries on a rect.
 
-    The reach starts from an estimate of how far one must look to see k
-    centers and doubles whenever a query value comes back at the edge of
-    what the cache can certify; a doubling enumerates every center within
-    the new reach of the rect again.  Between doublings `prune` narrows
-    the cache to the centers later queries can still need.
+    The centers are held as two contiguous coordinate columns, `cx` and
+    `cy`.  The reach starts from an estimate of how far one must look to
+    see k centers and doubles whenever a query value comes back at the
+    edge of what the cache can certify; a doubling enumerates every
+    center within the new reach of the rect again.  Between doublings
+    `prune` narrows the cache to the centers later queries can still
+    need.
     """
 
     def __init__(self, config: PeriodicConfig, rect: Rect, k: int):
@@ -111,49 +122,60 @@ class _CenterField:
         self._rebuild()
 
     def _rebuild(self) -> None:
-        self.set_centers(_translates_array(self.config, self.rect, self.reach))
+        self.set_centers(*_translates_array(self.config, self.rect, self.reach).T)
 
-    def set_centers(self, centers: np.ndarray) -> None:
-        self.centers = centers
-        # contiguous coordinate columns for the kernel
-        self.cx = np.ascontiguousarray(centers[:, 0])
-        self.cy = np.ascontiguousarray(centers[:, 1])
+    def set_centers(self, cx: np.ndarray, cy: np.ndarray) -> None:
+        self.cx = cx
+        self.cy = cy
+        # query rows per kernel block
+        self._rows = max(1, _CHUNK_ELEMENTS // len(cx))
         self._d2 = None
 
     def dk(self, pts: np.ndarray) -> np.ndarray:
+        """d_k at each row of the non-empty (N, 2) array `pts`.
+
+        Leaves in `best` the index of the first largest value, the one
+        reduction that serves both the reach check and the caller.
+        """
         while True:
             vals = self._dk_once(pts)
-            if vals.max(initial=0.0) <= self.reach:
+            best = int(vals.argmax())
+            if vals[best] <= self.reach:
+                self.best = best
                 return vals
             self.reach *= 2.0
             self._rebuild()
 
     def _dk_once(self, pts: np.ndarray) -> np.ndarray:
-        rows = max(1, _CHUNK_ELEMENTS // len(self.cx))
+        x, y = pts[:, 0:1], pts[:, 1:2]
+        rows = self._rows
+        if len(pts) <= rows:
+            # only a query that fits one block leaves its d^2 for `prune`
+            self._d2 = _square_sum(x - self.cx, y - self.cy)
+            return np.sqrt(_kth_smallest(self._d2, self.k))
+        self._d2 = None
         out = np.empty(len(pts))
-        d2 = None
         for start in range(0, len(pts), rows):
-            block = pts[start : start + rows]
-            d2 = _square_sum(block[:, 0:1] - self.cx, block[:, 1:2] - self.cy)
-            out[start : start + rows] = np.sqrt(_kth_smallest(d2, self.k))
-        # only a query that fit one block leaves its d^2 for `prune`
-        self._d2 = d2 if len(pts) <= rows else None
+            block = slice(start, start + rows)
+            d2 = _square_sum(x[block] - self.cx, y[block] - self.cy)
+            out[block] = np.sqrt(_kth_smallest(d2, self.k))
         return out
 
     def prune(self, vals: np.ndarray, kept: np.ndarray, half_diag: float) -> None:
         """Drop the centers no point of the kept boxes can have as k-nearest.
 
         `vals` are the d_k values of the last `dk` query, whose points are
-        the centers of boxes with half-diagonal `half_diag`; `kept` masks
-        the boxes searched further.  A center stays if it lies within
-        d_k(m) + 2 * half_diag of some kept box center m.  Reuses that
-        query's d^2, so a query too large for one block prunes nothing.
+        the centers of boxes with half-diagonal `half_diag`; `kept` holds
+        the indices of the boxes searched further.  A center stays if it
+        lies within d_k(m) + 2 * half_diag of some kept box center m.
+        Reuses that query's d^2, so a query too large for one block prunes
+        nothing, and neither does a field of at most _PRUNE_MIN centers.
         """
-        if self._d2 is None:
+        if self._d2 is None or len(self.cx) <= _PRUNE_MIN:
             return
-        radius = (vals[kept] + 2.0 * half_diag) * (1.0 + _PRUNE_SLACK)
-        near = (self._d2[kept] <= (radius * radius)[:, None]).any(axis=0)
-        self.set_centers(self.centers[near])
+        radius = (vals.take(kept)[:, None] + 2.0 * half_diag) * (1.0 + _PRUNE_SLACK)
+        near = (self._d2.take(kept, axis=0) <= radius * radius).any(axis=0)
+        self.set_centers(self.cx[near], self.cy[near])
 
 
 def _square_sum(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
@@ -179,12 +201,12 @@ class _PaddedCenters:
     doubling.
     """
 
-    def __init__(self, sets: list[np.ndarray]):
-        self.size = np.array([len(s) for s in sets])
-        self.x = np.full((len(sets), int(self.size.max())), np.inf)
+    def __init__(self, fields: list[_CenterField]):
+        self.size = np.array([len(field.cx) for field in fields])
+        self.x = np.full((len(fields), int(self.size.max())), np.inf)
         self.y = np.full_like(self.x, np.inf)
-        for i, centers in enumerate(sets):
-            self.store(i, centers)
+        for i, field in enumerate(fields):
+            self.store(i, field)
 
     def squared_distances(self, pts: np.ndarray, ids: np.ndarray, width: int) -> np.ndarray:
         """d^2 from each point to the first `width` centers of config ids[row]."""
@@ -194,18 +216,19 @@ class _PaddedCenters:
             np.subtract(pts[:, 0:1], dx, out=dx), np.subtract(pts[:, 1:2], dy, out=dy)
         )
 
-    def load(self, i: int) -> np.ndarray:
+    def load(self, i: int, field: _CenterField) -> None:
+        """Hand config i's centers, as copies, to its center field."""
         n = self.size[i]
-        return np.column_stack((self.x[i, :n], self.y[i, :n]))
+        field.set_centers(self.x[i, :n].copy(), self.y[i, :n].copy())
 
-    def store(self, i: int, centers: np.ndarray) -> None:
-        n = len(centers)
+    def store(self, i: int, field: _CenterField) -> None:
+        n = len(field.cx)
         if n > self.x.shape[1]:
             grow = np.full((len(self.x), n - self.x.shape[1]), np.inf)
             self.x = np.hstack((self.x, grow))
             self.y = np.hstack((self.y, grow))
-        self.x[i, :n], self.x[i, n:] = centers[:, 0], np.inf
-        self.y[i, :n], self.y[i, n:] = centers[:, 1], np.inf
+        self.x[i, :n], self.x[i, n:] = field.cx, np.inf
+        self.y[i, :n], self.y[i, n:] = field.cy, np.inf
         self.size[i] = n
 
     def keep(self, ids: np.ndarray, near: np.ndarray) -> None:
@@ -234,6 +257,8 @@ def kth_nearest_distance_batch(
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must be an (N, 2) array")
+    if not len(pts):
+        return np.empty(0)
     rect = Rect(
         float(pts[:, 0].min()),
         float(pts[:, 1].min()),
@@ -246,10 +271,11 @@ def kth_nearest_distance_batch(
 def _root_grid(config: PeriodicConfig) -> tuple[np.ndarray, float, Rect]:
     """Root boxes over the bounding box of the reduced parallelogram.
 
-    Returns the box centers, their half side, and the rect the center
-    field must serve.  The grid is capped at 64 boxes along the long side
-    so a needle-shaped domain cannot explode it; squares overhanging the
-    domain only waste work, never correctness.
+    Returns the box centers as an (n, 2) array with contiguous columns,
+    their half side, and the rect the center field must serve.  The grid
+    is capped at 64 boxes along the long side so a needle-shaped domain
+    cannot explode it; squares overhanging the domain only waste work,
+    never correctness.
     """
     ux, uy = config.reduced.u
     vx, vy = config.reduced.v
@@ -265,13 +291,13 @@ def _root_grid(config: PeriodicConfig) -> tuple[np.ndarray, float, Rect]:
     sy = height / ny
     side = max(sx, sy)
     half = side / 2.0
-    cx, cy = np.meshgrid(
-        xmin + side * (np.arange(nx) + 0.5),
-        ymin + side * (np.arange(ny) + 0.5),
-        indexing="ij",
-    )
-    boxes = np.column_stack([cx.ravel(), cy.ravel()])
-    return boxes, half, Rect(xmin - half, ymin - half, xmax + half, ymax + half)
+    # x-major order, as in a meshgrid with "ij" indexing; the rows of the
+    # (2, n) array are the contiguous columns of the (n, 2) view returned
+    grid = np.empty((2, nx, ny))
+    grid[0] = (xmin + side * (np.arange(nx) + 0.5))[:, None]
+    grid[1] = ymin + side * (np.arange(ny) + 0.5)
+    rect = Rect(xmin - half, ymin - half, xmax + half, ymax + half)
+    return grid.reshape(2, -1).T, half, rect
 
 
 def covering_radius(
@@ -295,34 +321,38 @@ def covering_radius(
     _check_tol(tol)
     boxes, half, rect = _root_grid(config)
     field = _CenterField(config, rect, k)
+    # the level's box centers as rows x and y; the kernel reads the
+    # (n, 2) view `cols.T`
+    cols = boxes.T
     low = -math.inf
-    witness = boxes[0]
+    witness = cols[:, 0]
     processed = 0
     converged = False
     while True:
-        vals = field.dk(boxes)
-        processed += len(boxes)
-        best = int(np.argmax(vals))
-        if vals[best] > low:
-            low = float(vals[best])
-            # `boxes` is rebound, never written, so the row can be kept
-            witness = boxes[best]
+        vals = field.dk(cols.T)
+        processed += len(vals)
+        best = field.best
+        top = float(vals[best])
+        if top > low:
+            low = top
+            # `cols` is rebound, never written, so the column can be kept
+            witness = cols[:, best]
         diag = half * math.sqrt(2.0)
-        bounds = vals + diag
-        # the largest bound survives exactly when any bound does
-        high = max(float(bounds.max()), low)
+        # rounding is monotone, so top + diag is the largest bound, and
+        # it survives exactly when any bound does
+        high = max(top + diag, low)
         if high - low <= tol:
             converged = True
             break
-        survivors = bounds > low
-        parents = boxes[survivors]
+        survivors = (vals + diag > low).nonzero()[0]
         # the next level quarters every parent; skip it whole rather than
         # let it overshoot the budget
-        if processed + 4 * len(parents) > max_boxes:
+        if processed + 4 * len(survivors) > max_boxes:
             break
         field.prune(vals, survivors, diag)
         half /= 2.0
-        boxes = (parents[:, None, :] + _SIGNS * half).reshape(-1, 2)
+        parents = cols.take(survivors, axis=1)[:, :, None]
+        cols = (parents + _SIGN_ROWS * half).reshape(2, -1)
     return CoveringRadius(
         low, high, Point(float(witness[0]), float(witness[1])), processed, converged
     )
@@ -351,7 +381,7 @@ def _covering_radius_many(
         return []
     roots = [_root_grid(config) for config in configs]
     fields = [_CenterField(config, rect, k) for config, (_, _, rect) in zip(configs, roots)]
-    pad = _PaddedCenters([field.centers for field in fields])
+    pad = _PaddedCenters(fields)
     reach = np.array([field.reach for field in fields])
     half = np.array([root[1] for root in roots])
     low = np.full(len(configs), -math.inf)
@@ -390,7 +420,7 @@ def _covering_radius_many(
                     fields[i].reach *= 2.0
                     fields[i]._rebuild()
                 else:
-                    fields[i].set_centers(pad.load(i))
+                    pad.load(i, fields[i])
                 vals[rows] = fields[i].dk(pts[rows])
                 reach[i] = fields[i].reach
             if own.any():
@@ -430,8 +460,8 @@ def _covering_radius_many(
             for j in np.flatnonzero(go & own):
                 i = g_ids[j]
                 rows = slice(starts[j], starts[j] + g_counts[j])
-                fields[i].prune(vals[rows], survivors[rows], diag[j])
-                pad.store(i, fields[i].centers)
+                fields[i].prune(vals[rows], survivors[rows].nonzero()[0], diag[j])
+                pad.store(i, fields[i])
 
             half[g_ids[go]] /= 2.0
             parents = pts[survivors & np.repeat(go, g_counts)]

@@ -276,45 +276,48 @@ def _min_periodic_gap(offsets: tuple[Point, ...], reduced: Basis) -> float:
 def _translates_array(config: PeriodicConfig, rect: Rect, margin: float) -> np.ndarray:
     """All centers within `margin` of `rect`, as an (N, 2) array.
 
-    Integer ranges follow from mapping the expanded rect's corners
-    through the inverse of the reduced basis; padding by one absorbs
-    rounding.  Raises ValueError when those ranges are not finite or span
-    more than _MAX_ENUMERATED_POINTS centers.
+    The columns of the array are contiguous.  Integer ranges follow from
+    mapping the expanded rect's corners through the inverse of the
+    reduced basis; padding by one absorbs rounding.  Raises ValueError
+    when those ranges are not finite or span more than
+    _MAX_ENUMERATED_POINTS centers.
     """
-    u = np.array(config.reduced.u)
-    v = np.array(config.reduced.v)
-    minv = np.linalg.inv(np.column_stack([u, v]))
-    corners = np.array(
-        [
-            [rect.xmin - margin, rect.ymin - margin],
-            [rect.xmax + margin, rect.ymin - margin],
-            [rect.xmax + margin, rect.ymax + margin],
-            [rect.xmin - margin, rect.ymax + margin],
-        ]
-    )
-    offsets = np.array([[p.x, p.y] for p in config.offsets])
-    shifted = corners[None, :, :] - offsets[:, None, :]
-    coords = shifted.reshape(-1, 2) @ minv.T
-    if not np.isfinite(coords).all():
+    ux, uy = config.reduced.u
+    vx, vy = config.reduced.v
+    det = config.reduced.det
+    # lattice coordinates (s, t) of each corner of the expanded rect minus
+    # each offset, by the closed-form inverse of the 2x2 basis matrix
+    s, t = [], []
+    for p in config.offsets:
+        for x in (rect.xmin - margin - p.x, rect.xmax + margin - p.x):
+            for y in (rect.ymin - margin - p.y, rect.ymax + margin - p.y):
+                s.append((x * vy - y * vx) / det)
+                t.append((y * ux - x * uy) / det)
+    if not all(map(math.isfinite, s + t)):
         raise ValueError("center enumeration overflows the float range")
     # exact Python ints, so no range can wrap before the budget check
-    lo = [math.floor(c) - 1 for c in coords.min(axis=0)]
-    hi = [math.ceil(c) + 1 for c in coords.max(axis=0)]
-    count = len(offsets) * (hi[0] - lo[0] + 1) * (hi[1] - lo[1] + 1)
+    lo_i, hi_i = math.floor(min(s)) - 1, math.ceil(max(s)) + 1
+    lo_j, hi_j = math.floor(min(t)) - 1, math.ceil(max(t)) + 1
+    ox = np.array([p.x for p in config.offsets])
+    oy = np.array([p.y for p in config.offsets])
+    count = len(ox) * (hi_i - lo_i + 1) * (hi_j - lo_j + 1)
     if count > _MAX_ENUMERATED_POINTS:
         raise ValueError(
             f"center enumeration needs more than {_MAX_ENUMERATED_POINTS} points"
         )
-    ii, jj = np.meshgrid(
-        np.arange(lo[0], hi[0] + 1), np.arange(lo[1], hi[1] + 1), indexing="ij"
-    )
-    lattice_pts = ii.reshape(-1, 1) * u + jj.reshape(-1, 1) * v
-    pts = (lattice_pts[None, :, :] + offsets[:, None, :]).reshape(-1, 2)
-    dx = np.maximum(np.maximum(rect.xmin - pts[:, 0], 0.0), pts[:, 0] - rect.xmax)
-    dy = np.maximum(np.maximum(rect.ymin - pts[:, 1], 0.0), pts[:, 1] - rect.ymax)
+    ii = np.arange(lo_i, hi_i + 1)[:, None]
+    jj = np.arange(lo_j, hi_j + 1)
+    # rows x and y of every offset plus every lattice point i*u + j*v,
+    # offset-major, then i, then j
+    pts = np.empty((2, len(ox), (hi_i - lo_i + 1) * (hi_j - lo_j + 1)))
+    np.add((ii * ux + jj * vx).reshape(1, -1), ox[:, None], out=pts[0])
+    np.add((ii * uy + jj * vy).reshape(1, -1), oy[:, None], out=pts[1])
+    pts = pts.reshape(2, -1)
+    gx = np.maximum(np.maximum(rect.xmin - pts[0], 0.0), pts[0] - rect.xmax)
+    gy = np.maximum(np.maximum(rect.ymin - pts[1], 0.0), pts[1] - rect.ymax)
     scale = max(1.0, margin, *config.reduced.lengths())
-    keep = dx * dx + dy * dy <= (margin + 1e-12 * scale) ** 2
-    return pts[keep]
+    keep = gx * gx + gy * gy <= (margin + 1e-12 * scale) ** 2
+    return pts[:, keep].T
 
 
 def enumerate_centers(

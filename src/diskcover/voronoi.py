@@ -132,7 +132,10 @@ def _quantized_pairs(verts, tol):
         dot = ax * bx + ay * by
         norm = math.hypot(ax, ay) * math.hypot(bx, by)
         angle = math.acos(max(-1.0, min(1.0, dot / norm)))
-        pairs.append((round(edge / tol), round(angle / tol)))
+        steps = (edge / tol, angle / tol)
+        if not all(map(math.isfinite, steps)):
+            raise ValueError(f"congruence tolerance {tol} is too small for this cell")
+        pairs.append((round(steps[0]), round(steps[1])))
     return tuple(pairs)
 
 

@@ -188,6 +188,12 @@ class TestVoronoiCommand:
         assert main(argv) == 4
         assert "tolerance must be positive" in capsys.readouterr().err
 
+    def test_subnormal_congruence_tol_exit_4(self, capsys, triangle_config):
+        argv = ["voronoi", "--config", triangle_config, "--congruence", "--tol", "5e-324"]
+        assert main(argv) == 4
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error:") and "too small" in line
+
 
 class TestBoundsCommand:
     def test_first_order(self, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -57,6 +58,12 @@ class TestKthNearestDistance:
             assert got == pytest.approx(
                 kth_nearest_distance(Point(row[0], row[1]), cfg, 3), abs=1e-12
             )
+
+    def test_batch_of_no_points(self):
+        out = kth_nearest_distance_batch(np.empty((0, 2)), SQUARE, 2)
+        assert out.shape == (0,) and out.dtype == np.float64
+        with pytest.raises(ValueError, match="points must be"):
+            kth_nearest_distance_batch(np.empty((0, 3)), SQUARE, 2)
 
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
@@ -136,6 +143,39 @@ class TestCoveringRadius:
             assert r.low <= exact.high and exact.low <= r.high
             assert kth_nearest_distance(r.witness, cfg, k) == pytest.approx(r.low, abs=1e-12)
 
+    def test_kernel_blocks_stay_bounded(self, monkeypatch):
+        # a level larger than one block is split into blocks of at most
+        # _CHUNK_ELEMENTS d^2 entries, and the split changes no result
+        chunk = 4000
+        cfg = skewed_config(np.random.default_rng(97), 8)
+        expected = covering_radius(cfg, 8, tol=1e-8)
+        monkeypatch.setattr(coverage, "_CHUNK_ELEMENTS", chunk)
+        square_sum = coverage._square_sum
+        dk_once = coverage._CenterField._dk_once
+        sizes = []
+        levels = []
+
+        def recording_square_sum(dx, dy):
+            sizes.append(dx.size)
+            return square_sum(dx, dy)
+
+        def recording_dk_once(self, pts):
+            levels.append(len(pts) * len(self.cx))
+            return dk_once(self, pts)
+
+        monkeypatch.setattr(coverage, "_square_sum", recording_square_sum)
+        monkeypatch.setattr(coverage._CenterField, "_dk_once", recording_dk_once)
+        r = covering_radius(cfg, 8, tol=1e-8)
+        assert max(levels) > chunk
+        assert max(sizes) <= chunk
+        assert (r.low, r.high, r.witness, r.boxes, r.converged) == (
+            expected.low,
+            expected.high,
+            expected.witness,
+            expected.boxes,
+            expected.converged,
+        )
+
     def test_agrees_with_dense_grid(self):
         rng = np.random.default_rng(67)
         for _ in range(3):
@@ -213,6 +253,27 @@ class TestCenterPruning:
         r = covering_radius(cfg, k, tol=tol)
         assert (r.low, r.high, r.boxes) == (low, high, boxes)
 
+    def test_pinned_digest_on_skewed_configs(self):
+        # every field of 129 searches, recorded before the B&B level was
+        # rebuilt on coordinate columns: k 1..8 x 1..8 offsets at two
+        # tolerances, then one search cut by its box budget
+        def fields(r):
+            return (r.low, r.high, r.witness.x, r.witness.y, r.boxes, r.converged)
+
+        rng = np.random.default_rng(79)
+        cases = [(skewed_config(rng, n), k) for k in range(1, 9) for n in range(1, 9)]
+        rows = [
+            fields(covering_radius(cfg, k, tol=tol))
+            for tol in (1e-4, 1e-9)
+            for cfg, k in cases
+        ]
+        cfg, k = cases[45]
+        cut = covering_radius(cfg, k, tol=1e-12, max_boxes=400)
+        assert not cut.converged
+        rows.append(fields(cut))
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+        assert digest == "0d5179fe3127f2c1b4de357025136bbb926c54be9a3fc060ff0da8a898ddc53c"
+
     def test_reach_doubling_after_pruning(self, monkeypatch):
         cfg = skewed_config(np.random.default_rng(73), 3)
         k = 4
@@ -239,12 +300,12 @@ class TestCenterPruning:
             init(self, *args)
             self.reach = start_reach
             self._rebuild()
-            full.append(len(self.centers))
+            full.append(len(self.cx))
 
         def logging_dk(self, pts):
-            before = (self.reach, len(self.centers))
+            before = (self.reach, len(self.cx))
             vals = dk(self, pts)
-            calls.append((*before, self.reach, len(self.centers)))
+            calls.append((*before, self.reach, len(self.cx)))
             return vals
 
         monkeypatch.setattr(coverage._CenterField, "__init__", short_reach_init)

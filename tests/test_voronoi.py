@@ -121,6 +121,12 @@ class TestCongruenceSignature:
         with pytest.raises(ValueError, match="tolerance must be positive"):
             congruence_signature(cell, tol)
 
+    def test_rejects_tol_too_small_to_quantize(self):
+        # edge / tol overflows to inf, which has no integer to round to
+        cell = voronoi_cell(triangle_pattern(), 0)
+        with pytest.raises(ValueError, match="too small"):
+            congruence_signature(cell, 5e-324)
+
 
 class TestAllCellsCongruent:
     def test_single_offset_always_congruent(self):
