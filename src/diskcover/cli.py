@@ -46,6 +46,14 @@ def _load_config(args: argparse.Namespace, parser: argparse.ArgumentParser):
     return PeriodicConfig.from_json(text)
 
 
+def _write_out(path: str, text: str, parser: argparse.ArgumentParser) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        parser.exit(USAGE_ERROR, f"error: cannot write {path}: {exc}\n")
+
+
 def cmd_pattern(args, parser) -> int:
     spec = PatternSpec(args.name, args.x, args.y, args.d)
     return _emit(spec.build().to_dict())
@@ -116,6 +124,9 @@ def cmd_bounds(args, parser) -> int:
 
 
 def cmd_optimize(args, parser) -> int:
+    if args.out is not None:
+        # fail before the search, not after it
+        _write_out(args.out, "", parser)
     if args.mode == "single-lattice":
         result = optimize_single_lattice(
             args.k, budget=args.budget, tol=args.tol, seed=args.seed
@@ -123,16 +134,13 @@ def cmd_optimize(args, parser) -> int:
     else:
         result = optimize_pattern_b(budget=args.budget, tol=args.tol, seed=args.seed)
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(result.history_csv())
+        _write_out(args.out, result.history_csv(), parser)
     return _emit(result.to_dict())
 
 
 def cmd_render(args, parser) -> int:
     config = _load_config(args, parser)
-    svg = render_svg(config, size=args.size)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    _write_out(args.out, render_svg(config, size=args.size), parser)
     return 0
 
 

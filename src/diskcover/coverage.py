@@ -25,13 +25,13 @@ in lockstep through `_covering_radius_many`: one frontier holds every
 configuration's boxes, each configuration's rows contiguous and in the
 order of a single search, so the fixed per-level cost is paid once per
 level rather than once per configuration.  Each configuration keeps its
-own center field, pruning and reach doublings, and its own stop rules,
-so every enclosure, witness and box count equals that of its own
-`covering_radius` call.  The one-configuration loop stays separate: it
-is the reference the batched engine is tested against, and a batch of
-one took 5.2 to 5.4 times as long as `covering_radius` on an optimizer's
-single searches at tol 1e-4, and 3.7 to 4.0 times on random skewed
-configurations at tol 1e-9 (2-vCPU VM, numpy 2.4).
+own center set, pruning and stop rules, so every enclosure, witness and
+box count equals that of its own `covering_radius` call.  The
+one-configuration loop stays separate: it is the reference the batched
+engine is tested against, and a batch of one took 5.2 to 5.4 times as long
+as `covering_radius` on an optimizer's single searches at tol 1e-4, and
+3.7 to 4.0 times on random skewed configurations at tol 1e-9 (2-vCPU VM,
+numpy 2.4).
 """
 
 from __future__ import annotations
@@ -104,25 +104,31 @@ class _CenterField:
     """Cached center enumeration serving batched d_k queries on a rect.
 
     The centers are held as two contiguous coordinate columns, `cx` and
-    `cy`.  The reach starts from an estimate of how far one must look to
-    see k centers and doubles whenever a query value comes back at the
-    edge of what the cache can certify; a doubling enumerates every
-    center within the new reach of the rect again.  Between doublings
-    `prune` narrows the cache to the centers later queries can still
-    need.
+    `cy`: every center within the reach R = sqrt(k * det / (n * pi)) + D
+    of the rect, where det and D = |u| + |v| come from the reduced basis
+    u, v and n is the offset count, plus a margin of 1e-12 * scale that
+    absorbs rounding, that of the query points included.  R bounds d_k at
+    every point p of the rect, so the cache holds the k nearest centers
+    of every query.  Proof: D >= diam(P) for the reduced parallelogram P.
+    The half-open translates of P tile the plane, and each holds exactly
+    n centers.  The translates that meet the disk B(p, R - D) cover it,
+    so there are at least pi (R - D)^2 / det = k / n of them; they hold at
+    least k centers, each within R - D + diam(P) <= R of p.
+
+    The cache is bounded.  For a W x H rect, the translates of P placed at
+    the centers of one offset are disjoint and lie in a box of sides
+    W + 2R + D and H + 2R + D, so the field holds at most
+    n (W + 2R + D) (H + 2R + D) / det centers, with R taken with its
+    margin: for large k about 4 k / pi, linear in k.  `prune` only
+    narrows the cache, to the centers later queries can still need.
     """
 
     def __init__(self, config: PeriodicConfig, rect: Rect, k: int):
-        self.config = config
-        self.rect = rect
         self.k = k
         len_u, len_v = config.reduced.lengths()
         per_center = config.basis.det / len(config.offsets)
         self.reach = math.sqrt(k * per_center / math.pi) + len_u + len_v
-        self._rebuild()
-
-    def _rebuild(self) -> None:
-        self.set_centers(*_translates_array(self.config, self.rect, self.reach).T)
+        self.set_centers(*_translates_array(config, rect, self.reach).T)
 
     def set_centers(self, cx: np.ndarray, cy: np.ndarray) -> None:
         self.cx = cx
@@ -132,21 +138,7 @@ class _CenterField:
         self._d2 = None
 
     def dk(self, pts: np.ndarray) -> np.ndarray:
-        """d_k at each row of the non-empty (N, 2) array `pts`.
-
-        Leaves in `best` the index of the first largest value, the one
-        reduction that serves both the reach check and the caller.
-        """
-        while True:
-            vals = self._dk_once(pts)
-            best = int(vals.argmax())
-            if vals[best] <= self.reach:
-                self.best = best
-                return vals
-            self.reach *= 2.0
-            self._rebuild()
-
-    def _dk_once(self, pts: np.ndarray) -> np.ndarray:
+        """d_k at each row of the (N, 2) array `pts`, all inside the rect."""
         x, y = pts[:, 0:1], pts[:, 1:2]
         rows = self._rows
         if len(pts) <= rows:
@@ -195,10 +187,9 @@ def _kth_smallest(d2: np.ndarray, k: int) -> np.ndarray:
 class _PaddedCenters:
     """Center sets of many configurations as rows padded with inf.
 
-    A pad is farther than any real center, so it never changes the k-th
-    smallest distance of a row that holds k real centers, and a row that
-    holds fewer reads inf, which sends its configuration to a reach
-    doubling.
+    A pad is farther than any real center.  Each query point lies in its
+    configuration's rect, so its row holds its k nearest centers (see
+    `_CenterField`), and a pad is never k-th.
     """
 
     def __init__(self, fields: list[_CenterField]):
@@ -206,7 +197,8 @@ class _PaddedCenters:
         self.x = np.full((len(fields), int(self.size.max())), np.inf)
         self.y = np.full_like(self.x, np.inf)
         for i, field in enumerate(fields):
-            self.store(i, field)
+            self.x[i, : self.size[i]] = field.cx
+            self.y[i, : self.size[i]] = field.cy
 
     def squared_distances(self, pts: np.ndarray, ids: np.ndarray, width: int) -> np.ndarray:
         """d^2 from each point to the first `width` centers of config ids[row]."""
@@ -215,21 +207,6 @@ class _PaddedCenters:
         return _square_sum(
             np.subtract(pts[:, 0:1], dx, out=dx), np.subtract(pts[:, 1:2], dy, out=dy)
         )
-
-    def load(self, i: int, field: _CenterField) -> None:
-        """Hand config i's centers, as copies, to its center field."""
-        n = self.size[i]
-        field.set_centers(self.x[i, :n].copy(), self.y[i, :n].copy())
-
-    def store(self, i: int, field: _CenterField) -> None:
-        n = len(field.cx)
-        if n > self.x.shape[1]:
-            grow = np.full((len(self.x), n - self.x.shape[1]), np.inf)
-            self.x = np.hstack((self.x, grow))
-            self.y = np.hstack((self.y, grow))
-        self.x[i, :n], self.x[i, n:] = field.cx, np.inf
-        self.y[i, :n], self.y[i, n:] = field.cy, np.inf
-        self.size[i] = n
 
     def keep(self, ids: np.ndarray, near: np.ndarray) -> None:
         """Keep, in order, the centers of configs `ids` that `near` marks."""
@@ -272,10 +249,11 @@ def _root_grid(config: PeriodicConfig) -> tuple[np.ndarray, float, Rect]:
     """Root boxes over the bounding box of the reduced parallelogram.
 
     Returns the box centers as an (n, 2) array with contiguous columns,
-    their half side, and the rect the center field must serve.  The grid
-    is capped at 64 boxes along the long side so a needle-shaped domain
-    cannot explode it; squares overhanging the domain only waste work,
-    never correctness.
+    their half side, and the union of the boxes: every box center of a
+    search lies in it, so it is the rect the center field must serve.
+    The grid is capped at 64 boxes along the long side so a needle-shaped
+    domain cannot explode it; squares overhanging the domain only waste
+    work, never correctness.
     """
     ux, uy = config.reduced.u
     vx, vy = config.reduced.v
@@ -296,7 +274,7 @@ def _root_grid(config: PeriodicConfig) -> tuple[np.ndarray, float, Rect]:
     grid = np.empty((2, nx, ny))
     grid[0] = (xmin + side * (np.arange(nx) + 0.5))[:, None]
     grid[1] = ymin + side * (np.arange(ny) + 0.5)
-    rect = Rect(xmin - half, ymin - half, xmax + half, ymax + half)
+    rect = Rect(xmin, ymin, xmin + nx * side, ymin + ny * side)
     return grid.reshape(2, -1).T, half, rect
 
 
@@ -331,7 +309,7 @@ def covering_radius(
     while True:
         vals = field.dk(cols.T)
         processed += len(vals)
-        best = field.best
+        best = int(vals.argmax())
         top = float(vals[best])
         if top > low:
             low = top
@@ -371,60 +349,47 @@ def _covering_radius_many(
     configurations in kernel blocks of whole configurations; every block
     holds at most _BATCH_ELEMENTS d^2 entries and prunes from its own
     d^2, as a single search does when its level fits one block.  A
-    configuration whose level alone is larger than a block, or whose
-    values pass its reach, finishes that level through its own center
-    field, exactly as in `covering_radius`.
+    configuration whose level alone is larger than a block leaves the
+    frontier and is searched by its own `covering_radius` call at the end.
     """
     _check_k(k)
     _check_tol(tol)
     if not configs:
         return []
     roots = [_root_grid(config) for config in configs]
-    fields = [_CenterField(config, rect, k) for config, (_, _, rect) in zip(configs, roots)]
-    pad = _PaddedCenters(fields)
-    reach = np.array([field.reach for field in fields])
+    pad = _PaddedCenters(
+        [_CenterField(config, rect, k) for config, (_, _, rect) in zip(configs, roots)]
+    )
     half = np.array([root[1] for root in roots])
     low = np.full(len(configs), -math.inf)
     high = np.empty(len(configs))
     witness = np.empty((len(configs), 2))
     processed = np.zeros(len(configs), dtype=np.int64)
     converged = np.zeros(len(configs), dtype=bool)
+    alone = set()
 
     # the frontier: config ids, each one's row count, and the rows
     ids = np.arange(len(configs))
     counts = np.array([len(root[0]) for root in roots])
     boxes = np.concatenate([root[0] for root in roots])
     while len(ids):
+        big = counts * pad.size[ids] > _BATCH_ELEMENTS
+        if big.any():
+            alone.update(ids[big].tolist())
+            boxes = boxes[np.repeat(~big, counts)]
+            ids, counts = ids[~big], counts[~big]
+            if not len(ids):
+                break
         ends = np.cumsum(counts)
         next_ids, next_counts, next_boxes = [], [], []
-        for a, b, fits in _kernel_blocks(counts, pad.size[ids]):
+        for a, b in _kernel_blocks(counts, pad.size[ids]):
             g_ids, g_counts = ids[a:b], counts[a:b]
             pts = boxes[ends[a] - counts[a] : ends[b - 1]]
             starts = np.concatenate(([0], np.cumsum(g_counts)[:-1]))
-            if fits:
-                width = int(pad.size[g_ids].max())
-                d2 = pad.squared_distances(pts, np.repeat(g_ids, g_counts), width)
-                vals = np.sqrt(_kth_smallest(d2, k))
-                top = np.maximum.reduceat(vals, starts)
-                # values past the reach, pads included, double the reach
-                own = top > reach[g_ids]
-            else:
-                vals = np.empty(len(pts))
-                own = np.ones(1, dtype=bool)
-            for j in np.flatnonzero(own):
-                i = g_ids[j]
-                rows = slice(starts[j], starts[j] + g_counts[j])
-                if fits:
-                    # the first query at this reach is done: go on from
-                    # the doubling `dk` would make next
-                    fields[i].reach *= 2.0
-                    fields[i]._rebuild()
-                else:
-                    pad.load(i, fields[i])
-                vals[rows] = fields[i].dk(pts[rows])
-                reach[i] = fields[i].reach
-            if own.any():
-                top = np.maximum.reduceat(vals, starts)
+            width = int(pad.size[g_ids].max())
+            d2 = pad.squared_distances(pts, np.repeat(g_ids, g_counts), width)
+            vals = np.sqrt(_kth_smallest(d2, k))
+            top = np.maximum.reduceat(vals, starts)
 
             processed[g_ids] += g_counts
             # the first maximal row of each config, as np.argmax picks it
@@ -448,25 +413,17 @@ def _covering_radius_many(
             if not go.any():
                 continue
 
-            batch = go & ~own
-            if batch.any():
-                rows = survivors & np.repeat(batch, g_counts)
-                radius = (vals[rows] + 2.0 * np.repeat(diag, g_counts)[rows]) * (
-                    1.0 + _PRUNE_SLACK
-                )
-                near = d2[rows] <= (radius * radius)[:, None]
-                kid_starts = np.concatenate(([0], np.cumsum(kids[batch])[:-1]))
-                pad.keep(g_ids[batch], np.logical_or.reduceat(near, kid_starts, axis=0))
-            for j in np.flatnonzero(go & own):
-                i = g_ids[j]
-                rows = slice(starts[j], starts[j] + g_counts[j])
-                fields[i].prune(vals[rows], survivors[rows].nonzero()[0], diag[j])
-                pad.store(i, fields[i])
+            rows = survivors & np.repeat(go, g_counts)
+            radius = (vals[rows] + 2.0 * np.repeat(diag, g_counts)[rows]) * (
+                1.0 + _PRUNE_SLACK
+            )
+            near = d2[rows] <= (radius * radius)[:, None]
+            kid_starts = np.concatenate(([0], np.cumsum(kids[go])[:-1]))
+            pad.keep(g_ids[go], np.logical_or.reduceat(near, kid_starts, axis=0))
 
             half[g_ids[go]] /= 2.0
-            parents = pts[survivors & np.repeat(go, g_counts)]
             shift = np.repeat(half[g_ids[go]], kids[go])[:, None, None]
-            next_boxes.append((parents[:, None, :] + _SIGNS * shift).reshape(-1, 2))
+            next_boxes.append((pts[rows][:, None, :] + _SIGNS * shift).reshape(-1, 2))
             next_ids.append(g_ids[go])
             next_counts.append(4 * kids[go])
         if not next_ids:
@@ -475,7 +432,9 @@ def _covering_radius_many(
         counts = np.concatenate(next_counts)
         boxes = np.concatenate(next_boxes)
     return [
-        CoveringRadius(
+        covering_radius(configs[i], k, tol, max_boxes)
+        if i in alone
+        else CoveringRadius(
             float(low[i]),
             float(high[i]),
             Point(float(witness[i, 0]), float(witness[i, 1])),
@@ -489,22 +448,17 @@ def _covering_radius_many(
 def _kernel_blocks(counts: np.ndarray, sizes: np.ndarray):
     """Split a frontier into runs of whole configs, one kernel block each.
 
-    Yields (a, b, fits) for the configs a..b-1 of the frontier: with
-    `fits`, their rows padded to their widest center set hold at most
-    _BATCH_ELEMENTS entries; without it, config a alone holds more, and
-    its own center field runs its level as a single search would.
+    Yields (a, b) for the configs a..b-1 of the frontier, whose rows
+    padded to their widest center set hold at most _BATCH_ELEMENTS
+    entries; every config alone must fit.
     """
     cap = max(1, _BATCH_ELEMENTS // int(sizes.max()))
     ends = np.cumsum(counts)
     a = 0
     while a < len(counts):
-        if counts[a] * sizes[a] > _BATCH_ELEMENTS:
-            yield a, a + 1, False
-            a += 1
-            continue
         b = int(np.searchsorted(ends, ends[a] - counts[a] + cap, side="right"))
         b = max(a + 1, b)
-        yield a, b, True
+        yield a, b
         a = b
 
 

@@ -7,6 +7,7 @@ import warnings
 import pytest
 
 from diskcover import kershner_theta, optimize_single_lattice, render_svg, triangle_pattern
+from diskcover import cli
 from diskcover.cli import main
 
 THETA = kershner_theta()
@@ -242,6 +243,23 @@ class TestOptimizeCommand:
         assert lines[0].startswith("eval_index,")
         assert len(lines) == payload["evaluations"] + 1
 
+    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    def test_unwritable_out_exit_2_before_the_search(
+        self, capsys, tmp_path, monkeypatch, where
+    ):
+        def no_search(*args, **kwargs):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(cli, "optimize_single_lattice", no_search)
+        out = tmp_path / "missing" / "h.csv" if where == "missing_dir" else tmp_path
+        with pytest.raises(SystemExit) as err:
+            main(["optimize", "--k", "1", "--budget", "1000", "--out", str(out)])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}:")
+        assert captured.err.count("\n") == 1
+
 
 class TestRenderCommand:
     def test_svg_deterministic(self, capsys, triangle_config, tmp_path):
@@ -262,6 +280,17 @@ class TestRenderCommand:
         assert main(argv) == 4
         assert "size" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    def test_unwritable_out_exit_2(self, capsys, triangle_config, tmp_path, where):
+        out = tmp_path / "missing" / "x.svg" if where == "missing_dir" else tmp_path
+        with pytest.raises(SystemExit) as err:
+            main(["render", "--config", triangle_config, "--out", str(out)])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}:")
+        assert captured.err.count("\n") == 1
 
 
 class TestUsageErrors:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from diskcover import coverage
+from diskcover.lattice import _translates_array
 from diskcover import (
     Basis,
     PeriodicConfig,
@@ -151,7 +152,7 @@ class TestCoveringRadius:
         expected = covering_radius(cfg, 8, tol=1e-8)
         monkeypatch.setattr(coverage, "_CHUNK_ELEMENTS", chunk)
         square_sum = coverage._square_sum
-        dk_once = coverage._CenterField._dk_once
+        dk = coverage._CenterField.dk
         sizes = []
         levels = []
 
@@ -159,12 +160,12 @@ class TestCoveringRadius:
             sizes.append(dx.size)
             return square_sum(dx, dy)
 
-        def recording_dk_once(self, pts):
+        def recording_dk(self, pts):
             levels.append(len(pts) * len(self.cx))
-            return dk_once(self, pts)
+            return dk(self, pts)
 
         monkeypatch.setattr(coverage, "_square_sum", recording_square_sum)
-        monkeypatch.setattr(coverage._CenterField, "_dk_once", recording_dk_once)
+        monkeypatch.setattr(coverage._CenterField, "dk", recording_dk)
         r = covering_radius(cfg, 8, tol=1e-8)
         assert max(levels) > chunk
         assert max(sizes) <= chunk
@@ -274,54 +275,63 @@ class TestCenterPruning:
         digest = hashlib.sha256(repr(rows).encode()).hexdigest()
         assert digest == "0d5179fe3127f2c1b4de357025136bbb926c54be9a3fc060ff0da8a898ddc53c"
 
-    def test_reach_doubling_after_pruning(self, monkeypatch):
-        cfg = skewed_config(np.random.default_rng(73), 3)
-        k = 4
-        expected = covering_radius(cfg, k, tol=1e-9)
-        init = coverage._CenterField.__init__
-        dk = coverage._CenterField.dk
-        first_vals = []
+    def test_start_reach_bounds_dk(self):
+        # d_k against every center within 3R of the rect, at points sampled
+        # over the root boxes and at the rect's corners: a value below 3R is
+        # exact, and it must be below the start reach R and equal the field's
+        rng = np.random.default_rng(101)
+        cases = [(random_config(rng, 8), int(rng.integers(1, 13))) for _ in range(24)]
+        cases += [(skewed_config(rng, n), k) for k in range(1, 13) for n in range(1, 9)]
+        cases += _critical_configs()
+        for cfg, k in cases:
+            boxes, half, rect = coverage._root_grid(cfg)
+            field = coverage._CenterField(cfg, rect, k)
+            corners = [(x, y) for x in (rect.xmin, rect.xmax) for y in (rect.ymin, rect.ymax)]
+            jitter = rng.uniform(-half, half, (32 * len(boxes), 2))
+            pts = np.vstack((np.repeat(boxes, 32, axis=0) + jitter, corners))
+            centers = _translates_array(cfg, rect, 3.0 * field.reach)
+            d2 = (pts[:, 0:1] - centers[:, 0]) ** 2 + (pts[:, 1:2] - centers[:, 1]) ** 2
+            brute = np.sqrt(np.partition(d2, k - 1, axis=1)[:, k - 1])
+            assert brute.max() < field.reach
+            assert np.array_equal(field.dk(pts), brute)
 
-        def recording_dk(self, pts):
-            vals = dk(self, pts)
-            first_vals.append(float(vals.max()))
-            return vals
+    def test_root_rect_holds_every_root_box(self):
+        # the rect is the union of the root boxes, so every box center of a
+        # search lies in it, and it is never wider than the reduced cell's
+        # bounding box padded by a half side
+        rng = np.random.default_rng(103)
+        cfgs = [skewed_config(rng, int(rng.integers(1, 9))) for _ in range(200)]
+        cfgs += [random_config(rng, 8) for _ in range(100)]
+        cfgs += [cfg for cfg, _ in _critical_configs()]
+        for cfg in cfgs:
+            boxes, half, rect = coverage._root_grid(cfg)
+            ulp = 1e-12 * max(1.0, *cfg.reduced.lengths())
+            x, y = boxes[:, 0], boxes[:, 1]
+            assert x.min() - half == pytest.approx(rect.xmin, abs=ulp)
+            assert x.max() + half == pytest.approx(rect.xmax, abs=ulp)
+            assert y.min() - half == pytest.approx(rect.ymin, abs=ulp)
+            assert y.max() + half == pytest.approx(rect.ymax, abs=ulp)
+            (ux, uy), (vx, vy) = cfg.reduced.u, cfg.reduced.v
+            width = max(0.0, ux, vx, ux + vx) - min(0.0, ux, vx, ux + vx)
+            height = max(0.0, uy, vy, uy + vy) - min(0.0, uy, vy, uy + vy)
+            assert rect.xmax - rect.xmin <= width + 2.0 * half + ulp
+            assert rect.ymax - rect.ymin <= height + 2.0 * half + ulp
 
-        monkeypatch.setattr(coverage._CenterField, "dk", recording_dk)
-        covering_radius(cfg, k, tol=1e-9)
-        # start below the covering radius but above every root-grid value,
-        # so the first doubling comes at a deeper level, after pruning
-        start_reach = 0.5 * (first_vals[0] + expected.low)
-        assert first_vals[0] < start_reach < expected.low
-        calls = []
-        full = []
-
-        def short_reach_init(self, *args):
-            init(self, *args)
-            self.reach = start_reach
-            self._rebuild()
-            full.append(len(self.cx))
-
-        def logging_dk(self, pts):
-            before = (self.reach, len(self.cx))
-            vals = dk(self, pts)
-            calls.append((*before, self.reach, len(self.cx)))
-            return vals
-
-        monkeypatch.setattr(coverage._CenterField, "__init__", short_reach_init)
-        monkeypatch.setattr(coverage._CenterField, "dk", logging_dk)
-        r = covering_radius(cfg, k, tol=1e-9)
-        doublings = [i for i, c in enumerate(calls) if c[2] > c[0]]
-        assert doublings and doublings[0] > 0
-        _, pruned, _, rebuilt = calls[doublings[0]]
-        assert pruned < full[0] < rebuilt
-        assert (r.low, r.high, r.witness, r.boxes, r.converged) == (
-            expected.low,
-            expected.high,
-            expected.witness,
-            expected.boxes,
-            expected.converged,
-        )
+    def test_center_cache_bound(self):
+        # the reduced cell placed at each center of one offset gives disjoint
+        # translates, all in a box of sides W + 2R + |u| + |v| and
+        # H + 2R + |u| + |v| for a W x H rect, R with its enumeration margin
+        rng = np.random.default_rng(107)
+        for k in range(1, 9):
+            for n in range(1, 9):
+                cfg = skewed_config(rng, n)
+                _, _, rect = coverage._root_grid(cfg)
+                field = coverage._CenterField(cfg, rect, k)
+                reach = field.reach + 1e-12 * max(1.0, field.reach)
+                pad = 2.0 * reach + sum(cfg.reduced.lengths())
+                width, height = rect.xmax - rect.xmin, rect.ymax - rect.ymin
+                bound = n * (width + pad) * (height + pad) / abs(cfg.reduced.det)
+                assert 0 < len(field.cx) <= bound
 
 
 def _fields(r):
@@ -367,7 +377,7 @@ class TestCoveringRadiusMany:
 
     def test_kernel_blocks_stay_bounded(self, monkeypatch):
         # a small block forces many blocks per level and configs whose level
-        # alone is larger than a block, which run through their own field
+        # alone is larger than a block, which get their own single search
         chunk = 4000
         cfgs = self._mixed_batch(93)
         expected = [_fields(covering_radius(c, 4, tol=1e-8)) for c in cfgs]
@@ -385,39 +395,55 @@ class TestCoveringRadiusMany:
         assert [_fields(r) for r in many] == expected
         assert max(sizes) <= chunk
 
-    def test_reach_doubling_in_one_config_of_a_batch(self, monkeypatch):
-        cfgs = self._mixed_batch(95)
-        target = cfgs[5]
-        k = 4
-        expected = [_fields(covering_radius(c, k, tol=1e-9)) for c in cfgs]
-        # start below the covering radius but above every root-grid value,
-        # so the doubling comes at a deeper level, after pruning
-        boxes, _, rect = coverage._root_grid(target)
-        root_max = float(coverage._CenterField(target, rect, k).dk(boxes).max())
-        start_reach = 0.5 * (root_max + expected[5][0])
-        assert root_max < start_reach < expected[5][0]
-        init = coverage._CenterField.__init__
-        rebuild = coverage._CenterField._rebuild
-        rebuilds = []
+    def test_oversize_config_hands_off_to_a_single_search(self, monkeypatch):
+        # with blocks of 2500 d^2 entries, the two long needles' root levels
+        # alone are larger than a block, and no level of the other configs
+        # is: their single searches bound the lockstep levels, whose center
+        # sets are pruned at least as far
+        k, batch = 2, 2500
 
-        def short_reach_init(self, config, *args):
-            init(self, config, *args)
-            if config is target:
-                self.reach = start_reach
-                self._rebuild()
+        def needle(height, offsets):
+            return PeriodicConfig(Basis((1.0, 0.0), (0.3, height)), offsets, 1.0)
 
-        def logging_rebuild(self):
-            rebuilds.append(self.config is target)
-            rebuild(self)
+        cfgs = [
+            SQUARE,
+            needle(12.0, [(0, 0), (0.5, 4.2), (0.1, 8.0)]),
+            triangle_pattern(),
+            needle(30.0, [(0, 0), (0.5, 10.0)]),
+            needle(3.9, [(0, 0), (0.5, 1.2)]),
+        ]
+        expected = [_fields(covering_radius(c, k, tol=1e-8)) for c in cfgs]
+        dk = coverage._CenterField.dk
+        levels = []
 
-        monkeypatch.setattr(coverage._CenterField, "__init__", short_reach_init)
-        monkeypatch.setattr(coverage._CenterField, "_rebuild", logging_rebuild)
-        many = coverage._covering_radius_many(cfgs, k, tol=1e-9)
+        def recording(self, pts):
+            levels.append(len(pts) * len(self.cx))
+            return dk(self, pts)
+
+        monkeypatch.setattr(coverage._CenterField, "dk", recording)
+        oversize = []
+        for i, cfg in enumerate(cfgs):
+            levels.clear()
+            covering_radius(cfg, k, tol=1e-8)
+            if levels[0] > batch:
+                oversize.append(i)
+            else:
+                assert max(levels) <= batch
+        assert oversize == [1, 3]
+        monkeypatch.undo()
+
+        single = coverage.covering_radius
+        calls = []
+
+        def counting(config, *args):
+            calls.append(cfgs.index(config))
+            return single(config, *args)
+
+        monkeypatch.setattr(coverage, "_BATCH_ELEMENTS", batch)
+        monkeypatch.setattr(coverage, "covering_radius", counting)
+        many = coverage._covering_radius_many(cfgs, k, tol=1e-8)
+        assert calls == oversize
         assert [_fields(r) for r in many] == expected
-        # one build per config and the shortened one, then the doublings,
-        # all of the target
-        doublings = rebuilds[len(cfgs) + 1 :]
-        assert doublings and all(doublings)
 
 
 class TestVerifyKCoverage:
