@@ -117,6 +117,83 @@ def grid_covering_radii(
     return result
 
 
+def reduced_cell_centers(config: PeriodicConfig, reach: float) -> np.ndarray:
+    """All centers within `reach` of the closed reduced parallelogram, brute force.
+
+    The cell is {s*u + t*v : s, t in [0, 1]} for the reduced basis u, v.
+    Indices are bounded as in `oracle_centers`, then each center is kept
+    when its distance to the cell (zero inside, else to the nearest edge)
+    is at most `reach`.
+    """
+    u = np.array(config.reduced.u, dtype=float)
+    v = np.array(config.reduced.v, dtype=float)
+    det = abs(u[0] * v[1] - u[1] * v[0])
+    offs = np.array([(p.x, p.y) for p in config.offsets], dtype=float)
+    pad = reach + np.abs(offs).max(initial=0.0) + 2.0 * (np.linalg.norm(u) + np.linalg.norm(v))
+    imax = int(math.ceil(pad * np.linalg.norm(v) / det)) + 1
+    jmax = int(math.ceil(pad * np.linalg.norm(u) / det)) + 1
+    ii, jj = np.meshgrid(np.arange(-imax, imax + 1), np.arange(-jmax, jmax + 1), indexing="ij")
+    base = ii.reshape(-1, 1) * u + jj.reshape(-1, 1) * v
+    pts = (base[:, None, :] + offs[None, :, :]).reshape(-1, 2)
+    s = (pts[:, 0] * v[1] - pts[:, 1] * v[0]) / det
+    t = (pts[:, 1] * u[0] - pts[:, 0] * u[1]) / det
+    inside = (s >= 0.0) & (s <= 1.0) & (t >= 0.0) & (t <= 1.0)
+    corners = np.array([[0.0, 0.0], u, u + v, v])
+    gap = np.full(len(pts), np.inf)
+    for a, b in zip(corners, np.roll(corners, -1, axis=0)):
+        edge = b - a
+        w = np.clip(((pts - a) @ edge) / (edge @ edge), 0.0, 1.0)
+        gap = np.minimum(gap, np.linalg.norm(pts - a - w[:, None] * edge, axis=1))
+    return pts[inside | (gap <= reach)]
+
+
+def circumcenter_covering_radius(config: PeriodicConfig, k: int) -> float:
+    """Max of the k-th nearest-center distance d_k, from center triples.
+
+    At a maximum p of d_k with value rho, fewer than k centers lie inside
+    the circle B(p, rho) and the centers E on it must surround p: if E
+    lay in an open half-plane through p, or on one line, moving p away
+    from them would raise every distance in E and so d_k.  So p is the
+    circumcenter of three non-collinear centers within rho of p (Lee
+    1982).  rho is at most the reach R = sqrt(k det / (n pi)) + |u| + |v|
+    of the reduced basis, so the centers within R of the closed reduced
+    cell hold such a triple for a maximum moved into the cell.  Returns
+    the largest d_k over the circumcenters of radius at most R in the
+    cell, each evaluated against that same window.
+    """
+    u = np.array(config.reduced.u, dtype=float)
+    v = np.array(config.reduced.v, dtype=float)
+    det = abs(u[0] * v[1] - u[1] * v[0])
+    reach = math.sqrt(k * det / (len(config.offsets) * math.pi))
+    reach += np.linalg.norm(u) + np.linalg.norm(v)
+    centers = reduced_cell_centers(config, reach)
+    slack = 1e-9
+    best = -math.inf
+    for a in range(len(centers) - 2):
+        j, l = np.triu_indices(len(centers) - a - 1, 1)
+        p, q, r = centers[a], centers[a + 1 + j], centers[a + 1 + l]
+        # circumcenter of p, q, r relative to p
+        bx, by = q[:, 0] - p[0], q[:, 1] - p[1]
+        cx, cy = r[:, 0] - p[0], r[:, 1] - p[1]
+        bb, cc = bx * bx + by * by, cx * cx + cy * cy
+        d = 2.0 * (bx * cy - by * cx)
+        # collinear triples have no circumcenter
+        ok = np.abs(d) > 1e-12 * (bb + cc)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ox = (cy * bb - by * cc) / d
+            oy = (bx * cc - cx * bb) / d
+        ok &= ox * ox + oy * oy <= reach * reach * (1.0 + slack)
+        x, y = ox[ok] + p[0], oy[ok] + p[1]
+        s = (x * v[1] - y * v[0]) / det
+        t = (y * u[0] - x * u[1]) / det
+        cell = (s >= -slack) & (s <= 1.0 + slack) & (t >= -slack) & (t <= 1.0 + slack)
+        if cell.any():
+            pts = np.stack((x[cell], y[cell]), axis=1)
+            d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            best = max(best, float(np.sqrt(np.partition(d2, k - 1, axis=1)[:, k - 1]).max()))
+    return best
+
+
 def grid_covering_radius(config: PeriodicConfig, k: int, delta: float = 0.005) -> float:
     return grid_covering_radii(config, (k,), delta)[k]
 

@@ -348,7 +348,7 @@ class TestImportGraph:
         assert proc.returncode == 0, proc.stderr
         # the history digest pinned in test_memoized_objective_keeps_history
         assert proc.stdout.split() == [
-            "c8d0f13fc7f293f7c8b3af0db461d1d14291ad14910f34f2f3d2757b03a99dfa"
+            "c09d65735afdcf90c9fb2f13c045126aabc4182205c3be1433b71d5f7323fe91"
         ]
         code = block + "import runpy; runpy.run_module('diskcover', run_name='__main__')"
         argv = ["optimize", "--mode", "single-lattice", "--k", "1", "--budget", "1000",

@@ -16,7 +16,12 @@ from diskcover import (
     triangle_pattern,
     verify_k_coverage,
 )
-from helpers import grid_covering_radii, random_config, skewed_config
+from helpers import (
+    circumcenter_covering_radius,
+    grid_covering_radii,
+    random_config,
+    skewed_config,
+)
 
 SQUARE = PeriodicConfig(Basis((1, 0), (0, 1)), [(0, 0)], radius=1.0)
 
@@ -65,6 +70,25 @@ class TestKthNearestDistance:
         assert out.shape == (0,) and out.dtype == np.float64
         with pytest.raises(ValueError, match="points must be"):
             kth_nearest_distance_batch(np.empty((0, 3)), SQUARE, 2)
+
+    def test_far_apart_points(self):
+        # each group of points gets its own center field, so two points
+        # thousands of cells apart need no enumeration between them
+        pts = np.array([[0.5, 0.5], [3000.5, 3000.5]])
+        assert kth_nearest_distance_batch(pts, SQUARE, 1).tolist() == [math.sqrt(0.5)] * 2
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_batch_equals_one_point_calls_bit_for_bit(self, k):
+        rng = np.random.default_rng(113 + k)
+        cfg = skewed_config(rng, 3)
+        # points spread over +-1e4, a cluster sharing a few cells, and a
+        # repeated point
+        pts = np.vstack(
+            (rng.uniform(-1e4, 1e4, (60, 2)), rng.uniform(-2.0, 2.0, (60, 2)), [[7.25, -3.5]] * 3)
+        )
+        batch = kth_nearest_distance_batch(pts, cfg, k)
+        single = [kth_nearest_distance(Point(x, y), cfg, k) for x, y in pts]
+        assert batch.tolist() == single
 
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
@@ -177,6 +201,20 @@ class TestCoveringRadius:
             expected.converged,
         )
 
+    def test_matches_circumcenter_oracle(self):
+        # d_k peaks at the circumcenter of a center triple; the oracle sizes
+        # its window from the start reach alone and evaluates every
+        # circumcenter in the reduced cell exactly
+        rng = np.random.default_rng(109)
+        for _ in range(12):
+            cfg = random_config(rng)
+            allowance = 1e-12 * max(1.0, *cfg.reduced.lengths())
+            for k in (1, 2, 3):
+                exact = circumcenter_covering_radius(cfg, k)
+                r = covering_radius(cfg, k, tol=1e-10)
+                assert r.converged
+                assert r.low - allowance <= exact <= r.high + allowance
+
     def test_agrees_with_dense_grid(self):
         rng = np.random.default_rng(67)
         for _ in range(3):
@@ -233,11 +271,27 @@ class TestCenterPruning:
                 assert r.low <= 1.0 + 1e-9 and r.high >= 1.0 - 1e-9
 
     @pytest.mark.parametrize(
-        "cfg, k, tol, low, high, boxes",
+        "cfg, k, tol, low, high, pinned",
         [
-            # values recorded before centers were pruned
-            (triangle_pattern(), 2, 1e-9, 0.9999999997671694, 1.000000000754986, 2754),
-            (SQUARE, 3, 1e-8, 1.1180339837518933, 1.1180339890202493, 1637),
+            # (low, high) recorded before centers were pruned, when the root
+            # covered the reduced cell's bounding box, then (low, high,
+            # boxes) recorded once the root was culled to the cell
+            (
+                triangle_pattern(),
+                2,
+                1e-9,
+                0.9999999997671694,
+                1.000000000754986,
+                (0.9999999997671694, 1.000000000754986, 2012),
+            ),
+            (
+                SQUARE,
+                3,
+                1e-8,
+                1.1180339837518933,
+                1.1180339890202493,
+                (1.1180339837518933, 1.1180339890202493, 1632),
+            ),
             (
                 PeriodicConfig(
                     Basis((1.0, 0.0), (2.3, 0.37)), [(0, 0), (0.4, 0.1), (1.9, 0.3)], 1.0
@@ -246,18 +300,23 @@ class TestCenterPruning:
                 1e-9,
                 0.49127877717591223,
                 0.4912787780930263,
-                14302,
+                (0.49127877717591234, 0.4912787780501625, 9644),
             ),
         ],
     )
-    def test_pinned_enclosures(self, cfg, k, tol, low, high, boxes):
+    def test_pinned_enclosures(self, cfg, k, tol, low, high, pinned):
         r = covering_radius(cfg, k, tol=tol)
-        assert (r.low, r.high, r.boxes) == (low, high, boxes)
+        assert (r.low, r.high, r.boxes) == pinned
+        # the culled root moves the enclosure only within tol
+        assert r.low <= high and low <= r.high
+        assert abs(r.low - low) <= tol and abs(r.high - high) <= tol
 
     def test_pinned_digest_on_skewed_configs(self):
-        # every field of 129 searches, recorded before the B&B level was
-        # rebuilt on coordinate columns: k 1..8 x 1..8 offsets at two
-        # tolerances, then one search cut by its box budget
+        # every field of 129 searches, recorded once the root was culled to
+        # the reduced cell: k 1..8 x 1..8 offsets at two tolerances, then
+        # one search cut by its box budget.  Against the bounding-box root
+        # (digest 0d5179fe...8ddc53c) every enclosure overlaps its old one,
+        # and each end of the 128 converged searches moved by at most 0.46 tol
         def fields(r):
             return (r.low, r.high, r.witness.x, r.witness.y, r.boxes, r.converged)
 
@@ -273,7 +332,7 @@ class TestCenterPruning:
         assert not cut.converged
         rows.append(fields(cut))
         digest = hashlib.sha256(repr(rows).encode()).hexdigest()
-        assert digest == "0d5179fe3127f2c1b4de357025136bbb926c54be9a3fc060ff0da8a898ddc53c"
+        assert digest == "d43255554c950ca02c27527c1fc706c60f060a394c87f8a36b58f91d0f5c3279"
 
     def test_start_reach_bounds_dk(self):
         # d_k against every center within 3R of the rect, at points sampled
@@ -316,6 +375,40 @@ class TestCenterPruning:
             height = max(0.0, uy, vy, uy + vy) - min(0.0, uy, vy, uy + vy)
             assert rect.xmax - rect.xmin <= width + 2.0 * half + ulp
             assert rect.ymax - rect.ymin <= height + 2.0 * half + ulp
+
+    def test_root_boxes_hold_the_whole_cell(self):
+        # every point of the closed reduced cell lies in a kept root box:
+        # its corners, points on its edges and random interior points, on
+        # skewed, random, critical and needle-shaped cells
+        rng = np.random.default_rng(127)
+        cfgs = [skewed_config(rng, int(rng.integers(1, 5))) for _ in range(60)]
+        cfgs += [random_config(rng) for _ in range(30)]
+        cfgs += [cfg for cfg, _ in _critical_configs()]
+        for height in (3.9, 30.0, 250.0, 1000.0):
+            needle = PeriodicConfig(Basis((1.0, 0.0), (0.3, height)), [(0, 0)], 1.0)
+            cfgs += [needle, _moved(needle, 0.61, (0.0, 0.0)), _moved(needle, 2.2, (0.0, 0.0))]
+        edge = rng.uniform(0.0, 1.0, 16)
+        zeros, ones = np.zeros(16), np.ones(16)
+        st = np.vstack(
+            (
+                [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+                np.stack((edge, zeros), axis=1),
+                np.stack((edge, ones), axis=1),
+                np.stack((zeros, edge), axis=1),
+                np.stack((ones, edge), axis=1),
+                rng.uniform(0.0, 1.0, (64, 2)),
+            )
+        )
+        for cfg in cfgs:
+            boxes, half, _ = coverage._root_grid(cfg)
+            assert 1 <= len(boxes) <= 4 * 64
+            u, v = np.array(cfg.reduced.u), np.array(cfg.reduced.v)
+            pts = st[:, :1] * u + st[:, 1:] * v
+            ulp = 1e-12 * max(1.0, *cfg.reduced.lengths())
+            gap = np.maximum(
+                np.abs(pts[:, None, 0] - boxes[:, 0]), np.abs(pts[:, None, 1] - boxes[:, 1])
+            )
+            assert (gap.min(axis=1) <= half + ulp).all()
 
     def test_center_cache_bound(self):
         # the reduced cell placed at each center of one offset gives disjoint
@@ -396,10 +489,11 @@ class TestCoveringRadiusMany:
         assert max(sizes) <= chunk
 
     def test_oversize_config_hands_off_to_a_single_search(self, monkeypatch):
-        # with blocks of 2500 d^2 entries, the two long needles' root levels
-        # alone are larger than a block, and no level of the other configs
-        # is: their single searches bound the lockstep levels, whose center
-        # sets are pruned at least as far
+        # with blocks of 2500 d^2 entries, the configs whose root level
+        # (root boxes x start centers) alone is larger than a block get their
+        # own search, and no level of the other configs is larger: their
+        # single searches bound the lockstep levels, whose center sets are
+        # pruned at least as far
         k, batch = 2, 2500
 
         def needle(height, offsets):
@@ -423,13 +517,17 @@ class TestCoveringRadiusMany:
         monkeypatch.setattr(coverage._CenterField, "dk", recording)
         oversize = []
         for i, cfg in enumerate(cfgs):
+            boxes, _, rect = coverage._root_grid(cfg)
+            root_level = len(boxes) * len(coverage._CenterField(cfg, rect, k).cx)
             levels.clear()
             covering_radius(cfg, k, tol=1e-8)
-            if levels[0] > batch:
+            assert levels[0] == root_level
+            if root_level > batch:
                 oversize.append(i)
             else:
                 assert max(levels) <= batch
-        assert oversize == [1, 3]
+        # both paths run: some configs hand off, some stay in lockstep
+        assert 0 < len(oversize) < len(cfgs)
         monkeypatch.undo()
 
         single = coverage.covering_radius
@@ -456,13 +554,28 @@ class TestVerifyKCoverage:
         cert = verify_k_coverage(shrunk, 2, tol=1e-6)
         assert cert.status == "certified_uncovered"
         assert kth_nearest_distance(cert.witness, shrunk, 2) > shrunk.radius
-        # A coarse enclosure that still brackets r within tol: its sampled
-        # low bound 0.998 > r already proves non-coverage.
-        near = PeriodicConfig(base.basis, base.offsets, radius=0.997)
+        # A coarse enclosure that still brackets r within tol: with r just
+        # below its sampled low bound, low > r already proves non-coverage
+        # and wins over tight.
+        coarse = covering_radius(base, 2, tol=1e-2)
+        near = PeriodicConfig(base.basis, base.offsets, radius=coarse.low - 1e-4)
         cert = verify_k_coverage(near, 2, tol=1e-2)
+        assert (cert.radius_low, cert.radius_high) == (coarse.low, coarse.high)
+        assert abs(cert.radius_high - near.radius) <= 1e-2
         assert cert.radius_low > near.radius
         assert cert.status == "certified_uncovered"
         assert kth_nearest_distance(cert.witness, near, 2) > near.radius
+
+    def test_covered_beats_tight(self):
+        # high <= r proves k-coverage even when both bounds lie within tol
+        # of r; only low > r comes before it
+        base = triangle_pattern()
+        e = covering_radius(base, 2, tol=1e-6)
+        at_high = PeriodicConfig(base.basis, base.offsets, radius=e.high)
+        cert = verify_k_coverage(at_high, 2, tol=1e-6)
+        assert abs(e.high - e.low) <= 1e-6
+        assert cert.status == "certified_covered"
+        assert cert.radius_high <= at_high.radius
 
     def test_certificate_fields(self):
         cert = verify_k_coverage(triangle_pattern(), 2, tol=1e-6)

@@ -137,9 +137,11 @@ class TestOptimizeSingleLattice:
 
         monkeypatch.setattr(diskcover.optimize, "covering_radius", counted)
         res = optimize_single_lattice(1, budget=1000, tol=1e-4, seed=7)
-        # history recorded before the objective was memoized
+        # history recorded when the root grid was culled to the reduced cell;
+        # with the bounding-box root it was c8d0f13f...b03a99dfa, recorded
+        # before the objective was memoized
         digest = hashlib.sha256(repr(res.history).encode()).hexdigest()
-        assert digest == "c8d0f13fc7f293f7c8b3af0db461d1d14291ad14910f34f2f3d2757b03a99dfa"
+        assert digest == "c09d65735afdcf90c9fb2f13c045126aabc4182205c3be1433b71d5f7323fe91"
         assert res.evaluations == len(res.history) == 1000
         # one call per distinct clipped point; repeats and the winner's
         # final radius are read from the memo
