@@ -26,19 +26,6 @@ every bound, witness and box count, is the same as with all centers.
 A center field therefore prunes only where it pays: after a level whose
 query fit one kernel block, whose d^2 it reuses, and only while it holds
 more than _PRUNE_MIN centers.
-
-Searches of many configurations, such as an optimizer's start grid, run
-in lockstep through `_covering_radius_many`: one frontier holds every
-configuration's boxes, each configuration's rows contiguous and in the
-order of a single search, so the fixed per-level cost is paid once per
-level rather than once per configuration.  Each configuration keeps its
-own center set, pruning and stop rules, so every enclosure, witness and
-box count equals that of its own `covering_radius` call.  The
-one-configuration loop stays separate: it is the reference the batched
-engine is tested against, and a batch of one took 5.2 to 5.4 times as long
-as `covering_radius` on an optimizer's single searches at tol 1e-4, and
-3.7 to 4.0 times on random skewed configurations at tol 1e-9 (2-vCPU VM,
-numpy 2.4).
 """
 
 from __future__ import annotations
@@ -61,11 +48,6 @@ DEFAULT_MAX_BOXES = 10_000_000
 # d^2 entries per kernel block (8 MiB of float64), so the memory of one
 # block does not grow with k or with the number of centers
 _CHUNK_ELEMENTS = 2**20
-# d^2 entries per block of a lockstep search (512 KiB), which holds whole
-# configurations and splits its levels into many blocks anyway; blocks of
-# this size stay in cache and ran a 504-config start grid about 10% faster
-# than blocks of _CHUNK_ELEMENTS, with half the peak memory
-_BATCH_ELEMENTS = 2**16
 # relative padding of the pruning radius; far above the rounding error of
 # d^2, whose coordinates share the scale of the radius
 _PRUNE_SLACK = 1e-9
@@ -84,10 +66,9 @@ _ROOT_LONG = 64
 # against the cell; far above the rounding of s and t, which is below
 # 1e-13 of the interval's half width
 _CULL_SLACK = 1e-9
-# the four children of a box, as multiples of the child half side
-_SIGNS = np.array([[-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]])
-# the same signs as (coordinate, 1, child), for boxes held as rows x and y
-_SIGN_ROWS = np.ascontiguousarray(_SIGNS.T[:, None, :])
+# the four children of a box, as multiples of the child half side, shaped
+# (coordinate, 1, child) for boxes held as rows x and y
+_SIGN_ROWS = np.array([[[-1.0, 1.0, -1.0, 1.0]], [[-1.0, -1.0, 1.0, 1.0]]])
 
 
 @dataclass(frozen=True)
@@ -201,43 +182,6 @@ def _kth_smallest(d2: np.ndarray, k: int) -> np.ndarray:
     if k == 1:
         return d2.min(axis=1)
     return np.partition(d2, k - 1, axis=1)[:, k - 1]
-
-
-class _PaddedCenters:
-    """Center sets of many configurations as rows padded with inf.
-
-    A pad is farther than any real center.  Each query point lies in its
-    configuration's rect, so its row holds its k nearest centers (see
-    `_CenterField`), and a pad is never k-th.
-    """
-
-    def __init__(self, fields: list[_CenterField]):
-        self.size = np.array([len(field.cx) for field in fields])
-        self.x = np.full((len(fields), int(self.size.max())), np.inf)
-        self.y = np.full_like(self.x, np.inf)
-        for i, field in enumerate(fields):
-            self.x[i, : self.size[i]] = field.cx
-            self.y[i, : self.size[i]] = field.cy
-
-    def squared_distances(self, pts: np.ndarray, ids: np.ndarray, width: int) -> np.ndarray:
-        """d^2 from each point to the first `width` centers of config ids[row]."""
-        dx = self.x[ids, :width]
-        dy = self.y[ids, :width]
-        return _square_sum(
-            np.subtract(pts[:, 0:1], dx, out=dx), np.subtract(pts[:, 1:2], dy, out=dy)
-        )
-
-    def keep(self, ids: np.ndarray, near: np.ndarray) -> None:
-        """Keep, in order, the centers of configs `ids` that `near` marks."""
-        width = near.shape[1]
-        order = np.argsort(~near, axis=1, kind="stable")
-        size = near.sum(axis=1)
-        tail = np.arange(width) >= size[:, None]
-        for arr in (self.x, self.y):
-            part = np.take_along_axis(arr[ids, :width], order, axis=1)
-            part[tail] = np.inf
-            arr[ids, :width] = part
-        self.size[ids] = size
 
 
 def kth_nearest_distance(p: Point, config: PeriodicConfig, k: int) -> float:
@@ -399,132 +343,6 @@ def covering_radius(
     return CoveringRadius(
         low, high, Point(float(witness[0]), float(witness[1])), processed, converged
     )
-
-
-def _covering_radius_many(
-    configs: list[PeriodicConfig],
-    k: int,
-    tol: float = 1e-6,
-    max_boxes: int = DEFAULT_MAX_BOXES,
-) -> list[CoveringRadius]:
-    """`covering_radius` of every configuration, searched in lockstep.
-
-    Element i equals `covering_radius(configs[i], k, tol, max_boxes)`
-    field for field.  Each level evaluates the frontier of all unfinished
-    configurations in kernel blocks of whole configurations; every block
-    holds at most _BATCH_ELEMENTS d^2 entries and prunes from its own
-    d^2, as a single search does when its level fits one block.  A
-    configuration whose level alone is larger than a block leaves the
-    frontier and is searched by its own `covering_radius` call at the end.
-    """
-    _check_k(k)
-    _check_tol(tol)
-    if not configs:
-        return []
-    roots = [_root_grid(config) for config in configs]
-    pad = _PaddedCenters(
-        [_CenterField(config, rect, k) for config, (_, _, rect) in zip(configs, roots)]
-    )
-    half = np.array([root[1] for root in roots])
-    low = np.full(len(configs), -math.inf)
-    high = np.empty(len(configs))
-    witness = np.empty((len(configs), 2))
-    processed = np.zeros(len(configs), dtype=np.int64)
-    converged = np.zeros(len(configs), dtype=bool)
-    alone = set()
-
-    # the frontier: config ids, each one's row count, and the rows
-    ids = np.arange(len(configs))
-    counts = np.array([len(root[0]) for root in roots])
-    boxes = np.concatenate([root[0] for root in roots])
-    while len(ids):
-        big = counts * pad.size[ids] > _BATCH_ELEMENTS
-        if big.any():
-            alone.update(ids[big].tolist())
-            boxes = boxes[np.repeat(~big, counts)]
-            ids, counts = ids[~big], counts[~big]
-            if not len(ids):
-                break
-        ends = np.cumsum(counts)
-        next_ids, next_counts, next_boxes = [], [], []
-        for a, b in _kernel_blocks(counts, pad.size[ids]):
-            g_ids, g_counts = ids[a:b], counts[a:b]
-            pts = boxes[ends[a] - counts[a] : ends[b - 1]]
-            starts = np.concatenate(([0], np.cumsum(g_counts)[:-1]))
-            width = int(pad.size[g_ids].max())
-            d2 = pad.squared_distances(pts, np.repeat(g_ids, g_counts), width)
-            vals = np.sqrt(_kth_smallest(d2, k))
-            top = np.maximum.reduceat(vals, starts)
-
-            processed[g_ids] += g_counts
-            # the first maximal row of each config, as np.argmax picks it
-            rowno = np.arange(len(vals))
-            first = np.minimum.reduceat(
-                np.where(vals == np.repeat(top, g_counts), rowno, len(vals)), starts
-            )
-            up = top > low[g_ids]
-            low[g_ids[up]] = top[up]
-            witness[g_ids[up]] = pts[first[up]]
-            g_low = low[g_ids]
-            diag = half[g_ids] * math.sqrt(2.0)
-            bounds = vals + np.repeat(diag, g_counts)
-            g_high = np.maximum(np.maximum.reduceat(bounds, starts), g_low)
-            high[g_ids] = g_high
-            done = g_high - g_low <= tol
-            converged[g_ids[done]] = True
-            survivors = bounds > np.repeat(g_low, g_counts)
-            kids = np.add.reduceat(survivors, starts, dtype=np.int64)
-            go = ~done & (processed[g_ids] + 4 * kids <= max_boxes)
-            if not go.any():
-                continue
-
-            rows = survivors & np.repeat(go, g_counts)
-            radius = (vals[rows] + 2.0 * np.repeat(diag, g_counts)[rows]) * (
-                1.0 + _PRUNE_SLACK
-            )
-            near = d2[rows] <= (radius * radius)[:, None]
-            kid_starts = np.concatenate(([0], np.cumsum(kids[go])[:-1]))
-            pad.keep(g_ids[go], np.logical_or.reduceat(near, kid_starts, axis=0))
-
-            half[g_ids[go]] /= 2.0
-            shift = np.repeat(half[g_ids[go]], kids[go])[:, None, None]
-            next_boxes.append((pts[rows][:, None, :] + _SIGNS * shift).reshape(-1, 2))
-            next_ids.append(g_ids[go])
-            next_counts.append(4 * kids[go])
-        if not next_ids:
-            break
-        ids = np.concatenate(next_ids)
-        counts = np.concatenate(next_counts)
-        boxes = np.concatenate(next_boxes)
-    return [
-        covering_radius(configs[i], k, tol, max_boxes)
-        if i in alone
-        else CoveringRadius(
-            float(low[i]),
-            float(high[i]),
-            Point(float(witness[i, 0]), float(witness[i, 1])),
-            int(processed[i]),
-            bool(converged[i]),
-        )
-        for i in range(len(configs))
-    ]
-
-
-def _kernel_blocks(counts: np.ndarray, sizes: np.ndarray):
-    """Split a frontier into runs of whole configs, one kernel block each.
-
-    Yields (a, b) for the configs a..b-1 of the frontier, whose rows
-    padded to their widest center set hold at most _BATCH_ELEMENTS
-    entries; every config alone must fit.
-    """
-    cap = max(1, _BATCH_ELEMENTS // int(sizes.max()))
-    ends = np.cumsum(counts)
-    a = 0
-    while a < len(counts):
-        b = int(np.searchsorted(ends, ends[a] - counts[a] + cap, side="right"))
-        b = max(a + 1, b)
-        yield a, b
-        a = b
 
 
 def verify_k_coverage(

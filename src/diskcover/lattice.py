@@ -279,8 +279,8 @@ def _translates_array(config: PeriodicConfig, rect: Rect, margin: float) -> np.n
     The columns of the array are contiguous.  Integer ranges follow from
     mapping the expanded rect's corners through the inverse of the
     reduced basis; padding by one absorbs rounding.  Raises ValueError
-    when those ranges are not finite or span more than
-    _MAX_ENUMERATED_POINTS centers.
+    when those ranges are not finite, span more than
+    _MAX_ENUMERATED_POINTS centers or reach an index of magnitude 2**53.
     """
     ux, uy = config.reduced.u
     vx, vy = config.reduced.v
@@ -305,6 +305,10 @@ def _translates_array(config: PeriodicConfig, rect: Rect, margin: float) -> np.n
         raise ValueError(
             f"center enumeration needs more than {_MAX_ENUMERATED_POINTS} points"
         )
+    # from 2**53 on a float lattice coordinate has no fractional part left,
+    # so no center position could be placed; np.arange would also leave int64
+    if max(-lo_i, hi_i, -lo_j, hi_j) >= 2**53:
+        raise ValueError("center enumeration needs lattice indices of 2**53 or more")
     ii = np.arange(lo_i, hi_i + 1)[:, None]
     jj = np.arange(lo_j, hi_j + 1)
     # rows x and y of every offset plus every lattice point i*u + j*v,

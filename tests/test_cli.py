@@ -348,7 +348,7 @@ class TestImportGraph:
         assert proc.returncode == 0, proc.stderr
         # the history digest pinned in test_memoized_objective_keeps_history
         assert proc.stdout.split() == [
-            "c09d65735afdcf90c9fb2f13c045126aabc4182205c3be1433b71d5f7323fe91"
+            "220b13ef52e298174f5154941249ca7c27d313d6056aac6db484714d21fac485"
         ]
         code = block + "import runpy; runpy.run_module('diskcover', run_name='__main__')"
         argv = ["optimize", "--mode", "single-lattice", "--k", "1", "--budget", "1000",

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from diskcover import coverage
-from diskcover.lattice import _translates_array
+from diskcover.lattice import Rect, _translates_array
 from diskcover import (
     Basis,
     PeriodicConfig,
     Point,
     covering_radius,
+    enumerate_centers,
     kth_nearest_distance,
     kth_nearest_distance_batch,
     triangle_pattern,
@@ -76,6 +77,18 @@ class TestKthNearestDistance:
         # thousands of cells apart need no enumeration between them
         pts = np.array([[0.5, 0.5], [3000.5, 3000.5]])
         assert kth_nearest_distance_batch(pts, SQUARE, 1).tolist() == [math.sqrt(0.5)] * 2
+
+    @pytest.mark.parametrize("x", [1e300, -1e300, 2.0**53, -(2.0**53)])
+    def test_far_query_point_raises_value_error(self, x):
+        # lattice indices of 2**53 or more are rejected before any numpy
+        # range is built from them
+        match = "lattice indices of 2\\*\\*53"
+        with pytest.raises(ValueError, match=match):
+            kth_nearest_distance(Point(x, 0.5), SQUARE, 1)
+        with pytest.raises(ValueError, match=match):
+            kth_nearest_distance_batch(np.array([[0.5, 0.5], [x, 0.5]]), SQUARE, 1)
+        with pytest.raises(ValueError, match=match):
+            enumerate_centers(SQUARE, Rect(0.5, x, 0.5, x), 1.0)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_batch_equals_one_point_calls_bit_for_bit(self, k):
@@ -425,123 +438,6 @@ class TestCenterPruning:
                 width, height = rect.xmax - rect.xmin, rect.ymax - rect.ymin
                 bound = n * (width + pad) * (height + pad) / abs(cfg.reduced.det)
                 assert 0 < len(field.cx) <= bound
-
-
-def _fields(r):
-    return (r.low, r.high, r.witness, r.boxes, r.converged)
-
-
-class TestCoveringRadiusMany:
-    """The lockstep search must equal one `covering_radius` call per config."""
-
-    @staticmethod
-    def _mixed_batch(seed):
-        # 1..8 offsets, twice each, and a needle-shaped cell: root grids of
-        # different sizes and center sets of different widths share levels
-        rng = np.random.default_rng(seed)
-        needle = PeriodicConfig(Basis((1.0, 0.0), (0.3, 3.9)), [(0, 0), (0.5, 1.2)], 1.0)
-        cfgs = [skewed_config(rng, n) for _ in range(2) for n in range(1, 9)]
-        return cfgs[:8] + [needle, SQUARE] + cfgs[8:]
-
-    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
-    def test_equals_single_search_field_by_field(self, k):
-        cfgs = self._mixed_batch(80 + k)
-        assert len({len(coverage._root_grid(c)[0]) for c in cfgs}) > 2
-        many = coverage._covering_radius_many(cfgs, k, tol=1e-7)
-        assert len(many) == len(cfgs)
-        for cfg, got in zip(cfgs, many):
-            assert _fields(got) == _fields(covering_radius(cfg, k, tol=1e-7))
-
-    def test_batch_of_one_and_empty_batch(self):
-        assert coverage._covering_radius_many([], 2, tol=1e-6) == []
-        for cfg, k in _critical_configs():
-            (got,) = coverage._covering_radius_many([cfg], k, tol=1e-9)
-            assert _fields(got) == _fields(covering_radius(cfg, k, tol=1e-9))
-
-    def test_box_budget_stops_each_config_on_its_own(self):
-        cfgs = self._mixed_batch(91)
-        # a budget one config spends exactly on its way to converging
-        budget = covering_radius(cfgs[3], 3, tol=1e-9).boxes
-        many = coverage._covering_radius_many(cfgs, 3, tol=1e-9, max_boxes=budget)
-        single = [covering_radius(c, 3, tol=1e-9, max_boxes=budget) for c in cfgs]
-        assert [_fields(r) for r in many] == [_fields(r) for r in single]
-        assert many[3].converged and many[3].boxes == budget
-        assert not all(r.converged for r in many)
-
-    def test_kernel_blocks_stay_bounded(self, monkeypatch):
-        # a small block forces many blocks per level and configs whose level
-        # alone is larger than a block, which get their own single search
-        chunk = 4000
-        cfgs = self._mixed_batch(93)
-        expected = [_fields(covering_radius(c, 4, tol=1e-8)) for c in cfgs]
-        monkeypatch.setattr(coverage, "_CHUNK_ELEMENTS", chunk)
-        monkeypatch.setattr(coverage, "_BATCH_ELEMENTS", chunk)
-        square_sum = coverage._square_sum
-        sizes = []
-
-        def recording(dx, dy):
-            sizes.append(dx.size)
-            return square_sum(dx, dy)
-
-        monkeypatch.setattr(coverage, "_square_sum", recording)
-        many = coverage._covering_radius_many(cfgs, 4, tol=1e-8)
-        assert [_fields(r) for r in many] == expected
-        assert max(sizes) <= chunk
-
-    def test_oversize_config_hands_off_to_a_single_search(self, monkeypatch):
-        # with blocks of 2500 d^2 entries, the configs whose root level
-        # (root boxes x start centers) alone is larger than a block get their
-        # own search, and no level of the other configs is larger: their
-        # single searches bound the lockstep levels, whose center sets are
-        # pruned at least as far
-        k, batch = 2, 2500
-
-        def needle(height, offsets):
-            return PeriodicConfig(Basis((1.0, 0.0), (0.3, height)), offsets, 1.0)
-
-        cfgs = [
-            SQUARE,
-            needle(12.0, [(0, 0), (0.5, 4.2), (0.1, 8.0)]),
-            triangle_pattern(),
-            needle(30.0, [(0, 0), (0.5, 10.0)]),
-            needle(3.9, [(0, 0), (0.5, 1.2)]),
-        ]
-        expected = [_fields(covering_radius(c, k, tol=1e-8)) for c in cfgs]
-        dk = coverage._CenterField.dk
-        levels = []
-
-        def recording(self, pts):
-            levels.append(len(pts) * len(self.cx))
-            return dk(self, pts)
-
-        monkeypatch.setattr(coverage._CenterField, "dk", recording)
-        oversize = []
-        for i, cfg in enumerate(cfgs):
-            boxes, _, rect = coverage._root_grid(cfg)
-            root_level = len(boxes) * len(coverage._CenterField(cfg, rect, k).cx)
-            levels.clear()
-            covering_radius(cfg, k, tol=1e-8)
-            assert levels[0] == root_level
-            if root_level > batch:
-                oversize.append(i)
-            else:
-                assert max(levels) <= batch
-        # both paths run: some configs hand off, some stay in lockstep
-        assert 0 < len(oversize) < len(cfgs)
-        monkeypatch.undo()
-
-        single = coverage.covering_radius
-        calls = []
-
-        def counting(config, *args):
-            calls.append(cfgs.index(config))
-            return single(config, *args)
-
-        monkeypatch.setattr(coverage, "_BATCH_ELEMENTS", batch)
-        monkeypatch.setattr(coverage, "covering_radius", counting)
-        many = coverage._covering_radius_many(cfgs, k, tol=1e-8)
-        assert calls == oversize
-        assert [_fields(r) for r in many] == expected
 
 
 class TestVerifyKCoverage:

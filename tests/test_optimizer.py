@@ -137,12 +137,14 @@ class TestOptimizeSingleLattice:
 
         monkeypatch.setattr(diskcover.optimize, "covering_radius", counted)
         res = optimize_single_lattice(1, budget=1000, tol=1e-4, seed=7)
-        # history recorded when the root grid was culled to the reduced cell;
-        # with the bounding-box root it was c8d0f13f...b03a99dfa, recorded
-        # before the objective was memoized
+        # history recorded with the 6 x 8 start grid, which converges within
+        # the budget; the 21 x 24 grid spent all 1000 evaluations and gave
+        # c09d6573...7323fe91 with the root culled to the reduced cell, and
+        # c8d0f13f...b03a99dfa with the bounding-box root, recorded before
+        # the objective was memoized
         digest = hashlib.sha256(repr(res.history).encode()).hexdigest()
-        assert digest == "c09d65735afdcf90c9fb2f13c045126aabc4182205c3be1433b71d5f7323fe91"
-        assert res.evaluations == len(res.history) == 1000
+        assert digest == "220b13ef52e298174f5154941249ca7c27d313d6056aac6db484714d21fac485"
+        assert res.evaluations == len(res.history) == 755
         # one call per distinct clipped point; repeats and the winner's
         # final radius are read from the memo
         assert len(calls) <= len({params for params, _ in res.history})
@@ -159,6 +161,15 @@ class TestOptimizeSingleLattice:
         d = res.to_dict()
         assert set(d) >= {"density", "config", "certificate", "evaluations", "converged"}
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize(
+        # the winners of the 21 x 24 start grid that the 6 x 8 grid replaced
+        "k, before",
+        [(5, 5.428407248328219), (6, 6.583950573853938)],
+    )
+    def test_higher_fold_winners_hold(self, k, before, seed):
+        assert optimize_single_lattice(k, seed=seed).density <= before * (1 + 1e-9)
+
     def test_rejects_bad_fold_or_budget(self):
         with pytest.raises(ValueError):
             optimize_single_lattice(0)
@@ -172,37 +183,32 @@ class TestGridPhase:
     @pytest.mark.parametrize(
         "search, grid_size",
         [
-            (lambda: optimize_single_lattice(2, budget=1000, tol=1e-4, seed=7), 504),
+            (lambda: optimize_single_lattice(2, budget=1000, tol=1e-4, seed=7), 48),
             (lambda: optimize_pattern_b(budget=1000, tol=1e-4, seed=7), 72),
         ],
     )
-    def test_grid_is_one_batched_search(self, monkeypatch, search, grid_size):
+    def test_grid_goes_through_the_one_driver(self, monkeypatch, search, grid_size):
         module = diskcover.optimize
-        radius, many, minimize = module.covering_radius, module._covering_radius_many, module.minimize
-        single, batched, before_refine = [], [], []
+        radius, minimize = module.covering_radius, module.minimize
+        searched, before_refine = [], []
 
-        def counted(*args, **kwargs):
-            single.append(args)
-            return radius(*args, **kwargs)
-
-        def counted_many(configs, *args, **kwargs):
-            batched.append(len(configs))
-            return many(configs, *args, **kwargs)
+        def counted(config, *args, **kwargs):
+            searched.append(repr(config))
+            return radius(config, *args, **kwargs)
 
         def first_refine(*args, **kwargs):
             if not before_refine:
-                before_refine.append((len(single), list(batched)))
+                before_refine.append(list(searched))
             return minimize(*args, **kwargs)
 
         monkeypatch.setattr(module, "covering_radius", counted)
-        monkeypatch.setattr(module, "_covering_radius_many", counted_many)
         monkeypatch.setattr(module, "minimize", first_refine)
         res = search()
-        # the whole grid in one lockstep call, no single search before the
-        # first refinement, and none of the later phases batched
-        assert before_refine == [(0, [grid_size])]
-        assert batched == [grid_size]
-        assert single and res.evaluations == len(res.history) > grid_size
+        # one search per distinct clipped grid point before the first
+        # refinement, each through covering_radius
+        (grid,) = before_refine
+        assert len(grid) == len(set(grid)) == grid_size
+        assert res.evaluations == len(res.history) > grid_size
 
 
 class TestOptimizePatternB:
