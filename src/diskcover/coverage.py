@@ -5,9 +5,27 @@ periodic set.  Closed disks of radius r cover every point at least k
 times exactly when max d_k <= r, and d_k is 1-Lipschitz, so a single
 evaluation at the center of a square bounds d_k over the whole square:
 d_k(m) from below, d_k(m) + half-diagonal from above.  Branch-and-bound
-on those bounds yields a certified enclosure of the covering radius
-max d_k without any exact arrangement machinery.  Boxes of one level are
-evaluated in a batch; the final bounds do not depend on that ordering.
+on those bounds narrows the boxes that can hold the maximum, and an exact
+finish at the vertices of the order-k Voronoi diagram ends it (below).
+Boxes of one level are evaluated in a batch; the final bounds do not
+depend on that ordering.
+
+The finish.  max d_k is attained at a vertex of the order-k Voronoi
+diagram (Lee 1982): at a maximizer v at least three centers lie at
+distance d_k(v), and no half-plane through v holds them all, or moving v
+away from them would raise d_k; so v is their circumcenter.  If v lies in
+a surviving box with center m and half-diagonal h, those centers lie in
+the ring |c - m| in [d_k(m) - 2h, d_k(m) + 2h], since d_k is 1-Lipschitz.
+Every dropped box has d_k <= low.  Hence max d_k = max(low, d_k at the
+circumcenters of ring triples that lie in surviving boxes).  Once no
+surviving box has more than _FINISH_CAP ring centers, all their triples
+are solved in one pass, and d_k at each in-box circumcenter bounds the
+maximum from both sides: the point is real, so its value (less the
+evaluation error) is a lower bound, and the exact vertex lies within the
+circumcenter's a-posteriori error bound of it, so its value plus that
+bound is an upper bound (Moore 1966).  Every bound carries an explicit
+rounding allowance, so an enclosure narrower than float resolution is
+never claimed.
 
 d_k is lattice-periodic, so its maximum over the closed reduced
 parallelogram is the global one.  The root boxes tile that cell alone:
@@ -23,9 +41,9 @@ d_k(m) + 2h of m.  Centers farther than that from every surviving box
 center can be dropped before the next level: the kept set still holds
 each later query point's k nearest, so every d_k value, and with it
 every bound, witness and box count, is the same as with all centers.
-A center field therefore prunes only where it pays: after a level whose
-query fit one kernel block, whose d^2 it reuses, and only while it holds
-more than _PRUNE_MIN centers.
+The same pass over the level's d^2 counts the ring centers of the finish,
+and a center field prunes only while it holds more than _PRUNE_MIN
+centers.
 """
 
 from __future__ import annotations
@@ -48,11 +66,9 @@ DEFAULT_MAX_BOXES = 10_000_000
 # d^2 entries per kernel block (8 MiB of float64), so the memory of one
 # block does not grow with k or with the number of centers
 _CHUNK_ELEMENTS = 2**20
-# relative padding of the pruning radius; far above the rounding error of
-# d^2, whose coordinates share the scale of the radius
-_PRUNE_SLACK = 1e-9
-# a center field this small is not pruned: a pass over the level's d^2
-# costs more than it saves on the levels below
+# a center field this small is not pruned, which never changes a d_k
+# value: before the finish it beat pruning every field on replays of the
+# certify and optimize calls, and with it the two measure alike
 _PRUNE_MIN = 16
 # root boxes across the short side of the reduced cell's bounding box, and
 # at most along its long side, so a needle-shaped cell cannot explode the
@@ -69,6 +85,26 @@ _CULL_SLACK = 1e-9
 # the four children of a box, as multiples of the child half side, shaped
 # (coordinate, 1, child) for boxes held as rows x and y
 _SIGN_ROWS = np.array([[[-1.0, 1.0, -1.0, 1.0]], [[-1.0, -1.0, 1.0, 1.0]]])
+# the finish runs once no surviving box has more ring centers than this;
+# it solves all C(6, 3) = 20 triples of each box, as index triples into
+# the box's ring centers, each ascending, so a triple exists in a box
+# exactly when its last index is below the box's ring count
+_FINISH_CAP = 6
+_TRIPLES = np.array(
+    [
+        (a, b, c)
+        for a in range(_FINISH_CAP)
+        for b in range(a + 1, _FINISH_CAP)
+        for c in range(b + 1, _FINISH_CAP)
+    ]
+)
+# unit roundoff of float64
+_U = 2.0**-53
+# bound on the error of a computed d_k, in units of _U times the field's
+# coordinate scale: the rounding of the center positions (at most about
+# 13 u scale for a reduced basis), of d^2 and its square root (3 u d_k),
+# and of the sums that widen a bound by it
+_EVAL_ULPS = 32.0
 
 
 @dataclass(frozen=True)
@@ -91,7 +127,12 @@ class CoverageCertificate:
 
 @dataclass(frozen=True)
 class CoveringRadius:
-    """Enclosure of max d_k with the deepest sampled point as witness."""
+    """Enclosure of max d_k with the deepest sampled point as witness.
+
+    `low` is d_k at the witness less the field's evaluation error;
+    `boxes` counts every d_k evaluation, box centers and finish
+    candidates alike.
+    """
 
     low: float
     high: float
@@ -119,8 +160,14 @@ class _CenterField:
     the centers of one offset are disjoint and lie in a box of sides
     W + 2R + D and H + 2R + D, so the field holds at most
     n (W + 2R + D) (H + 2R + D) / det centers, with R taken with its
-    margin: for large k about 4 k / pi, linear in k.  `prune` only
+    margin: for large k about 4 k / pi, linear in k.  `ring` only
     narrows the cache, to the centers later queries can still need.
+
+    `eval_error` bounds the error of every d_k the field computes at a
+    point of the rect, and of a sum of such a value with a bound of the
+    same scale: _EVAL_ULPS units of roundoff times the coordinate scale,
+    the largest rect coordinate plus the largest offset coordinate plus
+    the reach, which bounds every coordinate the computation meets.
     """
 
     def __init__(self, config: PeriodicConfig, rect: Rect, k: int):
@@ -128,6 +175,9 @@ class _CenterField:
         len_u, len_v = config.reduced.lengths()
         per_center = config.basis.det / len(config.offsets)
         self.reach = math.sqrt(k * per_center / math.pi) + len_u + len_v
+        corner = max(abs(rect.xmin), abs(rect.xmax), abs(rect.ymin), abs(rect.ymax))
+        offset = max(max(abs(p.x), abs(p.y)) for p in config.offsets)
+        self.eval_error = _EVAL_ULPS * _U * (corner + offset + self.reach)
         self.set_centers(*_translates_array(config, rect, self.reach).T)
 
     def set_centers(self, cx: np.ndarray, cy: np.ndarray) -> None:
@@ -142,7 +192,7 @@ class _CenterField:
         x, y = pts[:, 0:1], pts[:, 1:2]
         rows = self._rows
         if len(pts) <= rows:
-            # only a query that fits one block leaves its d^2 for `prune`
+            # only a query that fits one block leaves its d^2 for `ring`
             self._d2 = _square_sum(x - self.cx, y - self.cy)
             return np.sqrt(_kth_smallest(self._d2, self.k))
         self._d2 = None
@@ -153,21 +203,54 @@ class _CenterField:
             out[block] = np.sqrt(_kth_smallest(d2, self.k))
         return out
 
-    def prune(self, vals: np.ndarray, kept: np.ndarray, half_diag: float) -> None:
-        """Drop the centers no point of the kept boxes can have as k-nearest.
+    def ring(
+        self, cols: np.ndarray, kept: np.ndarray, inner: np.ndarray, outer: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """The centers in each kept point's ring, then prune to the kept rings.
 
-        `vals` are the d_k values of the last `dk` query, whose points are
-        the centers of boxes with half-diagonal `half_diag`; `kept` holds
-        the indices of the boxes searched further.  A center stays if it
-        lies within d_k(m) + 2 * half_diag of some kept box center m.
-        Reuses that query's d^2, so a query too large for one block prunes
-        nothing, and neither does a field of at most _PRUNE_MIN centers.
+        `cols` holds the points of the last `dk` query as rows x and y,
+        `kept` the indices of those searched further, and `inner` and
+        `outer` one ring per kept point.  When no ring holds more than
+        _FINISH_CAP centers, returns for every ring center the position
+        of its point in `kept` (ascending), and the centers as rows x and y;
+        else None.
+
+        Then drops every center farther than `outer` from all kept
+        points, unless the field holds at most _PRUNE_MIN: with outer at
+        least d_k(m) + 2h for a box of center m and half-diagonal h, every
+        later query point of the box keeps its k nearest.  Reads the
+        query's d^2 when it fit one kernel block and recomputes the kept
+        rows block by block otherwise, bit for bit the same, so the
+        result does not depend on the blocking.
         """
-        if self._d2 is None or len(self.cx) <= _PRUNE_MIN:
-            return
-        radius = (vals.take(kept)[:, None] + 2.0 * half_diag) * (1.0 + _PRUNE_SLACK)
-        near = (self._d2.take(kept, axis=0) <= radius * radius).any(axis=0)
-        self.set_centers(self.cx[near], self.cy[near])
+        lo2 = inner * inner
+        hi2 = outer * outer
+        near = np.zeros(len(self.cx), dtype=bool)
+        found: list | None = []
+        for start in range(0, len(kept), self._rows):
+            block = kept[start : start + self._rows]
+            if self._d2 is not None:
+                d2 = self._d2.take(block, axis=0)
+            else:
+                dx = cols[0].take(block)[:, None] - self.cx
+                d2 = _square_sum(dx, cols[1].take(block)[:, None] - self.cy)
+            span = slice(start, start + len(block))
+            hit = d2 <= hi2[span, None]
+            near |= hit.any(axis=0)
+            if found is None:
+                continue
+            hit &= d2 >= lo2[span, None]
+            if hit.sum(axis=1).max() > _FINISH_CAP:
+                found = None
+                continue
+            box, idx = hit.nonzero()
+            found.append((box + start, np.stack((self.cx.take(idx), self.cy.take(idx)))))
+        if len(self.cx) > _PRUNE_MIN:
+            self.set_centers(self.cx[near], self.cy[near])
+        if found is None:
+            return None
+        rows, centers = zip(*found)
+        return np.concatenate(rows), np.concatenate(centers, axis=1)
 
 
 def _square_sum(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
@@ -287,6 +370,106 @@ def _root_grid(config: PeriodicConfig) -> tuple[np.ndarray, float, Rect]:
     return np.stack((x, y)).T, half, rect
 
 
+def _circumcenters(
+    ax: np.ndarray,
+    ay: np.ndarray,
+    bx: np.ndarray,
+    by: np.ndarray,
+    cx: np.ndarray,
+    cy: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Circumcenters of the triangles a, b, c, with their error bounds.
+
+    Returns the computed circumcenters q as x and y, a bound e_q on the
+    distance from each to the exact circumcenter v of the float vertices,
+    and a lower bound on each circumradius.  A triangle too close to
+    collinear to bound has e_q = inf, and a collinear one a huge, infinite
+    or nan circumradius bound.  Call it under np.errstate, since collinear
+    triangles divide by zero.
+
+    v solves M (v - a) = r, where the rows of M are the edges B = b - a
+    and C = c - a and r = (|B|^2, |C|^2) / 2.  The residual rho = M (q - a)
+    - r of the two bisector equations at q is computed with a bound on its
+    own rounding, and v - q = -M^-1 rho with ||M^-1|| <= ||M||_F / |det M|,
+    so |q - v| <= ||M||_F |rho| / |det M|, with |det M| bounded from below
+    by the computed determinant less its rounding bound.  The circumradius
+    is |B| |C| |B - C| / (2 |det M|), bounded from below with |det M|
+    bounded from above.  Each rounding bound is at least twice the
+    first-order error it covers.
+    """
+    ex, ey = cx - bx, cy - by
+    bx, by, cx, cy = bx - ax, by - ay, cx - ax, cy - ay
+    bb = bx * bx + by * by
+    cc = cx * cx + cy * cy
+    cross_1, cross_2 = bx * cy, by * cx
+    det = cross_1 - cross_2
+    det_err = 8.0 * _U * (np.abs(cross_1) + np.abs(cross_2))
+    half_inv = 0.5 / det
+    qx = ax + (cy * bb - by * cc) * half_inv
+    qy = ay + (bx * cc - cx * bb) * half_inv
+    # residuals of the two bisector equations at the float point q
+    wx, wy = qx - ax, qy - ay
+    p_1, p_2, p_3, p_4 = bx * wx, by * wy, cx * wx, cy * wy
+    slack = 1.0 + 2.0 * _U
+    rho_1 = np.abs(p_1 + p_2 - 0.5 * bb) * slack
+    rho_1 += 8.0 * _U * (np.abs(p_1) + np.abs(p_2) + bb)
+    rho_2 = np.abs(p_3 + p_4 - 0.5 * cc) * slack
+    rho_2 += 8.0 * _U * (np.abs(p_3) + np.abs(p_4) + cc)
+    floor = np.abs(det) - det_err
+    error = np.sqrt((bb + cc) * (rho_1 * rho_1 + rho_2 * rho_2)) / floor
+    error *= 1.0 + 16.0 * _U
+    error[~(floor > 0.0)] = math.inf
+    radius = np.sqrt(bb * cc * (ex * ex + ey * ey)) / (2.0 * (np.abs(det) + det_err))
+    radius *= 1.0 - 16.0 * _U
+    return qx, qy, error, radius
+
+
+def _finish_candidates(
+    boxes: np.ndarray,
+    half: float,
+    outer: np.ndarray,
+    pad: float,
+    ring: tuple[np.ndarray, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The in-box circumcenters of every box's ring triples.
+
+    `boxes` holds the box centers as rows x and y, `half` their half side
+    and `outer` their outer ring radii; `ring` is `_CenterField.ring`'s
+    result for them.  A triple is dropped when its circumradius provably
+    exceeds the outer radius, or its circumcenter lies farther than its
+    error bound plus `pad` outside the box; each kept circumcenter is
+    clamped into its box, which moves it no farther from an exact vertex
+    in the box.  Returns the points as an (N, 2) array and their error
+    bounds.
+    """
+    rows, centers = ring
+    count = np.bincount(rows, minlength=boxes.shape[1])
+    # each ring center's slot in a flat (box, _FINISH_CAP) layout
+    slot = np.arange(len(rows)) - (np.cumsum(count) - count).repeat(count)
+    slot += rows * _FINISH_CAP
+    grid_x = np.empty(boxes.shape[1] * _FINISH_CAP)
+    grid_y = np.empty(boxes.shape[1] * _FINISH_CAP)
+    grid_x[slot] = centers[0]
+    grid_y[slot] = centers[1]
+    box, triple = (_TRIPLES[:, 2] < count[:, None]).nonzero()
+    # vertex, triangle
+    index = box * _FINISH_CAP + _TRIPLES[triple].T
+    ax, bx, cx = grid_x.take(index)
+    ay, by, cy = grid_y.take(index)
+    mx, my = boxes[0].take(box), boxes[1].take(box)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        qx, qy, error, radius = _circumcenters(ax, ay, bx, by, cx, cy)
+        reach = half + pad + error
+        keep = (radius <= outer.take(box)) & (np.abs(qx - mx) <= reach)
+        keep &= np.abs(qy - my) <= reach
+    keep = keep.nonzero()[0]
+    mx, my = mx.take(keep), my.take(keep)
+    pts = np.empty((len(keep), 2))
+    np.minimum(np.maximum(qx.take(keep), mx - half), mx + half, out=pts[:, 0])
+    np.minimum(np.maximum(qy.take(keep), my - half), my + half, out=pts[:, 1])
+    return pts, error.take(keep)
+
+
 def covering_radius(
     config: PeriodicConfig,
     k: int,
@@ -299,47 +482,98 @@ def covering_radius(
     domain is the global maximum, so the search covers the closed reduced
     parallelogram with the squares of `_root_grid` and refines.  A
     surviving box is quartered; one whose upper bound cannot beat the best
-    sampled value is dropped.  Stops once high - low <= tol or when the
-    next level would take the boxes evaluated past `max_boxes`; the root
-    grid (at most _ROOT_SHORT * _ROOT_LONG = 256 boxes) is always
-    evaluated, and the bounds stay valid either way.
+    sampled value is dropped.  After each level, once no surviving box
+    has more than _FINISH_CAP centers in its ring, the exact finish of the
+    module docstring evaluates d_k at the in-box circumcenters of their
+    triples.  With e the field's evaluation error and e_q a circumcenter's
+    error bound, low = max d_k sampled - e, at box centers and
+    circumcenters alike, and high is the least of max(d_k + half-diagonal)
+    + e over the level's boxes and max(low, d_k + e + e_q) over the
+    finish's circumcenters.
+
+    Stops once high - low <= tol (converged).  A finish wider than tol
+    runs one more level and tries again only while it has a circumcenter
+    whose e_q alone exceeds tol and its high fell since the last try;
+    otherwise it stops unconverged, as when tol is below the rounding
+    floor e_q + 2e of the vertex.  The search also stops unconverged
+    once the half-diagonal is at most e.
+
+    `boxes` counts every d_k evaluation, finish candidates included.  A
+    level or a finish that would take it past `max_boxes` is skipped whole
+    and the search stops there, unconverged; the root grid (at most
+    _ROOT_SHORT * _ROOT_LONG = 256 boxes) is always evaluated, and the
+    bounds stay valid either way.
     """
     _check_k(k)
     _check_tol(tol)
     boxes, half, rect = _root_grid(config)
     field = _CenterField(config, rect, k)
+    err = field.eval_error
     # the level's box centers as rows x and y; the kernel reads the
     # (n, 2) view `cols.T`
     cols = boxes.T
-    low = -math.inf
+    top = -math.inf
     witness = cols[:, 0]
     processed = 0
     converged = False
+    finish_high = math.inf
     while True:
         vals = field.dk(cols.T)
         processed += len(vals)
         best = int(vals.argmax())
-        top = float(vals[best])
-        if top > low:
-            low = top
+        level_top = float(vals[best])
+        if level_top > top:
+            top = level_top
             # `cols` is rebound, never written, so the column can be kept
             witness = cols[:, best]
+        low = top - err
         diag = half * math.sqrt(2.0)
-        # rounding is monotone, so top + diag is the largest bound, and
-        # it survives exactly when any bound does
-        high = max(top + diag, low)
+        # a box's upper bound is its d_k + spread; rounding is monotone, so
+        # level_top + spread is the largest, and it survives exactly when
+        # any bound does
+        spread = diag + err
+        high = min(max(level_top + spread, low), finish_high)
         if high - low <= tol:
             converged = True
             break
-        survivors = (vals + diag > low).nonzero()[0]
+        survivors = (vals + spread > low).nonzero()[0]
+        # the ring of each surviving box, widened by err, which is far above
+        # the relative rounding of d^2 and of the ring radii
+        kept = vals.take(survivors)
+        outer = kept + 2.0 * diag + err
+        inner = np.maximum(kept - 2.0 * diag - err, 0.0)
+        ring = field.ring(cols, survivors, inner, outer)
+        parents = cols.take(survivors, axis=1)
+        if ring is not None:
+            pts, error = _finish_candidates(parents, half, outer, err, ring)
+            if processed + len(pts) > max_boxes:
+                break
+            processed += len(pts)
+            dks = field.dk(pts)
+            if len(dks):
+                best = int(dks.argmax())
+                if dks[best] > top:
+                    top = float(dks[best])
+                    witness = pts[best]
+                low = top - err
+            upper = dks + err + error
+            # with no circumcenter in a surviving box, max d_k = low
+            tried = max(low, float(upper.max(initial=low)))
+            high = min(high, tried)
+            if high - low <= tol:
+                converged = True
+                break
+            # a finish refines only where a circumcenter's own error
+            # blocks tol, and only while refining narrows it
+            if tried >= finish_high or not (error[upper > low + tol] > tol).any():
+                break
+            finish_high = tried
         # the next level quarters every parent; skip it whole rather than
         # let it overshoot the budget
-        if processed + 4 * len(survivors) > max_boxes:
+        if processed + 4 * len(survivors) > max_boxes or diag <= err:
             break
-        field.prune(vals, survivors, diag)
         half /= 2.0
-        parents = cols.take(survivors, axis=1)[:, :, None]
-        cols = (parents + _SIGN_ROWS * half).reshape(2, -1)
+        cols = (parents[:, :, None] + _SIGN_ROWS * half).reshape(2, -1)
     return CoveringRadius(
         low, high, Point(float(witness[0]), float(witness[1])), processed, converged
     )

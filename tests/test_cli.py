@@ -348,7 +348,7 @@ class TestImportGraph:
         assert proc.returncode == 0, proc.stderr
         # the history digest pinned in test_memoized_objective_keeps_history
         assert proc.stdout.split() == [
-            "220b13ef52e298174f5154941249ca7c27d313d6056aac6db484714d21fac485"
+            "e242452d97a72c55a0911bc33fe31d37eea0fc3e1502f782b663e0c3fc1c0aed"
         ]
         code = block + "import runpy; runpy.run_module('diskcover', run_name='__main__')"
         argv = ["optimize", "--mode", "single-lattice", "--k", "1", "--budget", "1000",

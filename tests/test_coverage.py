@@ -1,5 +1,6 @@
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -160,11 +161,130 @@ class TestCoveringRadius:
 
     def test_box_cap_yields_unconverged(self):
         # Asymmetric lattice so no box center hits the deep hole exactly
-        # (the unit square converges in a handful of boxes that way).
+        # (the unit square converges in a handful of boxes that way).  A
+        # budget of 30 stops the search before its finish, which converges
+        # in 43 boxes
         cfg = PeriodicConfig(Basis((1.07, 0), (0.33, 0.91)), [(0, 0)], radius=1.0)
-        r = covering_radius(cfg, 2, tol=1e-12, max_boxes=50)
+        r = covering_radius(cfg, 2, tol=1e-12, max_boxes=30)
         assert not r.converged
         assert r.low <= r.high
+        assert r.boxes <= 30
+
+    def test_finish_candidates_count_in_the_budget(self):
+        # the finish's circumcenters are counted as boxes: a budget one
+        # short of the converged count skips the finish whole
+        cfg = PeriodicConfig(Basis((1.07, 0), (0.33, 0.91)), [(0, 0)], radius=1.0)
+        full = covering_radius(cfg, 2, tol=1e-12)
+        assert full.converged
+        assert covering_radius(cfg, 2, tol=1e-12, max_boxes=full.boxes) == full
+        cut = covering_radius(cfg, 2, tol=1e-12, max_boxes=full.boxes - 1)
+        assert not cut.converged
+        assert cut.boxes < full.boxes
+        assert cut.low <= full.high and full.low <= cut.high
+
+    @pytest.mark.parametrize("tol", [1e-15, 1e-16])
+    def test_rounding_floor_is_not_converged(self, tol, monkeypatch):
+        # below the rounding floor of its bounds the finish stops with its
+        # own enclosure, unconverged; the true radius 1 stays inside it
+        finish = coverage._finish_candidates
+        tried = []
+
+        def recording_finish(*args):
+            pts, error = finish(*args)
+            tried.append((pts, error))
+            return pts, error
+
+        monkeypatch.setattr(coverage, "_finish_candidates", recording_finish)
+        cfg = triangle_pattern()
+        r = covering_radius(cfg, 2, tol=tol)
+        assert not r.converged
+        assert r.low <= 1.0 <= r.high
+        assert r.low <= 1.0 + 1e-14
+        _, _, rect = coverage._root_grid(cfg)
+        e_eval = coverage._CenterField(cfg, rect, 2).eval_error
+        pts, error = tried[-1]
+        at_witness = (pts[:, 0] == r.witness.x) & (pts[:, 1] == r.witness.y)
+        assert at_witness.any()
+        assert r.high - r.low >= error[at_witness].min() + 2.0 * e_eval
+
+    def test_ill_conditioned_finish_refines(self, monkeypatch):
+        # a finish whose circumcenters cannot resolve tol runs one more
+        # level and tries again; one that never narrows stops unconverged
+        cfg = skewed_config(np.random.default_rng(131), 3)
+        plain = covering_radius(cfg, 2, tol=1e-9)
+        circumcenters = coverage._circumcenters
+        calls = []
+
+        def blurred(*args, always):
+            qx, qy, error, radius = circumcenters(*args)
+            calls.append(len(qx))
+            if always or len(calls) == 1:
+                error = np.maximum(error, 1e-3)
+            return qx, qy, error, radius
+
+        monkeypatch.setattr(coverage, "_circumcenters", lambda *a: blurred(*a, always=False))
+        once = covering_radius(cfg, 2, tol=1e-9)
+        assert len(calls) == 2 and once.converged
+        assert once.boxes > plain.boxes
+        assert abs(once.low - plain.low) <= 1e-9 and abs(once.high - plain.high) <= 1e-9
+        calls.clear()
+        monkeypatch.setattr(coverage, "_circumcenters", lambda *a: blurred(*a, always=True))
+        stuck = covering_radius(cfg, 2, tol=1e-9)
+        assert len(calls) == 2 and not stuck.converged
+        assert stuck.low <= plain.high and plain.low <= stuck.high
+
+    def test_circumcenter_error_bound(self, monkeypatch):
+        # |q - v| <= e_q against the exact rational circumcenter v of the
+        # float vertices, for the finish's own triangles on skewed configs
+        # and for constructed near-collinear and near-coincident ones; the
+        # circumradius bound never exceeds the exact circumradius
+        circumcenters = coverage._circumcenters
+        triangles = []
+
+        def recording(*args):
+            triangles.append(np.stack(args))
+            return circumcenters(*args)
+
+        monkeypatch.setattr(coverage, "_circumcenters", recording)
+        rng = np.random.default_rng(137)
+        for k in range(1, 7):
+            for n in (1, 3, 6):
+                covering_radius(skewed_config(rng, n), k, tol=1e-9)
+        monkeypatch.undo()
+        built = []
+        for _ in range(40):
+            a = rng.uniform(-3.0, 3.0, 2)
+            u = rng.normal(size=2)
+            u /= np.hypot(*u)
+            side = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
+            normal = np.array([-u[1], u[0]])
+            for t in (1e-3, 1e-8, 1e-13, 1e-16):
+                # c nearly on the line through a and b
+                built.append((a, a + side * u, a + 2.0 * side * u + t * side * normal))
+                # b nearly on top of a
+                built.append((a, a + t * side * u, a + side * normal))
+        triangles.append(np.array(built).transpose(1, 2, 0).reshape(6, -1))
+        checked = 0
+        for tri in triangles:
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                qx, qy, error, radius = circumcenters(*tri)
+            for i in range(tri.shape[1]):
+                ax, ay, bx, by, cx, cy = (Fraction(float(value)) for value in tri[:, i])
+                bx, by, cx, cy = bx - ax, by - ay, cx - ax, cy - ay
+                det = bx * cy - by * cx
+                if det == 0:
+                    # collinear: no circumcenter, any radius bound holds
+                    continue
+                bb, cc = bx * bx + by * by, cx * cx + cy * cy
+                vx = (cy * bb - by * cc) / (2 * det)
+                vy = (bx * cc - cx * bb) / (2 * det)
+                assert Fraction(float(radius[i])) ** 2 <= vx * vx + vy * vy
+                if error[i] < math.inf:
+                    gap = (Fraction(float(qx[i])) - ax - vx) ** 2
+                    gap += (Fraction(float(qy[i])) - ay - vy) ** 2
+                    assert gap <= Fraction(float(error[i])) ** 2
+                    checked += 1
+        assert checked > 1000
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_box_budget_caps_the_frontier(self, k):
@@ -252,11 +372,12 @@ def _critical_configs():
     ]
 
 
-def _moved(config: PeriodicConfig, phi: float, shift) -> PeriodicConfig:
-    rot = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
+def _moved(config: PeriodicConfig, phi: float, shift, scale: float = 1.0) -> PeriodicConfig:
+    """config rotated by phi and scaled about the origin, then shifted."""
+    rot = scale * np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
     offsets = [tuple(rot @ (p.x, p.y) + shift) for p in config.offsets]
     basis = (tuple(rot @ config.basis.u), tuple(rot @ config.basis.v))
-    return PeriodicConfig(basis, offsets, config.radius)
+    return PeriodicConfig(basis, offsets, scale * config.radius)
 
 
 class TestCenterPruning:
@@ -265,9 +386,11 @@ class TestCenterPruning:
     @staticmethod
     def _assert_low_exact(cfg, k, tol=1e-9):
         r = covering_radius(cfg, k, tol=tol)
-        # the batch query scans every center within its own reach, unpruned
+        # the batch query scans every center within its own reach, unpruned;
+        # low is its value less the search field's evaluation error
         fresh = kth_nearest_distance_batch(np.array([[r.witness.x, r.witness.y]]), cfg, k)
-        assert r.low == fresh[0]
+        _, _, rect = coverage._root_grid(cfg)
+        assert r.low == fresh[0] - coverage._CenterField(cfg, rect, k).eval_error
         return r
 
     def test_low_is_unpruned_dk_at_witness_on_skewed_configs(self):
@@ -288,14 +411,18 @@ class TestCenterPruning:
         [
             # (low, high) recorded before centers were pruned, when the root
             # covered the reduced cell's bounding box, then (low, high,
-            # boxes) recorded once the root was culled to the cell
+            # boxes) recorded with the exact finish; the branch-and-bound
+            # alone, with the root culled to the cell, gave (0.9999999997671694,
+            # 1.000000000754986, 2012), (1.1180339837518933,
+            # 1.1180339890202493, 1632) and (0.49127877717591234,
+            # 0.4912787780501625, 9644)
             (
                 triangle_pattern(),
                 2,
                 1e-9,
                 0.9999999997671694,
                 1.000000000754986,
-                (0.9999999997671694, 1.000000000754986, 2012),
+                (0.9999999999999689, 1.000000000000041, 49),
             ),
             (
                 SQUARE,
@@ -303,7 +430,7 @@ class TestCenterPruning:
                 1e-8,
                 1.1180339837518933,
                 1.1180339890202493,
-                (1.1180339837518933, 1.1180339890202493, 1632),
+                (1.1180339887498807, 1.118033988749922, 68),
             ),
             (
                 PeriodicConfig(
@@ -313,23 +440,25 @@ class TestCenterPruning:
                 1e-9,
                 0.49127877717591223,
                 0.4912787780930263,
-                (0.49127877717591234, 0.4912787780501625, 9644),
+                (0.4912787772171566, 0.4912787772171979, 503),
             ),
         ],
     )
     def test_pinned_enclosures(self, cfg, k, tol, low, high, pinned):
         r = covering_radius(cfg, k, tol=tol)
         assert (r.low, r.high, r.boxes) == pinned
-        # the culled root moves the enclosure only within tol
+        # the finish and the culled root move the enclosure only within tol
         assert r.low <= high and low <= r.high
         assert abs(r.low - low) <= tol and abs(r.high - high) <= tol
 
     def test_pinned_digest_on_skewed_configs(self):
-        # every field of 129 searches, recorded once the root was culled to
-        # the reduced cell: k 1..8 x 1..8 offsets at two tolerances, then
-        # one search cut by its box budget.  Against the bounding-box root
-        # (digest 0d5179fe...8ddc53c) every enclosure overlaps its old one,
-        # and each end of the 128 converged searches moved by at most 0.46 tol
+        # every field of 129 searches, recorded with the exact finish: k 1..8
+        # x 1..8 offsets at two tolerances, then one search cut by its box
+        # budget.  Against the branch-and-bound alone (digest
+        # d4325555...5c3279, the cut at 400 boxes) every enclosure overlaps
+        # its old one, and each end of the 128 converged searches moved by at
+        # most 0.90 tol; against the bounding-box root before it (digest
+        # 0d5179fe...8ddc53c) they moved by at most 0.46 tol
         def fields(r):
             return (r.low, r.high, r.witness.x, r.witness.y, r.boxes, r.converged)
 
@@ -341,11 +470,11 @@ class TestCenterPruning:
             for cfg, k in cases
         ]
         cfg, k = cases[45]
-        cut = covering_radius(cfg, k, tol=1e-12, max_boxes=400)
+        cut = covering_radius(cfg, k, tol=1e-12, max_boxes=200)
         assert not cut.converged
         rows.append(fields(cut))
         digest = hashlib.sha256(repr(rows).encode()).hexdigest()
-        assert digest == "d43255554c950ca02c27527c1fc706c60f060a394c87f8a36b58f91d0f5c3279"
+        assert digest == "1f1cc6f5c63babb16d63858d164a6d48c18961f78698287481b6c31c0ca2f7fb"
 
     def test_start_reach_bounds_dk(self):
         # d_k against every center within 3R of the rect, at points sampled
@@ -481,15 +610,32 @@ class TestVerifyKCoverage:
         assert d["status"] == "tight"
         assert d["k"] == 2
 
+    def test_critical_cases_stay_tight_under_motion(self):
+        # each classical pattern at its critical radius, under 40 seeded
+        # rotations, scalings in [1/2, 2] and shifts in [-3, 3]^2: the
+        # rounding of the moved centers lands on both sides of r, and the
+        # evaluation error in low keeps every verdict tight
+        rng = np.random.default_rng(139)
+        statuses = []
+        for cfg, k in _critical_configs():
+            for _ in range(40):
+                phi = rng.uniform(0.0, 2.0 * math.pi)
+                scale = math.exp(rng.uniform(math.log(0.5), math.log(2.0)))
+                moved = _moved(cfg, phi, rng.uniform(-3.0, 3.0, 2), scale)
+                statuses.append(verify_k_coverage(moved, k, tol=1e-9).status)
+        assert statuses == ["tight"] * 160
+
     def test_undecided_when_budget_tiny(self):
         cfg = PeriodicConfig(Basis((1.07, 0), (0.33, 0.91)), [(0, 0)], radius=1.0)
-        probe = covering_radius(cfg, 2, tol=1e-12, max_boxes=50)
+        # a budget of 30 stops before the finish, as in
+        # test_box_cap_yields_unconverged
+        probe = covering_radius(cfg, 2, tol=1e-12, max_boxes=30)
         assert not probe.converged
         # A disk radius strictly inside the open enclosure cannot be
         # certified either way under the same budget.
         mid = 0.5 * (probe.low + probe.high)
         capped = PeriodicConfig(cfg.basis, cfg.offsets, radius=mid)
-        cert = verify_k_coverage(capped, 2, tol=1e-12, max_boxes=50)
+        cert = verify_k_coverage(capped, 2, tol=1e-12, max_boxes=30)
         assert cert.status == "undecided"
 
     def test_rejects_bad_k(self):
