@@ -48,14 +48,16 @@ centers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import lazy_numpy
 from .geometry import Point
 from .lattice import PeriodicConfig, Rect, _translates_array
 from .lattice import reduce_basis  # noqa: F401 (unused here; perfbench hooks this name)
+
+np = lazy_numpy()
 
 STATUS_COVERED = "certified_covered"
 STATUS_UNCOVERED = "certified_uncovered"
@@ -82,22 +84,10 @@ _ROOT_LONG = 64
 # against the cell; far above the rounding of s and t, which is below
 # 1e-13 of the interval's half width
 _CULL_SLACK = 1e-9
-# the four children of a box, as multiples of the child half side, shaped
-# (coordinate, 1, child) for boxes held as rows x and y
-_SIGN_ROWS = np.array([[[-1.0, 1.0, -1.0, 1.0]], [[-1.0, -1.0, 1.0, 1.0]]])
 # the finish runs once no surviving box has more ring centers than this;
-# it solves all C(6, 3) = 20 triples of each box, as index triples into
-# the box's ring centers, each ascending, so a triple exists in a box
-# exactly when its last index is below the box's ring count
+# it solves all C(6, 3) = 20 triples of each box
 _FINISH_CAP = 6
-_TRIPLES = np.array(
-    [
-        (a, b, c)
-        for a in range(_FINISH_CAP)
-        for b in range(a + 1, _FINISH_CAP)
-        for c in range(b + 1, _FINISH_CAP)
-    ]
-)
+
 # unit roundoff of float64
 _U = 2.0**-53
 # bound on the error of a computed d_k, in units of _U times the field's
@@ -105,6 +95,32 @@ _U = 2.0**-53
 # 13 u scale for a reduced basis), of d^2 and its square root (3 u d_k),
 # and of the sums that widen a bound by it
 _EVAL_ULPS = 32.0
+
+
+# the constant arrays below are built on first use, so that importing the
+# package loads no numpy
+
+
+@functools.cache
+def _sign_rows() -> np.ndarray:
+    # the four children of a box, as multiples of the child half side,
+    # shaped (coordinate, 1, child) for boxes held as rows x and y
+    return np.array([[[-1.0, 1.0, -1.0, 1.0]], [[-1.0, -1.0, 1.0, 1.0]]])
+
+
+@functools.cache
+def _triples() -> np.ndarray:
+    # the finish's index triples into a box's ring centers, each ascending,
+    # so a triple exists in a box exactly when its last index is below the
+    # box's ring count
+    return np.array(
+        [
+            (a, b, c)
+            for a in range(_FINISH_CAP)
+            for b in range(a + 1, _FINISH_CAP)
+            for c in range(b + 1, _FINISH_CAP)
+        ]
+    )
 
 
 @dataclass(frozen=True)
@@ -451,9 +467,10 @@ def _finish_candidates(
     grid_y = np.empty(boxes.shape[1] * _FINISH_CAP)
     grid_x[slot] = centers[0]
     grid_y[slot] = centers[1]
-    box, triple = (_TRIPLES[:, 2] < count[:, None]).nonzero()
+    triples = _triples()
+    box, triple = (triples[:, 2] < count[:, None]).nonzero()
     # vertex, triangle
-    index = box * _FINISH_CAP + _TRIPLES[triple].T
+    index = box * _FINISH_CAP + triples[triple].T
     ax, bx, cx = grid_x.take(index)
     ay, by, cy = grid_y.take(index)
     mx, my = boxes[0].take(box), boxes[1].take(box)
@@ -573,7 +590,7 @@ def covering_radius(
         if processed + 4 * len(survivors) > max_boxes or diag <= err:
             break
         half /= 2.0
-        cols = (parents[:, :, None] + _SIGN_ROWS * half).reshape(2, -1)
+        cols = (parents[:, :, None] + _sign_rows() * half).reshape(2, -1)
     return CoveringRadius(
         low, high, Point(float(witness[0]), float(witness[1])), processed, converged
     )

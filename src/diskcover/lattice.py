@@ -11,11 +11,13 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import struct
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from ._lazy import lazy_numpy
 from .geometry import Point
+
+np = lazy_numpy()
 
 DET_TOL = 1e-12
 SEPARATION_TOL = 1e-9
@@ -23,10 +25,8 @@ _MAX_REDUCTION_STEPS = 256
 # lattice points one center enumeration may visit (64 MiB of float64
 # pairs); only bases far too skewed for their scale ask for more
 _MAX_ENUMERATED_POINTS = 2**22
-# lattice shifts (i, j), |i|, |j| <= 2, for the offset-separation check
-_SHIFT_I, _SHIFT_J = (
-    g.ravel() for g in np.meshgrid(np.arange(-2.0, 3.0), np.arange(-2.0, 3.0), indexing="ij")
-)
+# the bits of a reduction state (u, v), which key its cycle detection
+_STATE_BITS = struct.Struct("4d")
 
 
 class ConfigFormatError(ValueError):
@@ -70,31 +70,33 @@ def reduce_basis(basis: Basis) -> Basis:
     The reduced basis spans the same lattice and the same determinant,
     with |u| <= |v| and |dot(u, v)| <= |u|^2 / 2.  Raises ValueError when
     the reduction stalls: on extremely skewed bases the rounding of
-    v - mu * u can undo every step, or |u|^2 can underflow.
+    v - mu * u can undo every step, or |u|^2 can underflow.  Every dot
+    product is x0 * y0 + x1 * y1 in plain floats, so the result does not
+    depend on how a linear-algebra library rounds.
     """
-    u = np.array(basis.u, dtype=float)
-    v = np.array(basis.v, dtype=float)
+    (ux, uy), (vx, vy) = basis.u, basis.v
     mu = 0
     # per step: the state it started from, keyed by its bits, and its mu
     seen: dict[bytes, int] = {}
-    states: list[tuple[np.ndarray, np.ndarray]] = []
+    states: list[tuple[float, float, float, float]] = []
     mus: list[int] = []
     for step in range(_MAX_REDUCTION_STEPS):
-        state = u.tobytes() + v.tobytes()
+        state = _STATE_BITS.pack(ux, uy, vx, vy)
         if state in seen:
             # the remaining steps repeat a cycle: jump to the state and the
             # mu the step bound ends at, keeping the bound's parity
             first = seen[state]
             period = step - first
-            u, v = states[first + (_MAX_REDUCTION_STEPS - first) % period]
+            ux, uy, vx, vy = states[first + (_MAX_REDUCTION_STEPS - first) % period]
             mu = mus[first + (_MAX_REDUCTION_STEPS - 1 - first) % period]
             break
         seen[state] = step
-        states.append((u, v))
-        if v @ v < u @ u:
-            u, v = v, u
-        uu = float(u @ u)
-        ratio = float(u @ v) / uu if uu > 0.0 else math.inf
+        states.append((ux, uy, vx, vy))
+        uu = ux * ux + uy * uy
+        vv = vx * vx + vy * vy
+        if vv < uu:
+            ux, uy, vx, vy, uu = vx, vy, ux, uy, vv
+        ratio = (ux * vx + uy * vy) / uu if uu > 0.0 else math.inf
         if not math.isfinite(ratio):
             # |u|^2 underflowed: the basis is too skewed for float64
             raise ValueError("basis too skewed to reduce in floating point")
@@ -102,16 +104,16 @@ def reduce_basis(basis: Basis) -> Basis:
         mus.append(mu)
         if mu == 0:
             break
-        v = v - mu * u
+        vx, vy = vx - mu * ux, vy - mu * uy
     # a nonzero mu means the step bound was reached (or jumped to).  On a
     # reduced pair with dot(u, v) within an ulp of |u|^2 / 2 (hexagonal)
     # rounding flips mu between +1 and -1 for good; any other mu at the
     # step bound means the reduction stalled
     if abs(mu) > 1:
         raise ValueError("basis reduction did not converge")
-    if u @ u > v @ v:
-        u, v = v, u
-    return Basis((u[0], u[1]), (v[0], v[1]))
+    if ux * ux + uy * uy > vx * vx + vy * vy:
+        ux, uy, vx, vy = vx, vy, ux, uy
+    return Basis((ux, uy), (vx, vy))
 
 
 @dataclass(frozen=True)
@@ -255,22 +257,40 @@ class PeriodicConfig:
 def _min_periodic_gap(offsets: tuple[Point, ...], reduced: Basis) -> float:
     """Least distance between two offsets modulo the lattice of `reduced`.
 
-    Each difference, at coordinates (s, t) in the reduced basis, is first
-    moved into the cell centred at the origin by subtracting
-    round(s)*u + round(t)*v.  A reduced basis has |u| <= |v| and an angle
-    between 60 and 120 degrees, so the lattice point nearest a point of
-    that cell is among the scanned shifts i*u + j*v with |i|, |j| <= 2.
+    Each difference, at coordinates (s, t) in the reduced basis, is moved
+    into the cell {a*u + b*v : a, b in [0, 1]} by subtracting
+    floor(s)*u + floor(t)*v, and its nearest lattice point is then a
+    corner of that cell.  The cell splits along its shorter diagonal into
+    two triangles which, with their translates, triangulate the lattice,
+    and for a reduced basis no angle of them exceeds 90 degrees.  So each
+    Voronoi edge joins the circumcenters of the two triangles on its dual
+    edge, inside them, and only the Voronoi cells of a triangle's own
+    corners reach into it.  A difference that the rounding of s and t
+    leaves a distance e off the cell gets a gap at most 2e too large.
     """
-    z = np.array([complex(p.x, p.y) for p in offsets])
-    a, b = np.array(list(itertools.combinations(range(len(z)), 2))).T
-    # points as complex numbers: cross(p, q) is (conj(p) * q).imag, and
-    # abs() is the hypotenuse
-    u, v = complex(*reduced.u), complex(*reduced.v)
-    diff = z[a] - z[b]
-    s = np.rint((diff.conjugate() * v).imag / reduced.det)
-    t = np.rint((u.conjugate() * diff).imag / reduced.det)
-    gap = (diff - s * u - t * v)[:, None] + _SHIFT_I * u + _SHIFT_J * v
-    return float(np.abs(gap).min())
+    ux, uy = reduced.u
+    vx, vy = reduced.v
+    wx, wy = ux + vx, uy + vy
+    det = reduced.det
+    best = math.inf
+    for p, q in itertools.combinations(offsets, 2):
+        dx, dy = p.x - q.x, p.y - q.y
+        s = (dx * vy - dy * vx) / det
+        t = (dy * ux - dx * uy) / det
+        if not (math.isfinite(s) and math.isfinite(t)):
+            raise ValueError("offset overflows the float range in lattice coordinates")
+        s, t = math.floor(s), math.floor(t)
+        dx -= s * ux + t * vx
+        dy -= s * uy + t * vy
+        ex, ey = dx - wx, dy - wy
+        best = min(
+            best,
+            dx * dx + dy * dy,
+            (dx - ux) * (dx - ux) + (dy - uy) * (dy - uy),
+            (dx - vx) * (dx - vx) + (dy - vy) * (dy - vy),
+            ex * ex + ey * ey,
+        )
+    return math.sqrt(best)
 
 
 def _translates_array(config: PeriodicConfig, rect: Rect, margin: float) -> np.ndarray:

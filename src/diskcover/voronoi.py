@@ -14,12 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import lazy_numpy
 from .coverage import _check_tol
 from .geometry import ConvexPolygon, Point, _merge_close
 from .lattice import PeriodicConfig, Rect, _translates_array
 from .lattice import reduce_basis  # noqa: F401 (unused here; perfbench hooks this name)
+
+np = lazy_numpy()
 
 CONGRUENCE_TOL = 1e-6
 

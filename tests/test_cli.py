@@ -84,7 +84,8 @@ class TestVerifyCommand:
     def test_unreducible_basis_exit_3(self, tmp_path, capsys):
         path = tmp_path / "skewed.json"
         path.write_text(
-            json.dumps({"u": [1e-16, 2e-16], "v": [4e29, -2e29], "offsets": [[0, 0]], "radius": 1.0})
+            # v - mu * u rounds back to v (test_lattice.py has the numbers)
+            json.dumps({"u": [4e-16, 7e-16], "v": [7e29, -4e29], "offsets": [[0, 0]], "radius": 1.0})
         )
         assert main(["verify", "--config", str(path)]) == 3
         assert "did not converge" in capsys.readouterr().err
@@ -322,16 +323,65 @@ class TestPipeline:
         assert not any(m == "scipy" or m.startswith("scipy.") for m in modules)
 
 
+def _loads_numpy(modules: set[str]) -> bool:
+    return any(m == "numpy" or m.startswith("numpy.") for m in modules)
+
+
+def _python(code: str) -> list[str]:
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
 class TestImportGraph:
-    """The package needs numpy alone: no command imports scipy."""
+    """The package needs numpy alone, and loads it only where it computes
+    with arrays: no command imports scipy."""
+
+    @pytest.mark.parametrize(
+        "argv, numpy_free",
+        [
+            (["pattern", "--name", "pattern_b", "--x", "0.8", "--y", "1.2", "--d", "0.9"], True),
+            (["bounds", "--k", "2"], True),
+            (["density", "--k", "2"], True),
+            # the control: a stage that searches does load numpy
+            (["radius", "--k", "2"], False),
+        ],
+    )
+    def test_stages_without_arrays_import_no_numpy(self, argv, numpy_free):
+        # the stages that read a configuration get it piped in
+        stdin = triangle_pattern().to_json() if argv[0] in ("density", "radius") else None
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "diskcover", *argv],
+            input=stdin, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[-500:]
+        json.loads(proc.stdout)
+        assert _loads_numpy(_imported_modules(proc.stderr)) is not numpy_free
+
+    def test_numpy_loads_on_first_use(self):
+        out = _python(
+            "import sys, diskcover, diskcover.cli\n"
+            "loaded = lambda: any(m.startswith('numpy.') for m in sys.modules)\n"
+            "print(loaded())\n"
+            "r = diskcover.covering_radius(diskcover.triangle_pattern(), 2, tol=1e-9)\n"
+            "print(loaded(), repr(r.low), repr(r.high), r.boxes)\n"
+        )
+        # the enclosure pinned in test_coverage.py::test_pinned_enclosures
+        assert out == ["False", "True", "0.9999999999999689", "1.000000000000041", "49"]
+
+    def test_numpy_imported_first_is_the_one_bound(self):
+        out = _python(
+            "import numpy\n"
+            "from diskcover import coverage, lattice, optimize, voronoi\n"
+            "print(all(m.np is numpy for m in (coverage, lattice, optimize, voronoi)))\n"
+        )
+        assert out == ["True"]
 
     def test_package_and_cli_import_without_scipy(self):
         code = "import sys, diskcover, diskcover.cli; print('scipy' in sys.modules)"
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert _python(code) == ["False"]
 
     def test_optimizer_runs_with_scipy_blocked(self):
         # a None entry in sys.modules makes every scipy import fail
@@ -346,9 +396,10 @@ class TestImportGraph:
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
         )
         assert proc.returncode == 0, proc.stderr
-        # the history digest pinned in test_memoized_objective_keeps_history
+        # the history digest pinned in test_memoized_objective_keeps_history;
+        # e242452d...c1c0aed before basis reduction used plain float dot products
         assert proc.stdout.split() == [
-            "e242452d97a72c55a0911bc33fe31d37eea0fc3e1502f782b663e0c3fc1c0aed"
+            "3897fef9e202de67ada65c93f0ecf2797c359190373a997b2e6115b3b4d88f2e"
         ]
         code = block + "import runpy; runpy.run_module('diskcover', run_name='__main__')"
         argv = ["optimize", "--mode", "single-lattice", "--k", "1", "--budget", "1000",

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,20 +32,23 @@ ROTATED_HONEYCOMB = Basis(
 )
 
 
+def _dot(a, b) -> float:
+    return a[0] * b[0] + a[1] * b[1]
+
+
 def _full_reduction(basis: Basis, steps: int) -> Basis:
     """Lagrange-Gauss reduction that runs every step up to the bound."""
-    u = np.array(basis.u, dtype=float)
-    v = np.array(basis.v, dtype=float)
+    u, v = basis.u, basis.v
     for _ in range(steps):
-        if v @ v < u @ u:
+        if _dot(v, v) < _dot(u, u):
             u, v = v, u
-        mu = round(float(u @ v) / float(u @ u))
+        mu = round(_dot(u, v) / _dot(u, u))
         if mu == 0:
             break
-        v = v - mu * u
-    if u @ u > v @ v:
+        v = (v[0] - mu * u[0], v[1] - mu * u[1])
+    if _dot(u, u) > _dot(v, v):
         u, v = v, u
-    return Basis((u[0], u[1]), (v[0], v[1]))
+    return Basis(u, v)
 
 
 class TestBasis:
@@ -143,13 +147,22 @@ class TestReduceBasis:
         assert len(ratios) == 2
 
     def test_raises_when_reduction_does_not_converge(self):
-        # |v| / |u| ~ 1e45: v - mu * u rounds back to v at every step, where
-        # the unreduced basis used to come back silently after the bound
-        skewed = {"u": [1e-16, 2e-16], "v": [4e29, -2e29], "offsets": [[0, 0]], "radius": 1.0}
+        # |v| / |u| ~ 1e45, and the rounded products of dot(u, v) leave
+        # -1/32: mu ~ 5e28, yet v - mu * u rounds back to v at every step,
+        # where the unreduced basis used to come back silently after the bound
+        skewed = {"u": [4e-16, 7e-16], "v": [7e29, -4e29], "offsets": [[0, 0]], "radius": 1.0}
         with pytest.raises(ValueError, match="did not converge"):
             reduce_basis(Basis(tuple(skewed["u"]), tuple(skewed["v"])))
         with pytest.raises(ConfigFormatError, match="did not converge"):
             PeriodicConfig.from_dict(skewed)
+
+    def test_binary_orthogonal_skewed_basis_reduces_at_once(self):
+        # 2e-16 = 2 * 1e-16 and 2e29 = 4e29 / 2 in binary, so the products
+        # of dot(u, v) cancel exactly and mu = 0 at the first step; only a
+        # fused multiply-add left a residual here that stalled the reduction
+        basis = Basis((1e-16, 2e-16), (4e29, -2e29))
+        assert basis.u[0] * basis.v[0] + basis.u[1] * basis.v[1] == 0.0
+        assert reduce_basis(basis) == basis
 
     @pytest.mark.parametrize(
         "u, v",
@@ -340,6 +353,70 @@ def test_separation_check_matches_scalar_loop(b, c, scale, coords, copy):
     else:
         assert not coincide
 
+
+
+# coordinates of at least 1e-6 in magnitude, so no basis is too skewed
+# for float64 and every one that is not degenerate reduces
+_COORD = st.floats(-10.0, 10.0).filter(lambda x: x == 0.0 or abs(x) >= 1e-6)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(u=st.tuples(_COORD, _COORD), v=st.tuples(_COORD, _COORD), exponent=st.integers(-16, 64))
+def test_reduced_basis_meets_the_lagrange_gauss_conditions(u, v, exponent):
+    scale = 2.0**exponent
+    try:
+        basis = Basis((scale * u[0], scale * u[1]), (scale * v[0], scale * v[1]))
+    except ValueError:
+        return  # degenerate
+    r = reduce_basis(basis)
+    uu, vv = _dot(r.u, r.u), _dot(r.v, r.v)
+    assert uu <= vv
+    # mu = 0 ends the reduction, or the +-1 flip of a pair within an ulp of
+    # |dot(u, v)| = |u|^2 / 2; each dot product is off by a few ulps
+    assert abs(_dot(r.u, r.v)) <= 0.5 * uu + 1e-15 * math.sqrt(uu * vv)
+    assert r.det == pytest.approx(basis.det, rel=1e-9)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(m=st.lists(st.integers(-(2**20), 2**20), min_size=4, max_size=4), exponent=st.integers(-10, 40))
+def test_reduction_is_an_integer_unimodular_change_of_basis(m, exponent):
+    # integers below 2**21 times a power of two keep every product, sum and
+    # v - mu * u of the reduction exact, so the change of basis is exact too
+    scale = 2.0**exponent
+    try:
+        basis = Basis((m[0] * scale, m[1] * scale), (m[2] * scale, m[3] * scale))
+    except ValueError:
+        return  # degenerate
+    r = reduce_basis(basis)
+    (a, b), (c, d) = [[Fraction(x) for x in w] for w in (basis.u, basis.v)]
+    det = a * d - b * c
+    # the rows of t map the rows (u, v) of the basis to those of r
+    t = [
+        [(x * d - y * c) / det, (y * a - x * b) / det]
+        for x, y in ([Fraction(x) for x in w] for w in (r.u, r.v))
+    ]
+    assert all(entry.denominator == 1 for row in t for entry in row)
+    assert t[0][0] * t[1][1] - t[0][1] * t[1][0] == 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    angle=st.floats(0.0, 2.0 * math.pi),
+    b=st.floats(-6.0, 6.0),
+    c=st.floats(0.2, 3.0),
+    scale=st.floats(1e-3, 1e3),
+    coords=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)), min_size=2, max_size=8),
+)
+def test_min_periodic_gap_matches_a_shift_scan(angle, b, c, scale, coords):
+    cos, sin = scale * math.cos(angle), scale * math.sin(angle)
+    basis = Basis((cos, sin), (b * cos - c * sin, b * sin + c * cos))
+    wrapped = tuple(
+        PeriodicConfig(basis, [(scale * x, scale * y)], 1.0).offsets[0] for x, y in coords
+    )
+    reduced = reduce_basis(basis)
+    gap = lattice._min_periodic_gap(wrapped, reduced)
+    brute = min_offset_gap(wrapped, reduced)
+    assert abs(gap - brute) <= 1e-12 * scale * (1.0 + abs(b) + c)
 
 def _brute_centers(cfg: PeriodicConfig, rect: Rect, margin: float, bound: int = 12):
     out = set()

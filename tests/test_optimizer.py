@@ -138,14 +138,17 @@ class TestOptimizeSingleLattice:
         monkeypatch.setattr(diskcover.optimize, "covering_radius", counted)
         res = optimize_single_lattice(1, budget=1000, tol=1e-4, seed=7)
         # history recorded with the exact finish of covering_radius, whose
-        # exact objective converges in 593 evaluations; the branch-and-bound
-        # alone gave 220b13ef...21fac485 in 755 with the 6 x 8 start grid.
+        # exact objective converges in 593 evaluations, and with basis
+        # reduction in plain float dot products; numpy's dot products gave
+        # e242452d...c1c0aed, also in 593, where a reduction tie resolved
+        # the other way.  The branch-and-bound alone gave 220b13ef...21fac485
+        # in 755 with the 6 x 8 start grid.
         # The 21 x 24 grid spent all 1000 evaluations and gave
         # c09d6573...7323fe91 with the root culled to the reduced cell, and
         # c8d0f13f...b03a99dfa with the bounding-box root, recorded before
         # the objective was memoized
         digest = hashlib.sha256(repr(res.history).encode()).hexdigest()
-        assert digest == "e242452d97a72c55a0911bc33fe31d37eea0fc3e1502f782b663e0c3fc1c0aed"
+        assert digest == "3897fef9e202de67ada65c93f0ecf2797c359190373a997b2e6115b3b4d88f2e"
         assert res.evaluations == len(res.history) == 593
         # one call per distinct clipped point; repeats and the winner's
         # final radius are read from the memo
