@@ -1,7 +1,8 @@
 """numpy, imported on first use.
 
-`pattern`, `bounds` and `density` never compute with an array, so a
-process that runs only them should not pay for importing numpy.  Every
+`pattern`, `bounds`, `density`, `voronoi` and `render` never compute with
+an array, so a process that runs only them should not pay for importing
+numpy.  Every
 module that needs numpy binds `np = lazy_numpy()` instead of importing
 it, and the first attribute read on that module runs numpy's import.
 """

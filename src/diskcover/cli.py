@@ -4,13 +4,16 @@ Subcommands that consume a configuration read it from --config or, when
 piped, from stdin; subcommands that produce one write JSON to stdout, so
 stages compose with ordinary shell pipes.  Exit codes: 0 for any computed
 verdict, 2 for usage errors, 3 for unreadable configurations, 4 for
-infeasible parameters.
+infeasible parameters, 141 (128 + SIGPIPE, as a shell reports a process
+that SIGPIPE ended) when the reader of stdout closed the pipe before the
+output was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .coverage import covering_radius, verify_k_coverage
@@ -24,6 +27,7 @@ from .voronoi import all_cells_congruent, congruence_signature, voronoi_cell
 USAGE_ERROR = 2
 CONFIG_ERROR = 3
 INFEASIBLE_ERROR = 4
+BROKEN_PIPE = 141
 
 
 def _emit(payload: dict) -> int:
@@ -213,7 +217,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        code = args.func(args, parser)
+        # flush here, so a reader that has gone is caught below
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # point stdout at devnull, so the flush at interpreter exit does
+        # not raise again on the closed pipe
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return BROKEN_PIPE
     except ConfigFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CONFIG_ERROR

@@ -293,13 +293,16 @@ def _min_periodic_gap(offsets: tuple[Point, ...], reduced: Basis) -> float:
     return math.sqrt(best)
 
 
-def _translates_array(config: PeriodicConfig, rect: Rect, margin: float) -> np.ndarray:
-    """All centers within `margin` of `rect`, as an (N, 2) array.
+def _index_ranges(
+    config: PeriodicConfig, rect: Rect, margin: float
+) -> tuple[int, int, int, int]:
+    """Lattice-index bounds (lo_i, hi_i, lo_j, hi_j) of the centers near `rect`.
 
-    The columns of the array are contiguous.  Integer ranges follow from
-    mapping the expanded rect's corners through the inverse of the
-    reduced basis; padding by one absorbs rounding.  Raises ValueError
-    when those ranges are not finite, span more than
+    Every center within `margin` of `rect` is p + i*u + j*v for an offset
+    p and lo_i <= i <= hi_i, lo_j <= j <= hi_j in the reduced basis (u, v).
+    The bounds follow from mapping the expanded rect's corners through the
+    inverse of the reduced basis; padding by one absorbs rounding.  Raises
+    ValueError when those ranges are not finite, span more than
     _MAX_ENUMERATED_POINTS centers or reach an index of magnitude 2**53.
     """
     ux, uy = config.reduced.u
@@ -318,9 +321,7 @@ def _translates_array(config: PeriodicConfig, rect: Rect, margin: float) -> np.n
     # exact Python ints, so no range can wrap before the budget check
     lo_i, hi_i = math.floor(min(s)) - 1, math.ceil(max(s)) + 1
     lo_j, hi_j = math.floor(min(t)) - 1, math.ceil(max(t)) + 1
-    ox = np.array([p.x for p in config.offsets])
-    oy = np.array([p.y for p in config.offsets])
-    count = len(ox) * (hi_i - lo_i + 1) * (hi_j - lo_j + 1)
+    count = len(config.offsets) * (hi_i - lo_i + 1) * (hi_j - lo_j + 1)
     if count > _MAX_ENUMERATED_POINTS:
         raise ValueError(
             f"center enumeration needs more than {_MAX_ENUMERATED_POINTS} points"
@@ -329,6 +330,26 @@ def _translates_array(config: PeriodicConfig, rect: Rect, margin: float) -> np.n
     # so no center position could be placed; np.arange would also leave int64
     if max(-lo_i, hi_i, -lo_j, hi_j) >= 2**53:
         raise ValueError("center enumeration needs lattice indices of 2**53 or more")
+    return lo_i, hi_i, lo_j, hi_j
+
+
+def _keep_radius(config: PeriodicConfig, margin: float) -> float:
+    # a center is kept within margin plus a rounding allowance of the rect
+    return margin + 1e-12 * max(1.0, margin, *config.reduced.lengths())
+
+
+def _translates_array(config: PeriodicConfig, rect: Rect, margin: float) -> np.ndarray:
+    """All centers within `margin` of `rect`, as an (N, 2) array.
+
+    The columns of the array are contiguous.  Rows are offset-major, then
+    by index i, then j, within the ranges of `_index_ranges`, which raises
+    its ValueError here too.
+    """
+    lo_i, hi_i, lo_j, hi_j = _index_ranges(config, rect, margin)
+    ux, uy = config.reduced.u
+    vx, vy = config.reduced.v
+    ox = np.array([p.x for p in config.offsets])
+    oy = np.array([p.y for p in config.offsets])
     ii = np.arange(lo_i, hi_i + 1)[:, None]
     jj = np.arange(lo_j, hi_j + 1)
     # rows x and y of every offset plus every lattice point i*u + j*v,
@@ -339,9 +360,41 @@ def _translates_array(config: PeriodicConfig, rect: Rect, margin: float) -> np.n
     pts = pts.reshape(2, -1)
     gx = np.maximum(np.maximum(rect.xmin - pts[0], 0.0), pts[0] - rect.xmax)
     gy = np.maximum(np.maximum(rect.ymin - pts[1], 0.0), pts[1] - rect.ymax)
-    scale = max(1.0, margin, *config.reduced.lengths())
-    keep = gx * gx + gy * gy <= (margin + 1e-12 * scale) ** 2
+    keep = gx * gx + gy * gy <= _keep_radius(config, margin) ** 2
     return pts[:, keep].T
+
+
+def _translates(
+    config: PeriodicConfig, rect: Rect, margin: float
+) -> list[tuple[float, float]]:
+    """`_translates_array`'s centers, bit for bit and in its order, as pairs.
+
+    Plain floats for the stages that never compute with an array: each
+    coordinate is (i*u + j*v) + p in the same operations as the array
+    routine, so both routines keep exactly the same centers.
+    """
+    lo_i, hi_i, lo_j, hi_j = _index_ranges(config, rect, margin)
+    ux, uy = config.reduced.u
+    vx, vy = config.reduced.v
+    xmin, ymin, xmax, ymax = rect.xmin, rect.ymin, rect.xmax, rect.ymax
+    bound = _keep_radius(config, margin) ** 2
+    lattice = [
+        (i * ux + j * vx, i * uy + j * vy)
+        for i in range(lo_i, hi_i + 1)
+        for j in range(lo_j, hi_j + 1)
+    ]
+    out = []
+    for p in config.offsets:
+        px, py = p.x, p.y
+        for lx, ly in lattice:
+            x = lx + px
+            y = ly + py
+            # the array routine's max(xmin - x, 0, x - xmax), without a call
+            gx = xmin - x if x < xmin else x - xmax if x > xmax else 0.0
+            gy = ymin - y if y < ymin else y - ymax if y > ymax else 0.0
+            if gx * gx + gy * gy <= bound:
+                out.append((x, y))
+    return out
 
 
 def enumerate_centers(
@@ -350,6 +403,4 @@ def enumerate_centers(
     """Centers within `margin` of `rect`, sorted by x then y."""
     if not (math.isfinite(margin) and margin >= 0.0):
         raise ValueError(f"margin must be non-negative, got {margin}")
-    pts = _translates_array(config, rect, margin)
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    return [Point(float(x), float(y)) for x, y in pts[order]]
+    return [Point(x, y) for x, y in sorted(_translates(config, rect, margin))]

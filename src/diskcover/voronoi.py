@@ -1,28 +1,50 @@
 """Voronoi cells of periodic configurations, with congruence classes.
 
-Cells are cut by half-plane clipping against nearby centers.  With a
-reduced basis, every bisector that can touch the cell comes from a center
-within 8 * max(|u|, |v|) of the site, and the cell itself fits inside a
-square of half-width 4 * max(|u|, |v|); both cutoffs are deliberately
-generous.  Congruence is decided on quantized (edge length, interior
-angle) sequences, canonical over cyclic rotation and reflection, so a
-signature is a plain tuple comparison away from any rigid motion.
+Cells are cut by half-plane clipping against nearby centers, nearest
+first, starting from a square of half-width 4 * span around the site,
+where span = max(|u|, |v|) of the reduced basis (u, v).  Only centers
+within _CUTOFF_SPANS * span = 2 * span of the site are clipped against,
+and that cutoff drops none that cuts:
+
+- A site's cell lies inside the Voronoi cell of its own lattice, site +
+  L, since the other offsets only add competitors.  Choose v's sign so
+  that u . v >= 0.  For a reduced basis, 0 <= u . v <= |u|^2 / 2 and
+  |u| <= |v|, so no angle of the Delaunay triangle (0, u, v) exceeds 90
+  degrees, and the circumradius of that lattice cell is the triangle's
+  circumradius R = L / (2 sin A), where L is the longest side and A, the
+  largest angle, lies between 60 and 90 degrees, so sin A >= sqrt(3)/2.
+  The sides are |u|, |v| and |u - v|, and |u - v|^2 <= |u|^2 + |v|^2, so
+  L <= sqrt(2) * span and R <= sqrt(2/3) * span.
+- The lattice cell is cut out by its Voronoi-relevant vectors, which are
+  among +-u, +-v and +-(u - v), all within sqrt(2) * span of the site.
+- The clip loop stops at the first center farther than twice the current
+  polygon's reach, since its bisector cannot cut.  Once every center
+  within 2 * span is clipped, the relevant vectors are among them, so
+  the reach is at most sqrt(2/3) * span (up to the clip tolerance), and
+  the next center, beyond 2 * span > 2 * sqrt(2/3) * span, stops the loop.
+
+So any larger cutoff clips the same centers in the same order and gives
+the same cell, bit for bit.  Congruence is decided on quantized (edge
+length, interior angle) sequences, canonical over cyclic rotation and
+reflection, so a signature is a plain tuple comparison away from any
+rigid motion.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
-from ._lazy import lazy_numpy
 from .coverage import _check_tol
 from .geometry import ConvexPolygon, Point, _merge_close
-from .lattice import PeriodicConfig, Rect, _translates_array
+from .lattice import PeriodicConfig, Rect, _translates
 from .lattice import reduce_basis  # noqa: F401 (unused here; perfbench hooks this name)
 
-np = lazy_numpy()
-
 CONGRUENCE_TOL = 1e-6
+# neighbors within this many spans of the site are clipped against; the
+# module docstring proves that 2 drops no center that cuts the cell
+_CUTOFF_SPANS = 2.0
 
 
 @dataclass(frozen=True)
@@ -46,15 +68,20 @@ def voronoi_cell(config: PeriodicConfig, offset_index: int) -> VoronoiCell:
     site = config.offsets[offset_index]
     span = max(config.reduced.lengths())
     half = 4.0 * span
-    cutoff = 8.0 * span
-    eps = 1e-12 * max(1.0, cutoff)
+    # the clip tolerance scales with span, not with the cutoff
+    eps = 1e-12 * max(1.0, 8.0 * span)
 
-    neighbors = _translates_array(config, Rect(site.x, site.y, site.x, site.y), cutoff)
-    d = np.hypot(neighbors[:, 0] - site.x, neighbors[:, 1] - site.y)
-    order = np.argsort(d, kind="stable")
-    neighbors, d = neighbors[order], d[order]
-    keep = d > eps
-    neighbors, d = neighbors[keep], d[keep]
+    near = _translates(
+        config, Rect(site.x, site.y, site.x, site.y), _CUTOFF_SPANS * span
+    )
+    neighbors = []
+    for qx, qy in near:
+        dist = math.hypot(qx - site.x, qy - site.y)
+        if dist > eps:
+            neighbors.append((dist, qx, qy))
+    # a stable sort by distance alone: centers at equal distance keep the
+    # enumeration order, and with it the order they are clipped in
+    neighbors.sort(key=itemgetter(0))
 
     poly = [
         (site.x - half, site.y - half),
@@ -62,7 +89,7 @@ def voronoi_cell(config: PeriodicConfig, offset_index: int) -> VoronoiCell:
         (site.x + half, site.y + half),
         (site.x - half, site.y + half),
     ]
-    for (qx, qy), dist in zip(neighbors, d):
+    for dist, qx, qy in neighbors:
         # bisectors from centers beyond twice the current reach cannot cut
         reach = max(math.hypot(px - site.x, py - site.y) for px, py in poly)
         if dist > 2.0 * reach:

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -307,6 +308,24 @@ class TestUsageErrors:
 
 
 class TestPipeline:
+    @pytest.mark.parametrize(
+        "argv", [["pattern", "--name", "triangle"], ["bounds", "--k", "2"]]
+    )
+    def test_closed_stdout_pipe_exits_141(self, argv):
+        # the read end is closed before the child starts, so its first write
+        # meets a pipe without a reader
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "diskcover", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == cli.BROKEN_PIPE == 141
+        assert proc.stderr == ""
+
     def test_pattern_pipes_into_verify(self):
         # -X importtime lists every module both processes import on stderr
         command = (
@@ -347,17 +366,25 @@ class TestImportGraph:
             (["density", "--k", "2"], True),
             # the control: a stage that searches does load numpy
             (["radius", "--k", "2"], False),
+            (["voronoi", "--congruence", "--tol", "1e-6"], True),
+            (["render", "--size", "64", "--out", "{svg}"], True),
         ],
     )
-    def test_stages_without_arrays_import_no_numpy(self, argv, numpy_free):
+    def test_stages_without_arrays_import_no_numpy(self, argv, numpy_free, tmp_path):
+        svg = tmp_path / "out.svg"
+        argv = [a.format(svg=svg) for a in argv]
         # the stages that read a configuration get it piped in
-        stdin = triangle_pattern().to_json() if argv[0] in ("density", "radius") else None
+        reads_config = argv[0] in ("density", "voronoi", "render", "radius")
+        stdin = triangle_pattern().to_json() if reads_config else None
         proc = subprocess.run(
             [sys.executable, "-X", "importtime", "-m", "diskcover", *argv],
             input=stdin, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr[-500:]
-        json.loads(proc.stdout)
+        if argv[0] == "render":
+            assert svg.read_text() == render_svg(triangle_pattern(), size=64)
+        else:
+            json.loads(proc.stdout)
         assert _loads_numpy(_imported_modules(proc.stderr)) is not numpy_free
 
     def test_numpy_loads_on_first_use(self):
@@ -374,8 +401,8 @@ class TestImportGraph:
     def test_numpy_imported_first_is_the_one_bound(self):
         out = _python(
             "import numpy\n"
-            "from diskcover import coverage, lattice, optimize, voronoi\n"
-            "print(all(m.np is numpy for m in (coverage, lattice, optimize, voronoi)))\n"
+            "from diskcover import coverage, lattice, optimize\n"
+            "print(all(m.np is numpy for m in (coverage, lattice, optimize)))\n"
         )
         assert out == ["True"]
 

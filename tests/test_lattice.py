@@ -459,3 +459,57 @@ class TestEnumerateCenters:
         cfg = PeriodicConfig(Basis((1, 0), (0, 1)), [(0, 0)], radius=1.0)
         with pytest.raises(ValueError):
             enumerate_centers(cfg, Rect(0, 0, 1, 1), margin=-0.1)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    angle=st.floats(0.0, 2.0 * math.pi),
+    b=st.floats(-6.0, 6.0),
+    c=st.floats(0.2, 3.0),
+    scale=st.floats(1e-3, 1e3),
+    coords=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=8),
+    corner=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    # a point rect half the time, else a box
+    extent=st.one_of(st.just((0.0, 0.0)), st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 3.0))),
+    margin=st.floats(0.0, 3.0),
+)
+def test_plain_translates_match_the_array_bit_for_bit(
+    angle, b, c, scale, coords, corner, extent, margin
+):
+    cos, sin = scale * math.cos(angle), scale * math.sin(angle)
+    u, v = (cos, sin), (b * cos - c * sin, b * sin + c * cos)
+    offsets = [(s * u[0] + t * v[0], s * u[1] + t * v[1]) for s, t in coords]
+    try:
+        cfg = PeriodicConfig(Basis(u, v), offsets, 1.0)
+    except ValueError:
+        return  # offsets coincide modulo the lattice
+    (x, y), (w, h) = corner, extent
+    rect = Rect(scale * x, scale * y, scale * (x + w), scale * (y + h))
+    array = lattice._translates_array(cfg, rect, scale * margin)
+    plain = lattice._translates(cfg, rect, scale * margin)
+    # float.hex tells -0.0 from 0.0, so equal lists are equal bit for bit
+    assert [(px.hex(), py.hex()) for px, py in plain] == [
+        (px.hex(), py.hex()) for px, py in array.tolist()
+    ]
+    # the order enumerate_centers had when it sorted the array
+    order = np.lexsort((array[:, 1], array[:, 0]))
+    assert [(p.x, p.y) for p in enumerate_centers(cfg, rect, scale * margin)] == [
+        tuple(row) for row in array[order].tolist()
+    ]
+
+
+_UNIT_SQUARE = PeriodicConfig(Basis((1, 0), (0, 1)), [(0, 0)], radius=1.0)
+
+
+@pytest.mark.parametrize(
+    "rect, margin, message",
+    [
+        (Rect(-1e308, -1e308, 1e308, 1e308), 1e308, "overflows the float range"),
+        (Rect(0, 0, 1e4, 1e4), 0.0, "needs more than"),
+        (Rect(1e300, 0.5, 1e300, 0.5), 1.0, "indices of 2\\*\\*53 or more"),
+    ],
+)
+def test_both_enumerations_share_the_guards(rect, margin, message):
+    for enumerate_ in (lattice._translates_array, lattice._translates):
+        with pytest.raises(ValueError, match=message):
+            enumerate_(_UNIT_SQUARE, rect, margin)

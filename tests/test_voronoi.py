@@ -13,6 +13,7 @@ from diskcover import (
     triangle_pattern,
     voronoi_cell,
 )
+from diskcover import voronoi
 from helpers import random_config
 
 
@@ -173,3 +174,35 @@ class TestAllCellsCongruent:
         ok, classes = all_cells_congruent(cfg)
         assert not ok
         assert len(classes) >= 2
+
+
+def test_two_span_cutoff_gives_the_cells_of_eight_spans(monkeypatch):
+    # the module docstring proves that centers beyond 2 * span never cut a
+    # cell; 8 spans was the cutoff before that proof
+    rng = np.random.default_rng(1410)
+    configs = 0
+    while configs < 300:
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        # a reduced basis (1, 0), (b, c) with |v| up to 4.6, skewed by an
+        # integer multiple of u, rotated and scaled
+        length = rng.uniform(1.0, 4.6)
+        b = rng.uniform(-0.5, 0.5)
+        c = math.sqrt(length * length - b * b)
+        b += rng.integers(-3, 4)
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        cos, sin = scale * math.cos(angle), scale * math.sin(angle)
+        u, v = (cos, sin), (b * cos - c * sin, b * sin + c * cos)
+        offsets = [
+            (s * u[0] + t * v[0], s * u[1] + t * v[1])
+            for s, t in rng.uniform(0.0, 1.0, size=(rng.integers(1, 7), 2))
+        ]
+        try:
+            cfg = PeriodicConfig(Basis(u, v), offsets, radius=scale)
+        except ValueError:
+            continue  # offsets coincide modulo the lattice
+        configs += 1
+        near = [voronoi_cell(cfg, i).polygon.vertices for i in range(len(offsets))]
+        with monkeypatch.context() as patch:
+            patch.setattr(voronoi, "_CUTOFF_SPANS", 8.0)
+            wide = [voronoi_cell(cfg, i).polygon.vertices for i in range(len(offsets))]
+        assert near == wide
