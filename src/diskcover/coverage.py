@@ -10,6 +10,13 @@ finish at the vertices of the order-k Voronoi diagram ends it (below).
 Boxes of one level are evaluated in a batch; the final bounds do not
 depend on that ordering.
 
+Every point set of a search is held as rows x and y of one (2, N) array:
+the root boxes, each level's box centers, the center field, the ring
+centers and the finish's circumcenters, from one stage to the next
+without conversion.  A shallow search works on a few dozen points, so the
+number of numpy calls sets its time, not the array sizes; work on x and
+y alike is one call on both rows.
+
 The finish.  max d_k is attained at a vertex of the order-k Voronoi
 diagram (Lee 1982): at a maximizer v at least three centers lie at
 distance d_k(v), and no half-plane through v holds them all, or moving v
@@ -160,8 +167,8 @@ class CoveringRadius:
 class _CenterField:
     """Cached center enumeration serving batched d_k queries on a rect.
 
-    The centers are held as two contiguous coordinate columns, `cx` and
-    `cy`: every center within the reach R = sqrt(k * det / (n * pi)) + D
+    The centers are held as rows x and y of the (2, N) array `centers`:
+    every center within the reach R = sqrt(k * det / (n * pi)) + D
     of the rect, where det and D = |u| + |v| come from the reduced basis
     u, v and n is the offset count, plus a margin of 1e-12 * scale that
     absorbs rounding, that of the query points included.  R bounds d_k at
@@ -194,28 +201,28 @@ class _CenterField:
         corner = max(abs(rect.xmin), abs(rect.xmax), abs(rect.ymin), abs(rect.ymax))
         offset = max(max(abs(p.x), abs(p.y)) for p in config.offsets)
         self.eval_error = _EVAL_ULPS * _U * (corner + offset + self.reach)
-        self.set_centers(*_translates_array(config, rect, self.reach).T)
+        self.set_centers(_translates_array(config, rect, self.reach).T)
 
-    def set_centers(self, cx: np.ndarray, cy: np.ndarray) -> None:
-        self.cx = cx
-        self.cy = cy
+    def set_centers(self, centers: np.ndarray) -> None:
+        self.centers = centers
         # query rows per kernel block
-        self._rows = max(1, _CHUNK_ELEMENTS // len(cx))
+        self._rows = max(1, _CHUNK_ELEMENTS // centers.shape[1])
         self._d2 = None
 
     def dk(self, pts: np.ndarray) -> np.ndarray:
         """d_k at each row of the (N, 2) array `pts`, all inside the rect."""
         x, y = pts[:, 0:1], pts[:, 1:2]
+        cx, cy = self.centers[0], self.centers[1]
         rows = self._rows
         if len(pts) <= rows:
             # only a query that fits one block leaves its d^2 for `ring`
-            self._d2 = _square_sum(x - self.cx, y - self.cy)
+            self._d2 = _square_sum(x - cx, y - cy)
             return np.sqrt(_kth_smallest(self._d2, self.k))
         self._d2 = None
         out = np.empty(len(pts))
         for start in range(0, len(pts), rows):
             block = slice(start, start + rows)
-            d2 = _square_sum(x[block] - self.cx, y[block] - self.cy)
+            d2 = _square_sum(x[block] - cx, y[block] - cy)
             out[block] = np.sqrt(_kth_smallest(d2, self.k))
         return out
 
@@ -225,11 +232,11 @@ class _CenterField:
         """The centers in each kept point's ring, then prune to the kept rings.
 
         `cols` holds the points of the last `dk` query as rows x and y,
-        `kept` the indices of those searched further, and `inner` and
-        `outer` one ring per kept point.  When no ring holds more than
-        _FINISH_CAP centers, returns for every ring center the position
-        of its point in `kept` (ascending), and the centers as rows x and y;
-        else None.
+        `kept` the ascending indices of those searched further, and
+        `inner` and `outer` one ring per kept point.  When no ring holds
+        more than _FINISH_CAP centers, returns each kept point's ring
+        count and the ring centers as rows x and y: one run per kept point,
+        in the order of `kept`, each in the field's order; else None.
 
         Then drops every center farther than `outer` from all kept
         points, unless the field holds at most _PRUNE_MIN: with outer at
@@ -241,32 +248,33 @@ class _CenterField:
         """
         lo2 = inner * inner
         hi2 = outer * outer
-        near = np.zeros(len(self.cx), dtype=bool)
+        centers = self.centers
+        near = np.zeros(centers.shape[1], dtype=bool)
         found: list | None = []
         for start in range(0, len(kept), self._rows):
             block = kept[start : start + self._rows]
             if self._d2 is not None:
                 d2 = self._d2.take(block, axis=0)
             else:
-                dx = cols[0].take(block)[:, None] - self.cx
-                d2 = _square_sum(dx, cols[1].take(block)[:, None] - self.cy)
+                dx = cols[0].take(block)[:, None] - centers[0]
+                d2 = _square_sum(dx, cols[1].take(block)[:, None] - centers[1])
             span = slice(start, start + len(block))
             hit = d2 <= hi2[span, None]
             near |= hit.any(axis=0)
             if found is None:
                 continue
             hit &= d2 >= lo2[span, None]
-            if hit.sum(axis=1).max() > _FINISH_CAP:
+            count = hit.sum(axis=1)
+            if count.max() > _FINISH_CAP:
                 found = None
                 continue
-            box, idx = hit.nonzero()
-            found.append((box + start, np.stack((self.cx.take(idx), self.cy.take(idx)))))
-        if len(self.cx) > _PRUNE_MIN:
-            self.set_centers(self.cx[near], self.cy[near])
+            found.append((count, centers.take(hit.nonzero()[1], axis=1)))
+        if centers.shape[1] > _PRUNE_MIN:
+            self.set_centers(centers.take(near.nonzero()[0], axis=1))
         if found is None:
             return None
-        rows, centers = zip(*found)
-        return np.concatenate(rows), np.concatenate(centers, axis=1)
+        counts, runs = zip(*found)
+        return np.concatenate(counts), np.concatenate(runs, axis=1)
 
 
 def _square_sum(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
@@ -343,7 +351,7 @@ def _root_grid(config: PeriodicConfig) -> tuple[np.ndarray, float, Rect]:
     each of its points lies in a kept square, so the maximum of d_k over
     the kept squares is the global maximum.
 
-    Returns the box centers as an (n, 2) array with contiguous columns,
+    Returns the box centers as the (n, 2) view of their rows x and y,
     their half side, and the bounding box of the kept boxes: every box
     center of a search lies in it, so it is the rect the center field
     must serve.
@@ -363,45 +371,37 @@ def _root_grid(config: PeriodicConfig) -> tuple[np.ndarray, float, Rect]:
     sy = height / ny
     side = max(sx, sy)
     half = side / 2.0
-    # x-major order, as in a meshgrid with "ij" indexing; the rows of the
-    # (2, n) array are the contiguous columns of the (n, 2) view returned
+    # x-major order, as in a meshgrid with "ij" indexing
     grid = np.empty((2, nx, ny))
-    grid[0] = (xmin + side * (np.arange(nx) + 0.5))[:, None]
-    grid[1] = ymin + side * (np.arange(ny) + 0.5)
-    x, y = grid.reshape(2, -1)
-    # lattice coordinates of each center by the closed-form inverse of the
-    # reduced basis, and the half width of each box's (s, t) interval
-    s = (x * vy - y * vx) / det
-    t = (y * ux - x * uy) / det
-    ds = half * (abs(vx) + abs(vy)) / det * (1.0 + _CULL_SLACK)
-    dt = half * (abs(ux) + abs(uy)) / det * (1.0 + _CULL_SLACK)
-    keep = (s + ds >= 0.0) & (s - ds <= 1.0) & (t + dt >= 0.0) & (t - dt <= 1.0)
-    x, y = x[keep], y[keep]
-    rect = Rect(
-        float(x.min()) - half,
-        float(y.min()) - half,
-        float(x.max()) + half,
-        float(y.max()) + half,
+    offset = side * (np.arange(max(nx, ny)) + 0.5)
+    grid[0] = (xmin + offset[:nx])[:, None]
+    grid[1] = ymin + offset[:ny]
+    grid = grid.reshape(2, -1)
+    # lattice coordinates (s, t) of each center by the closed-form inverse
+    # of the reduced basis, and the half width of each box's (s, t) interval
+    st = (grid * [[vy], [ux]] - grid[::-1] * [[vx], [uy]]) / det
+    width = np.array(
+        [
+            [half * (abs(vx) + abs(vy)) / det * (1.0 + _CULL_SLACK)],
+            [half * (abs(ux) + abs(uy)) / det * (1.0 + _CULL_SLACK)],
+        ]
     )
-    return np.stack((x, y)).T, half, rect
+    keep = (st + width >= 0.0) & (st - width <= 1.0)
+    grid = grid.take((keep[0] & keep[1]).nonzero()[0], axis=1)
+    (left, low), (right, high) = grid.min(axis=1).tolist(), grid.max(axis=1).tolist()
+    return grid.T, half, Rect(left - half, low - half, right + half, high + half)
 
 
-def _circumcenters(
-    ax: np.ndarray,
-    ay: np.ndarray,
-    bx: np.ndarray,
-    by: np.ndarray,
-    cx: np.ndarray,
-    cy: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _circumcenters(tri: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Circumcenters of the triangles a, b, c, with their error bounds.
 
-    Returns the computed circumcenters q as x and y, a bound e_q on the
-    distance from each to the exact circumcenter v of the float vertices,
-    and a lower bound on each circumradius.  A triangle too close to
-    collinear to bound has e_q = inf, and a collinear one a huge, infinite
-    or nan circumradius bound.  Call it under np.errstate, since collinear
-    triangles divide by zero.
+    `tri` holds the vertices as (coordinate, vertex, triangle): rows x and
+    y of a, b and c.  Returns the computed circumcenters q as rows x and y,
+    a bound e_q on the distance from each to the exact circumcenter v of
+    the float vertices, and a lower bound on each circumradius.  A triangle
+    too close to collinear to bound has e_q = inf, and a collinear one a
+    huge, infinite or nan circumradius bound.  Call it under np.errstate,
+    since collinear triangles divide by zero.
 
     v solves M (v - a) = r, where the rows of M are the edges B = b - a
     and C = c - a and r = (|B|^2, |C|^2) / 2.  The residual rho = M (q - a)
@@ -412,32 +412,45 @@ def _circumcenters(
     is |B| |C| |B - C| / (2 |det M|), bounded from below with |det M|
     bounded from above.  Each rounding bound is at least twice the
     first-order error it covers.
+
+    Paired terms, such as the x and y of a point or the two bisector
+    equations, are computed by one operation on stacked rows; each element
+    still goes through the formula's operations in the same order.
     """
-    ex, ey = cx - bx, cy - by
-    bx, by, cx, cy = bx - ax, by - ay, cx - ax, cy - ay
-    bb = bx * bx + by * by
-    cc = cx * cx + cy * cy
-    cross_1, cross_2 = bx * cy, by * cx
-    det = cross_1 - cross_2
-    det_err = 8.0 * _U * (np.abs(cross_1) + np.abs(cross_2))
+    a = tri[:, 0]
+    # (coordinate, edge, triangle): the edges B = b - a and C = c - a, and
+    # the same four rows flat as bx, cx, by, cy
+    edge = tri[:, 1:] - tri[:, :1]
+    flat = edge.reshape(4, tri.shape[2])
+    opposite = tri[:, 2] - tri[:, 1]
+    norm = edge * edge
+    # |B|^2 and |C|^2
+    norm = norm[0] + norm[1]
+    # bx cy and by cx
+    cross = flat[0::2] * flat[3::-2]
+    det = cross[0] - cross[1]
+    size = np.abs(cross)
+    det_err = 8.0 * _U * (size[0] + size[1])
     half_inv = 0.5 / det
-    qx = ax + (cy * bb - by * cc) * half_inv
-    qy = ay + (bx * cc - cx * bb) * half_inv
-    # residuals of the two bisector equations at the float point q
-    wx, wy = qx - ax, qy - ay
-    p_1, p_2, p_3, p_4 = bx * wx, by * wy, cx * wx, cy * wy
-    slack = 1.0 + 2.0 * _U
-    rho_1 = np.abs(p_1 + p_2 - 0.5 * bb) * slack
-    rho_1 += 8.0 * _U * (np.abs(p_1) + np.abs(p_2) + bb)
-    rho_2 = np.abs(p_3 + p_4 - 0.5 * cc) * slack
-    rho_2 += 8.0 * _U * (np.abs(p_3) + np.abs(p_4) + cc)
-    floor = np.abs(det) - det_err
-    error = np.sqrt((bb + cc) * (rho_1 * rho_1 + rho_2 * rho_2)) / floor
+    # (cy |B|^2 - by |C|^2, bx |C|^2 - cx |B|^2) scaled, from a
+    q = a + (flat[3::-3] * norm - flat[2:0:-1] * norm[::-1]) * half_inv
+    # residuals of the two bisector equations at the float point q, from
+    # the products (bx wx, cx wx) and (by wy, cy wy) with w = q - a
+    prod = edge * (q - a)[:, None]
+    rho = np.abs(prod[0] + prod[1] - 0.5 * norm) * (1.0 + 2.0 * _U)
+    size = np.abs(prod)
+    rho += 8.0 * _U * (size[0] + size[1] + norm)
+    rho *= rho
+    abs_det = np.abs(det)
+    floor = abs_det - det_err
+    error = np.sqrt((norm[0] + norm[1]) * (rho[0] + rho[1])) / floor
     error *= 1.0 + 16.0 * _U
     error[~(floor > 0.0)] = math.inf
-    radius = np.sqrt(bb * cc * (ex * ex + ey * ey)) / (2.0 * (np.abs(det) + det_err))
+    opposite *= opposite
+    radius = np.sqrt(norm[0] * norm[1] * (opposite[0] + opposite[1]))
+    radius /= 2.0 * (abs_det + det_err)
     radius *= 1.0 - 16.0 * _U
-    return qx, qy, error, radius
+    return q, error, radius
 
 
 def _finish_candidates(
@@ -451,40 +464,27 @@ def _finish_candidates(
 
     `boxes` holds the box centers as rows x and y, `half` their half side
     and `outer` their outer ring radii; `ring` is `_CenterField.ring`'s
-    result for them.  A triple is dropped when its circumradius provably
-    exceeds the outer radius, or its circumcenter lies farther than its
-    error bound plus `pad` outside the box; each kept circumcenter is
-    clamped into its box, which moves it no farther from an exact vertex
-    in the box.  Returns the points as an (N, 2) array and their error
-    bounds.
+    result for them, so a box's ring centers are the run that starts at
+    the sum of the counts of the boxes before it.  A triple is dropped
+    when its circumradius provably exceeds the outer radius, or its
+    circumcenter lies farther than its error bound plus `pad` outside the
+    box; each kept circumcenter is clamped into its box, which moves it no
+    farther from an exact vertex in the box.  Returns the points as rows x
+    and y and their error bounds.
     """
-    rows, centers = ring
-    count = np.bincount(rows, minlength=boxes.shape[1])
-    # each ring center's slot in a flat (box, _FINISH_CAP) layout
-    slot = np.arange(len(rows)) - (np.cumsum(count) - count).repeat(count)
-    slot += rows * _FINISH_CAP
-    grid_x = np.empty(boxes.shape[1] * _FINISH_CAP)
-    grid_y = np.empty(boxes.shape[1] * _FINISH_CAP)
-    grid_x[slot] = centers[0]
-    grid_y[slot] = centers[1]
+    count, centers = ring
     triples = _triples()
     box, triple = (triples[:, 2] < count[:, None]).nonzero()
     # vertex, triangle
-    index = box * _FINISH_CAP + triples[triple].T
-    ax, bx, cx = grid_x.take(index)
-    ay, by, cy = grid_y.take(index)
-    mx, my = boxes[0].take(box), boxes[1].take(box)
+    index = (count.cumsum() - count).take(box) + triples.take(triple, axis=0).T
+    mid = boxes.take(box, axis=1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        qx, qy, error, radius = _circumcenters(ax, ay, bx, by, cx, cy)
-        reach = half + pad + error
-        keep = (radius <= outer.take(box)) & (np.abs(qx - mx) <= reach)
-        keep &= np.abs(qy - my) <= reach
-    keep = keep.nonzero()[0]
-    mx, my = mx.take(keep), my.take(keep)
-    pts = np.empty((len(keep), 2))
-    np.minimum(np.maximum(qx.take(keep), mx - half), mx + half, out=pts[:, 0])
-    np.minimum(np.maximum(qy.take(keep), my - half), my + half, out=pts[:, 1])
-    return pts, error.take(keep)
+        q, error, radius = _circumcenters(centers.take(index, axis=1))
+        inside = np.abs(q - mid) <= half + pad + error
+        keep = ((radius <= outer.take(box)) & inside[0] & inside[1]).nonzero()[0]
+    mid = mid.take(keep, axis=1)
+    q = np.minimum(np.maximum(q.take(keep, axis=1), mid - half), mid + half)
+    return q, error.take(keep)
 
 
 def covering_radius(
@@ -563,15 +563,15 @@ def covering_radius(
         parents = cols.take(survivors, axis=1)
         if ring is not None:
             pts, error = _finish_candidates(parents, half, outer, err, ring)
-            if processed + len(pts) > max_boxes:
+            if processed + pts.shape[1] > max_boxes:
                 break
-            processed += len(pts)
-            dks = field.dk(pts)
+            processed += pts.shape[1]
+            dks = field.dk(pts.T)
             if len(dks):
                 best = int(dks.argmax())
                 if dks[best] > top:
                     top = float(dks[best])
-                    witness = pts[best]
+                    witness = pts[:, best]
                 low = top - err
             upper = dks + err + error
             # with no circumcenter in a surviving box, max d_k = low

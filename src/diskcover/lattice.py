@@ -346,22 +346,19 @@ def _translates_array(config: PeriodicConfig, rect: Rect, margin: float) -> np.n
     its ValueError here too.
     """
     lo_i, hi_i, lo_j, hi_j = _index_ranges(config, rect, margin)
-    ux, uy = config.reduced.u
-    vx, vy = config.reduced.v
-    ox = np.array([p.x for p in config.offsets])
-    oy = np.array([p.y for p in config.offsets])
-    ii = np.arange(lo_i, hi_i + 1)[:, None]
-    jj = np.arange(lo_j, hi_j + 1)
-    # rows x and y of every offset plus every lattice point i*u + j*v,
-    # offset-major, then i, then j
-    pts = np.empty((2, len(ox), (hi_i - lo_i + 1) * (hi_j - lo_j + 1)))
-    np.add((ii * ux + jj * vx).reshape(1, -1), ox[:, None], out=pts[0])
-    np.add((ii * uy + jj * vy).reshape(1, -1), oy[:, None], out=pts[1])
-    pts = pts.reshape(2, -1)
-    gx = np.maximum(np.maximum(rect.xmin - pts[0], 0.0), pts[0] - rect.xmax)
-    gy = np.maximum(np.maximum(rect.ymin - pts[1], 0.0), pts[1] - rect.ymax)
-    keep = gx * gx + gy * gy <= _keep_radius(config, margin) ** 2
-    return pts[:, keep].T
+    (ux, uy), (vx, vy) = config.reduced.u, config.reduced.v
+    # rows x and y of every lattice point i*u + j*v, i-major, then of it
+    # plus every offset, offset-major
+    pts = np.arange(lo_i, hi_i + 1)[:, None] * np.array([[[ux]], [[uy]]])
+    pts = pts + np.arange(lo_j, hi_j + 1) * np.array([[[vx]], [[vy]]])
+    offsets = [[[p.x] for p in config.offsets], [[p.y] for p in config.offsets]]
+    pts = (pts.reshape(2, 1, -1) + np.array(offsets)).reshape(2, -1)
+    # each center's x and y distance outside the rect
+    gap = np.maximum(np.array([[rect.xmin], [rect.ymin]]) - pts, 0.0)
+    gap = np.maximum(gap, pts - np.array([[rect.xmax], [rect.ymax]]))
+    gap *= gap
+    keep = (gap[0] + gap[1] <= _keep_radius(config, margin) ** 2).nonzero()[0]
+    return pts.take(keep, axis=1).T
 
 
 def _translates(

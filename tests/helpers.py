@@ -6,11 +6,12 @@ dense sampling, sharing no code with the package internals.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
-from diskcover import PeriodicConfig
+from diskcover import Basis, PeriodicConfig, Point, pattern_b
 
 
 def oracle_centers(config: PeriodicConfig, reach: float) -> np.ndarray:
@@ -286,3 +287,97 @@ def min_offset_gap(offsets, basis) -> float:
                 for j in range(-nj, nj + 1):
                     best = min(best, math.hypot(dx + i * ux + j * vx, dy + i * uy + j * vy))
     return best
+
+
+def optimizer_start_configs() -> list[tuple[PeriodicConfig, int]]:
+    """The (config, k) of every start of the optimizer's grids, tol 1e-4 each.
+
+    The 6 x 8 single-lattice grid over (b, c) for k = 1..4, then the 72
+    pattern_b starts over (x, y, d) at k = 2: 264 shallow searches of the
+    regime the optimizer spends its time in.  Every grid point already lies
+    in its family's clip box, so it is evaluated as given.
+    """
+    cases = []
+    for k in range(1, 5):
+        for b in np.linspace(0.0, 0.5, 6):
+            c_min = math.sqrt(max(1.0 - b * b, 0.0))
+            for c in np.linspace(c_min, 3.5, 8):
+                basis = Basis((1.0, 0.0), (float(b), float(c)))
+                cases.append((PeriodicConfig(basis, (Point(0.0, 0.0),), 1.0), k))
+    for x in np.linspace(0.3, 1.0, 8):
+        x = float(x)
+        y_max = math.sqrt(max(1.0 - x * x, 0.0)) + 1.0
+        for y in (y_max * yfrac for yfrac in (0.5, 0.8, 1.0)):
+            for dfrac in (0.4, 0.7, 1.0):
+                cases.append((pattern_b(x, y, y * dfrac), 2))
+    return cases
+
+
+def finish_reference(centers, boxes, inner, outer, half, pad):
+    """The exact finish's candidates of a level, brute force in plain floats.
+
+    `centers` lists every (x, y) of the unpruned center field, `boxes` the
+    (x, y) of each surviving box center, `inner` and `outer` their ring
+    radii, `half` their half side and `pad` the field's evaluation error.
+    Each box's ring is recounted from all centers; its triples are taken by
+    `itertools.combinations` and solved one at a time with the circumcenter
+    formula and rounding bounds of the finish.  A triple is kept when its
+    circumradius bound is at most `outer` and its circumcenter lies within
+    `half + pad` plus its error bound of the box center in x and in y; the
+    circumcenter is then clamped into the box.  Returns (x, y, e_q) per
+    kept triple, box by box.
+    """
+    out = []
+    for (mx, my), lo, hi in zip(boxes, inner, outer):
+        ring = [
+            (cx, cy)
+            for cx, cy in centers
+            if lo * lo <= (mx - cx) * (mx - cx) + (my - cy) * (my - cy) <= hi * hi
+        ]
+        for a, b, c in itertools.combinations(ring, 3):
+            qx, qy, error, radius = _circumcenter(a, b, c)
+            reach = half + pad + error
+            if radius <= hi and abs(qx - mx) <= reach and abs(qy - my) <= reach:
+                qx = min(max(qx, mx - half), mx + half)
+                qy = min(max(qy, my - half), my + half)
+                out.append((qx, qy, error))
+    return out
+
+
+def _divide(a: float, b: float) -> float:
+    # a / b with the IEEE result at b = 0, where Python raises
+    if b != 0.0:
+        return a / b
+    if a == 0.0 or math.isnan(a):
+        return math.nan
+    return math.copysign(math.inf, a) * math.copysign(1.0, b)
+
+
+def _circumcenter(a, b, c) -> tuple[float, float, float, float]:
+    # the finish's circumcenter q, its error bound e_q and the circumradius
+    # lower bound of triangle a, b, c, one float operation at a time
+    u = 2.0**-53
+    (ax, ay), (bx, by), (cx, cy) = a, b, c
+    ex, ey = cx - bx, cy - by
+    bx, by, cx, cy = bx - ax, by - ay, cx - ax, cy - ay
+    bb = bx * bx + by * by
+    cc = cx * cx + cy * cy
+    cross_1, cross_2 = bx * cy, by * cx
+    det = cross_1 - cross_2
+    det_err = 8.0 * u * (abs(cross_1) + abs(cross_2))
+    half_inv = _divide(0.5, det)
+    qx = ax + (cy * bb - by * cc) * half_inv
+    qy = ay + (bx * cc - cx * bb) * half_inv
+    wx, wy = qx - ax, qy - ay
+    p_1, p_2, p_3, p_4 = bx * wx, by * wy, cx * wx, cy * wy
+    slack = 1.0 + 2.0 * u
+    rho_1 = abs(p_1 + p_2 - 0.5 * bb) * slack + 8.0 * u * (abs(p_1) + abs(p_2) + bb)
+    rho_2 = abs(p_3 + p_4 - 0.5 * cc) * slack + 8.0 * u * (abs(p_3) + abs(p_4) + cc)
+    floor = abs(det) - det_err
+    error = math.inf
+    if floor > 0.0:
+        error = math.sqrt((bb + cc) * (rho_1 * rho_1 + rho_2 * rho_2)) / floor
+        error *= 1.0 + 16.0 * u
+    radius = math.sqrt(bb * cc * (ex * ex + ey * ey))
+    radius = _divide(radius, 2.0 * (abs(det) + det_err)) * (1.0 - 16.0 * u)
+    return qx, qy, error, radius

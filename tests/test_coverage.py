@@ -20,7 +20,9 @@ from diskcover import (
 )
 from helpers import (
     circumcenter_covering_radius,
+    finish_reference,
     grid_covering_radii,
+    optimizer_start_configs,
     random_config,
     skewed_config,
 )
@@ -191,7 +193,7 @@ class TestCoveringRadius:
 
         def recording_finish(*args):
             pts, error = finish(*args)
-            tried.append((pts, error))
+            tried.append((pts.T, error))
             return pts, error
 
         monkeypatch.setattr(coverage, "_finish_candidates", recording_finish)
@@ -216,11 +218,11 @@ class TestCoveringRadius:
         calls = []
 
         def blurred(*args, always):
-            qx, qy, error, radius = circumcenters(*args)
-            calls.append(len(qx))
+            q, error, radius = circumcenters(*args)
+            calls.append(q.shape[1])
             if always or len(calls) == 1:
                 error = np.maximum(error, 1e-3)
-            return qx, qy, error, radius
+            return q, error, radius
 
         monkeypatch.setattr(coverage, "_circumcenters", lambda *a: blurred(*a, always=False))
         once = covering_radius(cfg, 2, tol=1e-9)
@@ -241,9 +243,10 @@ class TestCoveringRadius:
         circumcenters = coverage._circumcenters
         triangles = []
 
-        def recording(*args):
-            triangles.append(np.stack(args))
-            return circumcenters(*args)
+        def recording(tri):
+            # as rows ax, ay, bx, by, cx, cy
+            triangles.append(tri.transpose(1, 0, 2).reshape(6, -1))
+            return circumcenters(tri)
 
         monkeypatch.setattr(coverage, "_circumcenters", recording)
         rng = np.random.default_rng(137)
@@ -267,7 +270,7 @@ class TestCoveringRadius:
         checked = 0
         for tri in triangles:
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                qx, qy, error, radius = circumcenters(*tri)
+                (qx, qy), error, radius = circumcenters(tri.reshape(3, 2, -1).transpose(1, 0, 2))
             for i in range(tri.shape[1]):
                 ax, ay, bx, by, cx, cy = (Fraction(float(value)) for value in tri[:, i])
                 bx, by, cx, cy = bx - ax, by - ay, cx - ax, cy - ay
@@ -285,6 +288,46 @@ class TestCoveringRadius:
                     assert gap <= Fraction(float(error[i])) ** 2
                     checked += 1
         assert checked > 1000
+
+    def test_finish_matches_brute_force_reference(self, monkeypatch):
+        # every finish of the optimizer's start searches and of skewed
+        # configs at k = 1..8, recounted box by box from the unpruned field
+        # and solved triple by triple in plain floats, bit for bit and in
+        # the same order
+        ring = coverage._CenterField.ring
+        finish = coverage._finish_candidates
+        levels = []
+
+        def recording_ring(self, cols, kept, inner, outer):
+            found = ring(self, cols, kept, inner, outer)
+            if found is not None:
+                levels.append([cols.take(kept, axis=1).T.tolist(), inner.tolist()])
+            return found
+
+        def recording_finish(boxes, half, outer, pad, found):
+            pts, error = finish(boxes, half, outer, pad, found)
+            levels[-1] += [outer.tolist(), half, pad, list(zip(*pts.tolist(), error.tolist()))]
+            return pts, error
+
+        monkeypatch.setattr(coverage._CenterField, "ring", recording_ring)
+        monkeypatch.setattr(coverage, "_finish_candidates", recording_finish)
+        rng = np.random.default_rng(139)
+        cases = [(cfg, k, 1e-4) for cfg, k in optimizer_start_configs()]
+        cases += [(skewed_config(rng, n), k, 1e-9) for k in range(1, 9) for n in (1, 3, 6)]
+        finishes = candidates = 0
+        for cfg, k, tol in cases:
+            levels.clear()
+            covering_radius(cfg, k, tol=tol)
+            _, _, rect = coverage._root_grid(cfg)
+            centers = coverage._CenterField(cfg, rect, k).centers.T.tolist()
+            for boxes, inner, outer, half, pad, got in levels:
+                want = finish_reference(centers, boxes, inner, outer, half, pad)
+                assert [tuple(map(float.hex, row)) for row in got] == [
+                    tuple(map(float.hex, row)) for row in want
+                ]
+                finishes += 1
+                candidates += len(got)
+        assert finishes >= len(cases) and candidates > 5000
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_box_budget_caps_the_frontier(self, k):
@@ -318,7 +361,7 @@ class TestCoveringRadius:
             return square_sum(dx, dy)
 
         def recording_dk(self, pts):
-            levels.append(len(pts) * len(self.cx))
+            levels.append(len(pts) * self.centers.shape[1])
             return dk(self, pts)
 
         monkeypatch.setattr(coverage, "_square_sum", recording_square_sum)
@@ -476,6 +519,19 @@ class TestCenterPruning:
         digest = hashlib.sha256(repr(rows).encode()).hexdigest()
         assert digest == "1f1cc6f5c63babb16d63858d164a6d48c18961f78698287481b6c31c0ca2f7fb"
 
+    def test_pinned_digest_on_optimizer_starts(self):
+        # every field of the 264 tol-1e-4 searches of the optimizer's start
+        # grids (single lattice k = 1..4, then pattern_b), recorded before
+        # the search held its point sets in one (2, N) layout; the history
+        # digests of the optimizer tests see only `high`
+        rows = [
+            (r.low, r.high, r.witness.x, r.witness.y, r.boxes, r.converged)
+            for r in (covering_radius(cfg, k, tol=1e-4) for cfg, k in optimizer_start_configs())
+        ]
+        assert len(rows) == 264
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+        assert digest == "8deaf7462181b8a330e9f5149a3a5b076fd944305e68d7d28a68b0496e55f883"
+
     def test_start_reach_bounds_dk(self):
         # d_k against every center within 3R of the rect, at points sampled
         # over the root boxes and at the rect's corners: a value below 3R is
@@ -566,7 +622,7 @@ class TestCenterPruning:
                 pad = 2.0 * reach + sum(cfg.reduced.lengths())
                 width, height = rect.xmax - rect.xmin, rect.ymax - rect.ymin
                 bound = n * (width + pad) * (height + pad) / abs(cfg.reduced.det)
-                assert 0 < len(field.cx) <= bound
+                assert 0 < field.centers.shape[1] <= bound
 
 
 class TestVerifyKCoverage:
