@@ -50,9 +50,11 @@ def _load_config(args: argparse.Namespace, parser: argparse.ArgumentParser):
     return PeriodicConfig.from_json(text)
 
 
-def _write_out(path: str, text: str, parser: argparse.ArgumentParser) -> None:
+def _write_out(
+    path: str, text: str, parser: argparse.ArgumentParser, mode: str = "w"
+) -> None:
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, mode, encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
         parser.exit(USAGE_ERROR, f"error: cannot write {path}: {exc}\n")
@@ -129,14 +131,13 @@ def cmd_bounds(args, parser) -> int:
 
 def cmd_optimize(args, parser) -> int:
     if args.out is not None:
-        # fail before the search, not after it
-        _write_out(args.out, "", parser)
+        # fail before the search, not after it; appending nothing keeps
+        # what the file holds if the search then fails
+        _write_out(args.out, "", parser, mode="a")
     if args.mode == "single-lattice":
-        result = optimize_single_lattice(
-            args.k, budget=args.budget, tol=args.tol, seed=args.seed
-        )
+        result = optimize_single_lattice(args.k, budget=args.budget, tol=args.tol)
     else:
-        result = optimize_pattern_b(budget=args.budget, tol=args.tol, seed=args.seed)
+        result = optimize_pattern_b(budget=args.budget, tol=args.tol)
     if args.out is not None:
         _write_out(args.out, result.history_csv(), parser)
     return _emit(result.to_dict())
@@ -200,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--budget", type=int, default=20000)
     p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the evaluation history as CSV")
     p.set_defaults(func=cmd_optimize)
 

@@ -50,7 +50,9 @@ class ConvexPolygon:
     Construction canonicalizes the boundary: orientation is flipped to
     counter-clockwise if needed, consecutive vertices closer than REP_TOL
     (relative to the span) are fused, and collinear vertices are dropped.
-    What remains must be strictly convex.
+    What remains must be strictly convex.  The boundary then starts at its
+    least (y, x) vertex, so a cycle of vertices gives the same polygon
+    whichever vertex it is listed from.
     """
 
     __slots__ = ("vertices",)
@@ -75,7 +77,8 @@ class ConvexPolygon:
             c = pts[(i + 1) % len(pts)]
             if _cross(a, b, c) <= 0.0:
                 raise ValueError("polygon is not strictly convex")
-        self.vertices: tuple[Point, ...] = tuple(pts)
+        start = min(range(len(pts)), key=lambda i: (pts[i].y, pts[i].x))
+        self.vertices: tuple[Point, ...] = tuple(pts[start:] + pts[:start])
 
     @property
     def area(self) -> float:

@@ -3,10 +3,10 @@
 The disk radius never enters the search directly: for fixed centers the
 cheapest certified k-cover scales the disks to the certified upper bound
 of the order-k covering radius, giving the objective n * pi * R^2 / det.
-Both searches run one multi-start driver: a coarse grid, simplex
-refinements of its best points, and a small seeded random polish at the
-end; with a fixed seed the whole run is deterministic.  The simplex step
-is `minimize`, a Nelder-Mead port kept here so the package needs numpy
+Both searches run one multi-start driver: a coarse grid, then simplex
+refinements of its best points.  It has no random step, so a run is a
+pure function of the family, k, budget and tol.  The simplex step is
+`minimize`, a Nelder-Mead port kept here so the package needs numpy
 alone.
 """
 
@@ -15,6 +15,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from ._lazy import lazy_numpy
 from .coverage import CoverageCertificate, covering_radius, verify_k_coverage
@@ -158,91 +159,55 @@ def _scaled_density(config: PeriodicConfig, radius: float) -> float:
     return len(config.offsets) * math.pi * radius**2 / config.basis.det
 
 
-class _Search:
-    """Shared bookkeeping: evaluation budget, history, memoized best."""
-
-    def __init__(self, objective, budget: int):
-        self.objective = objective
-        self.budget = budget
-        self.history: list[tuple[tuple[float, ...], float]] = []
-        self.best_params: tuple[float, ...] | None = None
-        self.best_value = math.inf
-
-    @property
-    def evaluations(self) -> int:
-        return len(self.history)
-
-    @property
-    def remaining(self) -> int:
-        return self.budget - self.evaluations
-
-    def __call__(self, params) -> float:
-        params = tuple(float(p) for p in params)
-        value = self.objective(params)
-        self.history.append((params, value))
-        if value < self.best_value:
-            self.best_value = value
-            self.best_params = params
-        return value
-
-    def refine(self, start, max_evals: int) -> None:
-        cap = min(max_evals, self.remaining)
-        if cap < 8:
-            return
-        minimize(self, start, cap)
-
-    def polish(self, rng: np.random.Generator, sigma, rounds: int) -> None:
-        sigma = np.asarray(sigma, dtype=float)
-        for _ in range(rounds):
-            if self.remaining < 1 or self.best_params is None:
-                return
-            cand = np.asarray(self.best_params) + rng.normal(0.0, 1.0, len(sigma)) * sigma
-            self(cand)
-
-
 def _multistart(
     param_names: tuple[str, ...], k: int, grid, clip, build, starts: int,
-    refine_cap: int, budget: int, tol: float, seed: int, pin=None,
+    refine_cap: int, budget: int, tol: float, pin=None,
 ) -> OptimizationResult:
-    """Grid scan, simplex refinement of the best starts, seeded polish.
+    """Grid scan, then simplex refinements of the best starts, then the pin.
 
     `clip` maps raw parameters into the family's feasible box and `build`
     turns clipped parameters into a unit-radius configuration; every
-    evaluation is the scaled density of that configuration.  `pin`, when
-    given, moves the winner along a ray the objective is constant on; its
-    one evaluation is reserved from the budget up front; the budget of at
-    least 1000 holds every grid.  The objective is memoized on the clipped
-    parameters, since the simplex and the clip revisit points; every
-    evaluation still counts and enters the history.  The winner is reported
-    with its disks shrunk to the certified covering radius.
+    evaluation is the scaled density of that configuration.  Each of the
+    `starts` best grid points starts one `minimize` run of at most
+    `refine_cap` evaluations, cut to what is left of the budget and
+    skipped below 8.  `pin`, when given, moves the winner along a ray the
+    objective is constant on; its one evaluation is reserved from the
+    budget up front; the budget of at least 1000 holds every grid.  The
+    objective is memoized on the clipped parameters, since the simplex and
+    the clip revisit points; every evaluation still counts and enters the
+    history.  The winner, the first least value in the history, is
+    reported with its disks shrunk to the certified covering radius.
     """
     if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= MAX_FOLD:
         raise ValueError(f"k must be an integer in [1, {MAX_FOLD}], got {k!r}")
     if budget < 1000:
         raise ValueError(f"budget must be at least 1000, got {budget}")
-    rng = np.random.default_rng(seed)
     # clipped parameters -> (scaled density, certified covering radius)
     memo: dict[tuple[float, ...], tuple[float, float]] = {}
+    history: list[tuple[tuple[float, ...], float]] = []
 
-    def objective(params):
+    def evaluate(params) -> float:
+        params = tuple(float(p) for p in params)
         key = clip(params)
         if key not in memo:
             config = build(key)
             radius = covering_radius(config, k, tol).high
             memo[key] = (_scaled_density(config, radius), radius)
+        history.append((params, memo[key][0]))
         return memo[key][0]
 
-    search = _Search(objective, budget - (pin is not None))
     for params in grid:
-        search(params)
-    for params, _ in sorted(search.history, key=lambda item: item[1])[:starts]:
-        search.refine(params, refine_cap)
-    search.polish(rng, sigma=(2e-3,) * len(param_names), rounds=60)
+        evaluate(params)
+    searchable = budget - (pin is not None)
+    for params, _ in sorted(history, key=itemgetter(1))[:starts]:
+        cap = min(refine_cap, searchable - len(history))
+        if cap >= 8:
+            minimize(evaluate, params, cap)
 
-    best = clip(search.best_params)
+    best = clip(min(history, key=itemgetter(1))[0])
     if pin is not None:
         best = pin(best)
-        search(best)
+        evaluate(best)
         best = clip(best)
     # the winner was evaluated, so its enclosure is in the memo
     bare = build(best)
@@ -251,9 +216,9 @@ def _multistart(
         best_config=config,
         density=config_density(config),
         certificate=verify_k_coverage(config, k, tol),
-        evaluations=search.evaluations,
-        history=search.history,
-        converged=search.evaluations < budget,
+        evaluations=len(history),
+        history=history,
+        converged=len(history) < budget,
         param_names=param_names,
     )
 
@@ -266,6 +231,7 @@ def optimize_single_lattice(
     Lattice shapes are parametrized by the reduced basis (1, 0), (b, c)
     with 0 <= b <= 1/2 and c >= sqrt(1 - b^2); every planar lattice is a
     scaled copy of one of these, and the objective is scale-invariant.
+    `seed` is unused: the search has no random step.
     """
 
     def c_min(b):
@@ -278,17 +244,16 @@ def optimize_single_lattice(
     def build(params):
         return PeriodicConfig(Basis((1.0, 0.0), params), (Point(0.0, 0.0),), 1.0)
 
-    # 6 x 8 starts reached the winners of a 21 x 24 grid at seeds 0, 1, 7,
-    # 123456789 and 2**31 - 5, tol 1e-4: bit for bit for k = 1, 4, 5, 6,
-    # within 3e-16 relative for k = 3, and 4.1e-6 to 6.9e-6 lower for
-    # k = 2, while 4 x 6, 8 x 10 and 3 x 4 ended 1.1e-5 to 2e-5 worse on
-    # k = 3 or 5
+    # 6 x 8 starts reached the winners of a 21 x 24 grid at tol 1e-4: bit
+    # for bit for k = 1, 4, 5, 6, within 3e-16 relative for k = 3, and
+    # 4.1e-6 to 6.9e-6 lower for k = 2, while 4 x 6, 8 x 10 and 3 x 4 ended
+    # 1.1e-5 to 2e-5 worse on k = 3 or 5
     grid = [
         (b, c)
         for b in np.linspace(0.0, 0.5, 6)
         for c in np.linspace(c_min(b), _C_MAX, 8)
     ]
-    return _multistart(("b", "c"), k, grid, clip, build, 5, 700, budget, tol, seed)
+    return _multistart(("b", "c"), k, grid, clip, build, 5, 700, budget, tol)
 
 
 def optimize_pattern_b(
@@ -302,7 +267,7 @@ def optimize_pattern_b(
     swaps the two translate classes and with them their Voronoi cells.
     The objective is invariant under rescaling (x, y, d), so the winning
     ray is reported at its feasibility boundary y = sqrt(1 - x^2) + 1,
-    which pins the scale.
+    which pins the scale.  `seed` is unused: the search has no random step.
     """
 
     def y_max(x):
@@ -326,5 +291,5 @@ def optimize_pattern_b(
     ]
     return _multistart(
         ("x", "y", "d"), 2, grid, clip, lambda p: pattern_b(*p), 4, 900,
-        budget, tol, seed, pin,
+        budget, tol, pin,
     )

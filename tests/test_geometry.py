@@ -56,6 +56,18 @@ class TestConvexPolygon:
         poly = ConvexPolygon([(0, 0), (0.5, 0), (1, 0), (1, 1), (1, 1), (0, 1)])
         assert len(poly.vertices) == 4
 
+    def test_starts_at_least_vertex_from_any_rotation(self):
+        # counter-clockwise from the least (y, x) vertex (1, 0), which ties
+        # in y with (3, 0); (2, 0) is collinear and dropped
+        ccw = [(1, 0), (2, 0), (3, 0), (4, 2), (2, 4), (0, 2)]
+        first = ConvexPolygon(ccw)
+        assert first.vertices[0] == Point(1, 0)
+        for ring in (ccw, ccw[::-1]):
+            for i in range(len(ring)):
+                poly = ConvexPolygon(ring[i:] + ring[:i])
+                assert poly == first
+                assert poly.vertices[0] == Point(1, 0)
+
     def test_rejects_nonconvex(self):
         with pytest.raises(ValueError, match="convex"):
             ConvexPolygon([(0, 0), (2, 0), (1, 0.2), (2, 2), (0, 2)])

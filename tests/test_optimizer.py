@@ -110,19 +110,20 @@ class TestOptimalScaledDensity:
 
 class TestOptimizeSingleLattice:
     def test_first_order_finds_hexagonal(self):
-        res = optimize_single_lattice(1, budget=4000, tol=1e-4, seed=0)
+        res = optimize_single_lattice(1, budget=4000, tol=1e-4)
         assert res.density == pytest.approx(THETA, rel=5e-3)
         assert res.certificate.status in ("tight", "certified_covered")
         assert res.evaluations <= 4000
 
     def test_reproducible_for_fixed_seed(self):
+        # the search has no random step, so the inert seed changes nothing
         a = optimize_single_lattice(2, budget=2500, tol=1e-4, seed=7)
-        b = optimize_single_lattice(2, budget=2500, tol=1e-4, seed=7)
-        assert a.density == b.density
+        b = optimize_single_lattice(2, budget=2500, tol=1e-4, seed=123456789)
+        assert a.to_dict() == b.to_dict()
         assert a.history == b.history
 
     def test_history_contains_final_density(self):
-        res = optimize_single_lattice(1, budget=2500, tol=1e-4, seed=3)
+        res = optimize_single_lattice(1, budget=2500, tol=1e-4)
         best_seen = min(v for _, v in res.history)
         assert res.density <= best_seen + 1e-6
         assert res.evaluations == len(res.history)
@@ -136,44 +137,36 @@ class TestOptimizeSingleLattice:
             return radius(*args, **kwargs)
 
         monkeypatch.setattr(diskcover.optimize, "covering_radius", counted)
-        res = optimize_single_lattice(1, budget=1000, tol=1e-4, seed=7)
-        # history recorded with the exact finish of covering_radius, whose
-        # exact objective converges in 593 evaluations, and with basis
-        # reduction in plain float dot products; numpy's dot products gave
-        # e242452d...c1c0aed, also in 593, where a reduction tie resolved
-        # the other way.  The branch-and-bound alone gave 220b13ef...21fac485
-        # in 755 with the 6 x 8 start grid.
-        # The 21 x 24 grid spent all 1000 evaluations and gave
-        # c09d6573...7323fe91 with the root culled to the reduced cell, and
-        # c8d0f13f...b03a99dfa with the bounding-box root, recorded before
-        # the objective was memoized
+        res = optimize_single_lattice(1, budget=1000, tol=1e-4)
+        # history recorded with no random step after the refinements.  With
+        # the 60-point seeded polish that followed them it was
+        # 3897fef9...b4d88f2e in 593 evaluations: this history, then the
+        # polish points.  Older pins, all with the polish: numpy's dot
+        # products in basis reduction gave e242452d...c1c0aed, also in 593,
+        # where a reduction tie resolved the other way.  The branch-and-bound
+        # without the exact finish gave 220b13ef...21fac485 in 755 with the
+        # 6 x 8 start grid.  The 21 x 24 grid spent all 1000 evaluations and
+        # gave c09d6573...7323fe91 with the root culled to the reduced cell,
+        # and c8d0f13f...b03a99dfa with the bounding-box root, recorded
+        # before the objective was memoized
         digest = hashlib.sha256(repr(res.history).encode()).hexdigest()
-        assert digest == "3897fef9e202de67ada65c93f0ecf2797c359190373a997b2e6115b3b4d88f2e"
-        assert res.evaluations == len(res.history) == 593
+        assert digest == "30f7106573152fd4dffbd2d79f847c709873e92153f7402c2912a0c2b52a5c0d"
+        assert res.evaluations == len(res.history) == 533
         # one call per distinct clipped point; repeats and the winner's
         # final radius are read from the memo
         assert len(calls) <= len({params for params, _ in res.history})
         assert len(calls) < 0.8 * res.evaluations
 
     def test_history_csv(self):
-        res = optimize_single_lattice(1, budget=2000, tol=1e-4, seed=1)
+        res = optimize_single_lattice(1, budget=2000, tol=1e-4)
         lines = res.history_csv().strip().splitlines()
         assert lines[0] == "eval_index," + ",".join(res.param_names) + ",density"
         assert len(lines) == len(res.history) + 1
 
     def test_result_dict(self):
-        res = optimize_single_lattice(1, budget=2000, tol=1e-4, seed=1)
+        res = optimize_single_lattice(1, budget=2000, tol=1e-4)
         d = res.to_dict()
         assert set(d) >= {"density", "config", "certificate", "evaluations", "converged"}
-
-    @pytest.mark.parametrize("seed", [0, 7])
-    @pytest.mark.parametrize(
-        # the winners of the 21 x 24 start grid that the 6 x 8 grid replaced
-        "k, before",
-        [(5, 5.428407248328219), (6, 6.583950573853938)],
-    )
-    def test_higher_fold_winners_hold(self, k, before, seed):
-        assert optimize_single_lattice(k, seed=seed).density <= before * (1 + 1e-9)
 
     def test_rejects_bad_fold_or_budget(self):
         with pytest.raises(ValueError):
@@ -184,12 +177,39 @@ class TestOptimizeSingleLattice:
             optimize_single_lattice(2, budget=10)
 
 
+# winners at tol 1e-4 and the default budget, recorded before the seeded
+# random polish was deleted; it never moved one
+WINNERS = {
+    1: "6416a9f158741e24330382b19328f583d83ecf70517ff0009eceee9011b1a595",
+    2: "6820c809418d017e2fdc5e9563e0f76846996c9c2ed6ec06c9c35249f0b571c7",
+    3: "86936cc4bd680c41f4c0d5f0a8f3367ba268e2a63ba58dd758b97e47be1d0bad",
+    4: "9e4724c5462f245ac645ec9a79b5e4f3fba2b9814258f13e710b45268b001a91",
+    5: "3c361c7e7af15e192df9eb61d3b9098ebda1127cc48cd878909eb1cc58306c87",
+    6: "4ff50769265547f2f7d5dd78023e893daa1ab98b6115e4f40b4e8ad6edec4e3b",
+    "pattern_b": "dcaa83ffac7d6b296beb6ce60c00c7c67582fa5a271fca96fb0fd608baa8e2c7",
+}
+# the winners of the 21 x 24 start grid that the 6 x 8 grid replaced
+GRID_21X24 = {5: 5.428407248328219, 6: 6.583950573853938}
+
+
+@pytest.mark.parametrize("case", list(WINNERS))
+def test_pinned_winners(case):
+    if case == "pattern_b":
+        res = optimize_pattern_b(tol=1e-4)
+    else:
+        res = optimize_single_lattice(case, tol=1e-4)
+    winner = (res.density, res.best_config.to_dict(), res.certificate.to_dict(), res.converged)
+    assert hashlib.sha256(repr(winner).encode()).hexdigest() == WINNERS[case]
+    if case in GRID_21X24:
+        assert res.density <= GRID_21X24[case] * (1 + 1e-9)
+
+
 class TestGridPhase:
     @pytest.mark.parametrize(
         "search, grid_size",
         [
-            (lambda: optimize_single_lattice(2, budget=1000, tol=1e-4, seed=7), 48),
-            (lambda: optimize_pattern_b(budget=1000, tol=1e-4, seed=7), 72),
+            (lambda: optimize_single_lattice(2, budget=1000, tol=1e-4), 48),
+            (lambda: optimize_pattern_b(budget=1000, tol=1e-4), 72),
         ],
     )
     def test_grid_goes_through_the_one_driver(self, monkeypatch, search, grid_size):
@@ -218,18 +238,18 @@ class TestGridPhase:
 
 class TestOptimizePatternB:
     def test_recovers_honeycomb(self):
-        res = optimize_pattern_b(budget=4000, tol=1e-4, seed=0)
+        res = optimize_pattern_b(budget=4000, tol=1e-4)
         assert res.density == pytest.approx(2 * THETA, abs=5e-3)
         assert res.param_names == ("x", "y", "d")
         assert res.certificate.status in ("tight", "certified_covered")
 
     def test_evaluations_within_budget(self):
         # the scale-pinning evaluation comes out of the budget, not on top
-        res = optimize_pattern_b(budget=1000, tol=1e-4, seed=0)
+        res = optimize_pattern_b(budget=1000, tol=1e-4)
         assert res.evaluations <= 1000
         assert res.evaluations == len(res.history)
 
     def test_reproducible(self):
-        a = optimize_pattern_b(budget=2000, tol=1e-4, seed=5)
-        b = optimize_pattern_b(budget=2000, tol=1e-4, seed=5)
+        a = optimize_pattern_b(budget=2000, tol=1e-4)
+        b = optimize_pattern_b(budget=2000, tol=1e-4)
         assert a.density == b.density

@@ -72,6 +72,16 @@ class TestVoronoiCell:
             )
             assert total == pytest.approx(cfg.det, abs=1e-8)
 
+    def test_cell_starts_at_its_least_vertex(self):
+        # so the voronoi JSON and the SVG do not depend on clip order
+        rng = np.random.default_rng(1372)
+        for _ in range(20):
+            cfg = random_config(rng)
+            for i in range(len(cfg.offsets)):
+                verts = voronoi_cell(cfg, i).polygon.vertices
+                assert verts[0] == min(verts, key=lambda p: (p.y, p.x))
+                assert ConvexPolygon(verts[2:] + verts[:2]).vertices == verts
+
 
 def _apply_motion(
     poly: ConvexPolygon, angle: float, tx: float, ty: float, reflect: bool
