@@ -132,8 +132,12 @@ def cmd_bounds(args, parser) -> int:
 def cmd_optimize(args, parser) -> int:
     if args.out is not None:
         # fail before the search, not after it; appending nothing keeps
-        # what the file holds if the search then fails
+        # what the file holds if the search then fails, and a file the
+        # probe made goes until there is a history to write
+        existed = os.path.lexists(args.out)
         _write_out(args.out, "", parser, mode="a")
+        if not existed:
+            os.remove(args.out)
     if args.mode == "single-lattice":
         result = optimize_single_lattice(args.k, budget=args.budget, tol=args.tol)
     else:

@@ -4,10 +4,11 @@ The disk radius never enters the search directly: for fixed centers the
 cheapest certified k-cover scales the disks to the certified upper bound
 of the order-k covering radius, giving the objective n * pi * R^2 / det.
 Both searches run one multi-start driver: a coarse grid, then simplex
-refinements of its best points.  It has no random step, so a run is a
-pure function of the family, k, budget and tol.  The simplex step is
-`minimize`, a Nelder-Mead port kept here so the package needs numpy
-alone.
+refinements from its points in order of value, best first, until one
+finds nothing lower than the values before it.  It has no random step,
+so a run is a pure function of the family, k, budget and tol.  The
+simplex step is `minimize`, a Nelder-Mead port kept here so the package
+needs numpy alone.
 """
 
 from __future__ import annotations
@@ -160,19 +161,21 @@ def _scaled_density(config: PeriodicConfig, radius: float) -> float:
 
 
 def _multistart(
-    param_names: tuple[str, ...], k: int, grid, clip, build, starts: int,
-    refine_cap: int, budget: int, tol: float, pin=None,
+    param_names: tuple[str, ...], k: int, grid, clip, build, refine_cap: int,
+    budget: int, tol: float, pin=None,
 ) -> OptimizationResult:
-    """Grid scan, then simplex refinements of the best starts, then the pin.
+    """Grid scan, then simplex refinements until one gains nothing, then the pin.
 
     `clip` maps raw parameters into the family's feasible box and `build`
     turns clipped parameters into a unit-radius configuration; every
-    evaluation is the scaled density of that configuration.  Each of the
-    `starts` best grid points starts one `minimize` run of at most
-    `refine_cap` evaluations, cut to what is left of the budget and
-    skipped below 8.  `pin`, when given, moves the winner along a ray the
-    objective is constant on; its one evaluation is reserved from the
-    budget up front; the budget of at least 1000 holds every grid.  The
+    evaluation is the scaled density of that configuration.  The grid
+    points, best first, start one `minimize` run each of at most
+    `refine_cap` evaluations, cut to what is left of the budget.  The
+    refinements stop after the first whose least value is not strictly
+    below every value before it, or once fewer than 8 evaluations are
+    left.  `pin`, when given, moves the winner along a ray the objective
+    is constant on; its one evaluation is reserved from the budget up
+    front; the budget of at least 1000 holds every grid.  The
     objective is memoized on the clipped parameters, since the simplex and
     the clip revisit points; every evaluation still counts and enters the
     history.  The winner, the first least value in the history, is
@@ -199,10 +202,15 @@ def _multistart(
     for params in grid:
         evaluate(params)
     searchable = budget - (pin is not None)
-    for params, _ in sorted(history, key=itemgetter(1))[:starts]:
+    for params, _ in sorted(history, key=itemgetter(1)):
         cap = min(refine_cap, searchable - len(history))
-        if cap >= 8:
-            minimize(evaluate, params, cap)
+        if cap < 8:
+            break
+        start = len(history)
+        best_before = min(value for _, value in history)
+        minimize(evaluate, params, cap)
+        if min(value for _, value in history[start:]) >= best_before:
+            break
 
     best = clip(min(history, key=itemgetter(1))[0])
     if pin is not None:
@@ -253,7 +261,7 @@ def optimize_single_lattice(
         for b in np.linspace(0.0, 0.5, 6)
         for c in np.linspace(c_min(b), _C_MAX, 8)
     ]
-    return _multistart(("b", "c"), k, grid, clip, build, 5, 700, budget, tol)
+    return _multistart(("b", "c"), k, grid, clip, build, 700, budget, tol)
 
 
 def optimize_pattern_b(
@@ -290,6 +298,6 @@ def optimize_pattern_b(
         for dfrac in (0.4, 0.7, 1.0)
     ]
     return _multistart(
-        ("x", "y", "d"), 2, grid, clip, lambda p: pattern_b(*p), 4, 900,
+        ("x", "y", "d"), 2, grid, clip, lambda p: pattern_b(*p), 900,
         budget, tol, pin,
     )

@@ -267,6 +267,12 @@ class TestOptimizeCommand:
         assert "error" in capsys.readouterr().err
         assert out.read_text() == "keep\n"
 
+    def test_failed_search_leaves_no_new_file(self, capsys, tmp_path):
+        out = tmp_path / "new.csv"
+        assert main(["optimize", "--k", "7", "--out", str(out)]) == 4
+        assert "error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_option_is_gone(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["optimize", "--k", "1", "--seed", "0"])
@@ -435,10 +441,11 @@ class TestImportGraph:
         )
         assert proc.returncode == 0, proc.stderr
         # the history digest pinned in test_memoized_objective_keeps_history;
-        # 3897fef9...b4d88f2e with the seeded random polish, and
+        # 30f71065...2a0c2b52a5c0d with refinements from the 5 best grid
+        # points, 3897fef9...b4d88f2e with the seeded random polish, and
         # e242452d...c1c0aed before basis reduction used plain float dot products
         assert proc.stdout.split() == [
-            "30f7106573152fd4dffbd2d79f847c709873e92153f7402c2912a0c2b52a5c0d"
+            "ec557614bef38ce65316206abc100b0c7a56306506ac52750a08d446e22f99cf"
         ]
         code = block + "import runpy; runpy.run_module('diskcover', run_name='__main__')"
         argv = ["optimize", "--mode", "single-lattice", "--k", "1", "--budget", "1000",

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -138,20 +139,22 @@ class TestOptimizeSingleLattice:
 
         monkeypatch.setattr(diskcover.optimize, "covering_radius", counted)
         res = optimize_single_lattice(1, budget=1000, tol=1e-4)
-        # history recorded with no random step after the refinements.  With
-        # the 60-point seeded polish that followed them it was
-        # 3897fef9...b4d88f2e in 593 evaluations: this history, then the
-        # polish points.  Older pins, all with the polish: numpy's dot
-        # products in basis reduction gave e242452d...c1c0aed, also in 593,
-        # where a reduction tie resolved the other way.  The branch-and-bound
-        # without the exact finish gave 220b13ef...21fac485 in 755 with the
-        # 6 x 8 start grid.  The 21 x 24 grid spent all 1000 evaluations and
-        # gave c09d6573...7323fe91 with the root culled to the reduced cell,
-        # and c8d0f13f...b03a99dfa with the bounding-box root, recorded
-        # before the objective was memoized
+        # history recorded with the refinements stopped after the first that
+        # lowers nothing: here the first.  Refinements from the 5 best grid
+        # points gave 30f71065...2a0c2b52a5c0d in 533 evaluations, of which
+        # this history is the first 125.  With the 60-point seeded polish
+        # that followed them it was 3897fef9...b4d88f2e in 593 evaluations:
+        # that history, then the polish points.  Older pins, all with the
+        # polish: numpy's dot products in basis reduction gave
+        # e242452d...c1c0aed, also in 593, where a reduction tie resolved
+        # the other way.  The branch-and-bound without the exact finish gave
+        # 220b13ef...21fac485 in 755 with the 6 x 8 start grid.  The 21 x 24
+        # grid spent all 1000 evaluations and gave c09d6573...7323fe91 with
+        # the root culled to the reduced cell, and c8d0f13f...b03a99dfa with
+        # the bounding-box root, recorded before the objective was memoized
         digest = hashlib.sha256(repr(res.history).encode()).hexdigest()
-        assert digest == "30f7106573152fd4dffbd2d79f847c709873e92153f7402c2912a0c2b52a5c0d"
-        assert res.evaluations == len(res.history) == 533
+        assert digest == "ec557614bef38ce65316206abc100b0c7a56306506ac52750a08d446e22f99cf"
+        assert res.evaluations == len(res.history) == 125
         # one call per distinct clipped point; repeats and the winner's
         # final radius are read from the memo
         assert len(calls) <= len({params for params, _ in res.history})
@@ -208,6 +211,84 @@ def test_pinned_winners(case):
         res = optimize_single_lattice(case, tol=1e-4)
     winner = (res.density, res.best_config.to_dict(), res.certificate.to_dict(), res.converged)
     assert hashlib.sha256(repr(winner).encode()).hexdigest() == WINNERS[case]
+
+
+# refinements per pinned search: the last one is the first that finds
+# nothing lower than the values before it
+REFINEMENTS = {1: 1, 2: 2, 3: 2, 4: 1, 5: 3, 6: 1, "pattern_b": 2}
+
+
+@pytest.mark.parametrize("case", list(REFINEMENTS))
+def test_refinements_per_search(monkeypatch, case):
+    module = diskcover.optimize
+    minimize, refinements = module.minimize, []
+
+    def counted(func, x0, maxfev):
+        refinements.append(x0)
+        return minimize(func, x0, maxfev)
+
+    monkeypatch.setattr(module, "minimize", counted)
+    if case == "pattern_b":
+        optimize_pattern_b(tol=1e-4)
+    else:
+        optimize_single_lattice(case, tol=1e-4)
+    assert len(refinements) == REFINEMENTS[case]
+
+
+def test_fifth_fold_converges_in_a_small_budget():
+    # with refinements from the 5 best grid points it spent all 1000
+    # evaluations on the same winner and reported converged False
+    res = optimize_single_lattice(5, budget=1000)
+    assert res.density == 5.428161882165825
+    assert res.evaluations == 651
+    assert res.converged is True
+
+
+class TestStopRule:
+    """Refinements start from the grid points in order of value, best
+    first, and stop after the first that lowers nothing or at the budget."""
+
+    # scrambled, so that the order of the starts shows; the objective pi / p
+    # falls as p grows
+    GRID = [(1.0 + (3 * i % 10) / 10,) for i in range(10)]
+
+    @pytest.mark.parametrize(
+        "improving, caps, evaluations",
+        [
+            (0, [300], 11),
+            (2, [300, 300, 300], 611),
+            # every refinement improves: the fourth gets the 90 evaluations
+            # left, and the budget ends the search
+            (99, [300, 300, 300, 90], 1000),
+        ],
+    )
+    def test_stops_at_the_first_refinement_without_gain(
+        self, monkeypatch, improving, caps, evaluations
+    ):
+        module = diskcover.optimize
+        starts, seen_caps = [], []
+
+        def refine(func, x0, maxfev):
+            starts.append(tuple(x0))
+            seen_caps.append(maxfev)
+            if len(starts) > improving:
+                # its own start again: nothing lower
+                func(np.array(x0))
+                return
+            # every point lies beyond all those evaluated before it
+            for i in range(maxfev):
+                func(np.array([2.0 * len(starts) + i / maxfev]))
+
+        def build(params):
+            return PeriodicConfig(Basis((1.0, 0.0), (0.0, params[0])), [(0.0, 0.0)], 1.0)
+
+        monkeypatch.setattr(module, "minimize", refine)
+        monkeypatch.setattr(module, "covering_radius", lambda *a: SimpleNamespace(high=1.0))
+        res = module._multistart(("p",), 1, self.GRID, tuple, build, 300, 1000, 1e-4)
+        assert seen_caps == caps
+        assert starts == sorted(self.GRID, reverse=True)[: len(caps)]
+        assert res.evaluations == len(res.history) == evaluations <= 1000
+        assert res.converged is (evaluations < 1000)
 
 
 class TestGridPhase:
