@@ -130,6 +130,9 @@ def cmd_bounds(args, parser) -> int:
 
 
 def cmd_optimize(args, parser) -> int:
+    if args.mode == "pattern-b" and args.k != 2:
+        # checked before the probe, so a rejected run creates no file
+        raise ValueError(f"pattern-b is a two-fold search: k must be 2, got {args.k}")
     if args.out is not None:
         # fail before the search, not after it; appending nothing keeps
         # what the file holds if the search then fails, and a file the

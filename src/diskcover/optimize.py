@@ -5,8 +5,10 @@ cheapest certified k-cover scales the disks to the certified upper bound
 of the order-k covering radius, giving the objective n * pi * R^2 / det.
 Both searches run one multi-start driver: a coarse grid, then simplex
 refinements from its points in order of value, best first, until one
-finds nothing lower than the values before it.  It has no random step,
-so a run is a pure function of the family, k, budget and tol.  The
+finds nothing lower than the values before it.  The objective holds
+the one evaluation budget: the call that would pass it raises, which
+ends the refinement under way and with it the search.  It has no random
+step, so a run is a pure function of the family, k, budget and tol.  The
 simplex step is `minimize`, a Nelder-Mead port kept here so the package
 needs numpy alone.
 """
@@ -37,10 +39,13 @@ class OptimizationResult:
     best_config: PeriodicConfig
     density: float
     certificate: CoverageCertificate
-    evaluations: int
     history: list[tuple[tuple[float, ...], float]]
     converged: bool
     param_names: tuple[str, ...]
+
+    @property
+    def evaluations(self) -> int:
+        return len(self.history)
 
     def to_dict(self) -> dict:
         return {
@@ -68,11 +73,11 @@ _FATOL = 1e-10
 
 
 class _OutOfEvaluations(Exception):
-    """Raised in place of the objective call that would pass `maxfev`."""
+    """Raised in place of the objective call that would pass the budget."""
 
 
-def minimize(func, x0, maxfev: int) -> None:
-    """Nelder-Mead simplex descent on `func` from `x0`, at most `maxfev` calls.
+def minimize(func, x0) -> None:
+    """Nelder-Mead simplex descent on `func` from `x0`.
 
     Nelder & Mead (1965) as the standard non-adaptive implementation in
     SciPy runs it: reflection 1, expansion 2, contraction 1/2, shrink 1/2,
@@ -80,17 +85,11 @@ def minimize(func, x0, maxfev: int) -> None:
     0.00025 where it is 0), a re-sort by value after every step, and a stop
     once `_XATOL` and `_FATOL` both hold.  It calls `func` on the same
     points in the same order, bit for bit, which the tests check where
-    that library is installed.  The caller reads the outcome from what
-    `func` records, so nothing is returned.
+    that library is installed.  It has no call limit of its own: the
+    caller bounds the calls through `func`, whose exception ends the
+    descent, and reads the outcome from what `func` records, so nothing
+    is returned.
     """
-    calls = 0
-
-    def f(x):
-        nonlocal calls
-        if calls >= maxfev:
-            raise _OutOfEvaluations
-        calls += 1
-        return func(x.copy())
 
     def by_value(sim, fsim):
         # argsort's default kind, as in the reference: it is not stable,
@@ -104,48 +103,40 @@ def minimize(func, x0, maxfev: int) -> None:
     for i in range(n):
         sim[i + 1, i] = 1.05 * x0[i] if x0[i] != 0 else 0.00025
     fsim = np.full(n + 1, np.inf)
-    try:
-        for i in range(n + 1):
-            fsim[i] = f(sim[i])
-    except _OutOfEvaluations:
-        pass
+    for i in range(n + 1):
+        fsim[i] = func(sim[i].copy())
     sim, fsim = by_value(sim, fsim)
 
-    while calls < maxfev:
-        try:
-            if (
-                np.max(np.abs(sim[1:] - sim[0])) <= _XATOL
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= _FATOL
-            ):
-                break
-            xbar = sim[:-1].sum(axis=0) / n
-            xr = 2 * xbar - sim[-1]
-            fxr = f(xr)
-            if fxr < fsim[0]:
-                xe = 3 * xbar - 2 * sim[-1]
-                fxe = f(xe)
-                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
+    while not (
+        np.max(np.abs(sim[1:] - sim[0])) <= _XATOL
+        and np.max(np.abs(fsim[0] - fsim[1:])) <= _FATOL
+    ):
+        xbar = sim[:-1].sum(axis=0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = func(xr.copy())
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = func(xe.copy())
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:
+                # outside contraction
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = func(xc.copy())
+                accept = fxc <= fxr
             else:
-                if fxr < fsim[-1]:
-                    # outside contraction
-                    xc = 1.5 * xbar - 0.5 * sim[-1]
-                    fxc = f(xc)
-                    accept = fxc <= fxr
-                else:
-                    # inside contraction
-                    xc = 0.5 * xbar + 0.5 * sim[-1]
-                    fxc = f(xc)
-                    accept = fxc < fsim[-1]
-                if accept:
-                    sim[-1], fsim[-1] = xc, fxc
-                else:
-                    for j in range(1, n + 1):
-                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                        fsim[j] = f(sim[j])
-        except _OutOfEvaluations:
-            pass
+                # inside contraction
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = func(xc.copy())
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = func(sim[j].copy())
         sim, fsim = by_value(sim, fsim)
 
 
@@ -161,21 +152,20 @@ def _scaled_density(config: PeriodicConfig, radius: float) -> float:
 
 
 def _multistart(
-    param_names: tuple[str, ...], k: int, grid, clip, build, refine_cap: int,
-    budget: int, tol: float, pin=None,
+    param_names: tuple[str, ...], k: int, grid, clip, build, budget: int,
+    tol: float, pin=None,
 ) -> OptimizationResult:
     """Grid scan, then simplex refinements until one gains nothing, then the pin.
 
     `clip` maps raw parameters into the family's feasible box and `build`
     turns clipped parameters into a unit-radius configuration; every
     evaluation is the scaled density of that configuration.  The grid
-    points, best first, start one `minimize` run each of at most
-    `refine_cap` evaluations, cut to what is left of the budget.  The
-    refinements stop after the first whose least value is not strictly
-    below every value before it, or once fewer than 8 evaluations are
-    left.  `pin`, when given, moves the winner along a ray the objective
-    is constant on; its one evaluation is reserved from the budget up
-    front; the budget of at least 1000 holds every grid.  The
+    points, best first, start one `minimize` run each.  The refinements
+    stop after the first whose least value is not strictly below every
+    value before it, or when the objective refuses the call that would
+    pass the budget.  `pin`, when given, moves the winner along a ray the
+    objective is constant on; its one evaluation is reserved from the
+    budget up front; the budget of at least 1000 holds every grid.  The
     objective is memoized on the clipped parameters, since the simplex and
     the clip revisit points; every evaluation still counts and enters the
     history.  The winner, the first least value in the history, is
@@ -188,8 +178,11 @@ def _multistart(
     # clipped parameters -> (scaled density, certified covering radius)
     memo: dict[tuple[float, ...], tuple[float, float]] = {}
     history: list[tuple[tuple[float, ...], float]] = []
+    limit = budget - (pin is not None)
 
     def evaluate(params) -> float:
+        if len(history) >= limit:
+            raise _OutOfEvaluations
         params = tuple(float(p) for p in params)
         key = clip(params)
         if key not in memo:
@@ -201,20 +194,20 @@ def _multistart(
 
     for params in grid:
         evaluate(params)
-    searchable = budget - (pin is not None)
     for params, _ in sorted(history, key=itemgetter(1)):
-        cap = min(refine_cap, searchable - len(history))
-        if cap < 8:
-            break
         start = len(history)
         best_before = min(value for _, value in history)
-        minimize(evaluate, params, cap)
+        try:
+            minimize(evaluate, params)
+        except _OutOfEvaluations:
+            break
         if min(value for _, value in history[start:]) >= best_before:
             break
 
     best = clip(min(history, key=itemgetter(1))[0])
     if pin is not None:
         best = pin(best)
+        limit = budget
         evaluate(best)
         best = clip(best)
     # the winner was evaluated, so its enclosure is in the memo
@@ -224,7 +217,6 @@ def _multistart(
         best_config=config,
         density=config_density(config),
         certificate=verify_k_coverage(config, k, tol),
-        evaluations=len(history),
         history=history,
         converged=len(history) < budget,
         param_names=param_names,
@@ -261,7 +253,7 @@ def optimize_single_lattice(
         for b in np.linspace(0.0, 0.5, 6)
         for c in np.linspace(c_min(b), _C_MAX, 8)
     ]
-    return _multistart(("b", "c"), k, grid, clip, build, 700, budget, tol)
+    return _multistart(("b", "c"), k, grid, clip, build, budget, tol)
 
 
 def optimize_pattern_b(
@@ -298,6 +290,6 @@ def optimize_pattern_b(
         for dfrac in (0.4, 0.7, 1.0)
     ]
     return _multistart(
-        ("x", "y", "d"), 2, grid, clip, lambda p: pattern_b(*p), 900,
-        budget, tol, pin,
+        ("x", "y", "d"), 2, grid, clip, lambda p: pattern_b(*p), budget,
+        tol, pin,
     )

@@ -273,6 +273,23 @@ class TestOptimizeCommand:
         assert "error" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_pattern_b_rejects_other_folds_exit_4(self, capsys, tmp_path):
+        out = tmp_path / "new.csv"
+        argv = ["optimize", "--mode", "pattern-b", "--k", "5", "--budget", "1000"]
+        assert main(argv + ["--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "k must be 2" in captured.err
+        assert not out.exists()
+
+    def test_pattern_b_finds_the_two_fold_honeycomb(self, capsys):
+        code, out = _run(capsys, ["optimize", "--mode", "pattern-b", "--budget", "1000"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["density"] == pytest.approx(2 * THETA, abs=1e-2)
+        assert payload["certificate"]["k"] == 2
+        assert payload["param_names"] == ["x", "y", "d"]
+
     def test_seed_option_is_gone(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["optimize", "--k", "1", "--seed", "0"])

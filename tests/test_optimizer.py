@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import math
 from types import SimpleNamespace
@@ -38,12 +39,17 @@ def _walled(x):
     return math.inf if x[1] > 1.25 else _quadratic(x)
 
 
+class _Capped(Exception):
+    """Raised by a test objective in place of the call past its cap."""
+
+
 class TestNelderMead:
     """The in-repo port makes scipy's Nelder-Mead calls, bit for bit."""
 
     # in 3-D the start simplex takes 4 calls, so caps 1..3 stop inside it;
-    # on the plateau cap 13 stops inside a shrink (see below)
-    @pytest.mark.parametrize("cap", [1, 2, 3, 8, 13, 200])
+    # on the plateau cap 13 stops inside a shrink (see below); no descent
+    # here reaches cap 10**6, so it compares the whole of each
+    @pytest.mark.parametrize("cap", [1, 2, 3, 8, 13, 200, 10**6])
     @pytest.mark.parametrize("objective", [_quadratic, _rosenbrock, _plateau, _walled])
     def test_same_calls_as_scipy(self, objective, cap):
         scipy_optimize = pytest.importorskip("scipy.optimize")
@@ -51,6 +57,9 @@ class TestNelderMead:
 
         def recorded(calls):
             def f(x):
+                # the port has no call limit: the objective enforces it
+                if len(calls) >= cap:
+                    raise _Capped
                 value = objective(x)
                 calls.append((repr(x.tolist()), repr(value)))
                 return value
@@ -58,7 +67,8 @@ class TestNelderMead:
             return f
 
         ours, theirs = [], []
-        diskcover.optimize.minimize(recorded(ours), x0, cap)
+        with contextlib.suppress(_Capped):
+            diskcover.optimize.minimize(recorded(ours), x0)
         scipy_optimize.minimize(
             recorded(theirs),
             np.asarray(x0),
@@ -76,10 +86,13 @@ class TestNelderMead:
         points = []
 
         def f(x):
+            if len(points) >= 13:
+                raise _Capped
             points.append(x.copy())
             return _plateau(x)
 
-        diskcover.optimize.minimize(f, (0.0, 1.2, -0.7), 13)
+        with pytest.raises(_Capped):
+            diskcover.optimize.minimize(f, (0.0, 1.2, -0.7))
         *earlier, a, b = points
 
         def halfway(x, p):
@@ -223,9 +236,9 @@ def test_refinements_per_search(monkeypatch, case):
     module = diskcover.optimize
     minimize, refinements = module.minimize, []
 
-    def counted(func, x0, maxfev):
+    def counted(func, x0):
         refinements.append(x0)
-        return minimize(func, x0, maxfev)
+        return minimize(func, x0)
 
     monkeypatch.setattr(module, "minimize", counted)
     if case == "pattern_b":
@@ -251,12 +264,44 @@ class TestStopRule:
     # scrambled, so that the order of the starts shows; the objective pi / p
     # falls as p grows
     GRID = [(1.0 + (3 * i % 10) / 10,) for i in range(10)]
+    # points a stub refinement evaluates unless the budget stops it
+    REFINE = 300
+
+    def run(self, monkeypatch, improving, pin=None):
+        """`_multistart` at budget 1000 with a stub `minimize` whose first
+        `improving` refinements evaluate REFINE points; returns the result,
+        the starts, and the evaluations each refinement made."""
+        module = diskcover.optimize
+        starts, made = [], []
+
+        def refine(func, x0):
+            starts.append(tuple(x0))
+            made.append(0)
+            if len(starts) > improving:
+                # its own start again: nothing lower
+                func(np.array(x0))
+                made[-1] += 1
+                return
+            # every point lies beyond all those evaluated before it
+            for i in range(self.REFINE):
+                func(np.array([2.0 * len(starts) + i / self.REFINE]))
+                made[-1] += 1
+
+        def build(params):
+            return PeriodicConfig(Basis((1.0, 0.0), (0.0, params[0])), [(0.0, 0.0)], 1.0)
+
+        monkeypatch.setattr(module, "minimize", refine)
+        monkeypatch.setattr(module, "covering_radius", lambda *a: SimpleNamespace(high=1.0))
+        res = module._multistart(("p",), 1, self.GRID, tuple, build, 1000, 1e-4, pin)
+        return res, starts, made
 
     @pytest.mark.parametrize(
+        # caps: the evaluations each refinement made before it returned or
+        # the objective refused the one past the budget
         "improving, caps, evaluations",
         [
-            (0, [300], 11),
-            (2, [300, 300, 300], 611),
+            (0, [1], 11),
+            (2, [300, 300, 1], 611),
             # every refinement improves: the fourth gets the 90 evaluations
             # left, and the budget ends the search
             (99, [300, 300, 300, 90], 1000),
@@ -265,30 +310,21 @@ class TestStopRule:
     def test_stops_at_the_first_refinement_without_gain(
         self, monkeypatch, improving, caps, evaluations
     ):
-        module = diskcover.optimize
-        starts, seen_caps = [], []
-
-        def refine(func, x0, maxfev):
-            starts.append(tuple(x0))
-            seen_caps.append(maxfev)
-            if len(starts) > improving:
-                # its own start again: nothing lower
-                func(np.array(x0))
-                return
-            # every point lies beyond all those evaluated before it
-            for i in range(maxfev):
-                func(np.array([2.0 * len(starts) + i / maxfev]))
-
-        def build(params):
-            return PeriodicConfig(Basis((1.0, 0.0), (0.0, params[0])), [(0.0, 0.0)], 1.0)
-
-        monkeypatch.setattr(module, "minimize", refine)
-        monkeypatch.setattr(module, "covering_radius", lambda *a: SimpleNamespace(high=1.0))
-        res = module._multistart(("p",), 1, self.GRID, tuple, build, 300, 1000, 1e-4)
-        assert seen_caps == caps
+        res, starts, made = self.run(monkeypatch, improving)
+        assert made == caps
         assert starts == sorted(self.GRID, reverse=True)[: len(caps)]
         assert res.evaluations == len(res.history) == evaluations <= 1000
         assert res.converged is (evaluations < 1000)
+
+    def test_pin_evaluation_is_reserved_from_a_binding_budget(self, monkeypatch):
+        # the refinements keep improving, so they spend all but the one
+        # evaluation held back for the pin, which comes last
+        res, _, made = self.run(monkeypatch, 99, pin=lambda best: (best[0] / 2,))
+        assert made == [300, 300, 300, 89]
+        assert res.evaluations == len(res.history) == 1000
+        (winner,), _ = min(res.history[:-1], key=lambda entry: entry[1])
+        assert res.history[-1] == ((winner / 2,), math.pi / (winner / 2))
+        assert res.converged is False
 
 
 class TestGridPhase:
