@@ -14,8 +14,11 @@ Every point set of a search is held as rows x and y of one (2, N) array:
 the root boxes, each level's box centers, the center field, the ring
 centers and the finish's circumcenters, from one stage to the next
 without conversion.  A shallow search works on a few dozen points, so the
-number of numpy calls sets its time, not the array sizes; work on x and
-y alike is one call on both rows.
+number of numpy calls sets its time, not the array sizes: work on x and
+y alike is one call on both rows, and reductions call the ufuncs, not
+the ndarray methods that wrap them in Python.  The root grid, a few
+dozen boxes culled one at a time, is built in plain floats and enters
+numpy as one array.
 
 The finish.  max d_k is attained at a vertex of the order-k Voronoi
 diagram (Lee 1982): at a maximizer v at least three centers lie at
@@ -72,8 +75,9 @@ STATUS_TIGHT = "tight"
 STATUS_UNDECIDED = "undecided"
 
 DEFAULT_MAX_BOXES = 10_000_000
-# d^2 entries per kernel block (8 MiB of float64), so the memory of one
-# block does not grow with k or with the number of centers
+# d^2 entries per kernel block (8 MiB of float64, summed in place from a
+# 16 MiB array of x and y differences), so the memory of one block does
+# not grow with k or with the number of centers
 _CHUNK_ELEMENTS = 2**20
 # a center field this small is not pruned, which never changes a d_k
 # value: before the finish it beat pruning every field on replays of the
@@ -116,18 +120,19 @@ def _sign_rows() -> np.ndarray:
 
 
 @functools.cache
-def _triples() -> np.ndarray:
+def _triples() -> tuple[np.ndarray, np.ndarray]:
     # the finish's index triples into a box's ring centers, each ascending,
     # so a triple exists in a box exactly when its last index is below the
-    # box's ring count
-    return np.array(
+    # box's ring count; shaped (vertex, triple), with the last row apart
+    rows = np.array(
         [
             (a, b, c)
             for a in range(_FINISH_CAP)
             for b in range(a + 1, _FINISH_CAP)
             for c in range(b + 1, _FINISH_CAP)
         ]
-    )
+    ).T.copy()
+    return rows, rows[2]
 
 
 @dataclass(frozen=True)
@@ -211,18 +216,17 @@ class _CenterField:
 
     def dk(self, pts: np.ndarray) -> np.ndarray:
         """d_k at each row of the (N, 2) array `pts`, all inside the rect."""
-        x, y = pts[:, 0:1], pts[:, 1:2]
-        cx, cy = self.centers[0], self.centers[1]
+        cols = pts.T
         rows = self._rows
         if len(pts) <= rows:
             # only a query that fits one block leaves its d^2 for `ring`
-            self._d2 = _square_sum(x - cx, y - cy)
+            self._d2 = _squared_distances(cols, self.centers)
             return np.sqrt(_kth_smallest(self._d2, self.k))
         self._d2 = None
         out = np.empty(len(pts))
         for start in range(0, len(pts), rows):
             block = slice(start, start + rows)
-            d2 = _square_sum(x[block] - cx, y[block] - cy)
+            d2 = _squared_distances(cols[:, block], self.centers)
             out[block] = np.sqrt(_kth_smallest(d2, self.k))
         return out
 
@@ -249,23 +253,25 @@ class _CenterField:
         lo2 = inner * inner
         hi2 = outer * outer
         centers = self.centers
-        near = np.zeros(centers.shape[1], dtype=bool)
         found: list | None = []
         for start in range(0, len(kept), self._rows):
             block = kept[start : start + self._rows]
             if self._d2 is not None:
                 d2 = self._d2.take(block, axis=0)
             else:
-                dx = cols[0].take(block)[:, None] - centers[0]
-                d2 = _square_sum(dx, cols[1].take(block)[:, None] - centers[1])
+                d2 = _squared_distances(cols.take(block, axis=1), centers)
             span = slice(start, start + len(block))
             hit = d2 <= hi2[span, None]
-            near |= hit.any(axis=0)
+            # the centers within some kept point's outer radius
+            if start:
+                near |= np.logical_or.reduce(hit, axis=0)
+            else:
+                near = np.logical_or.reduce(hit, axis=0)
             if found is None:
                 continue
             hit &= d2 >= lo2[span, None]
-            count = hit.sum(axis=1)
-            if count.max() > _FINISH_CAP:
+            count = np.add.reduce(hit, axis=1)
+            if count[count.argmax()] > _FINISH_CAP:
                 found = None
                 continue
             found.append((count, centers.take(hit.nonzero()[1], axis=1)))
@@ -273,21 +279,30 @@ class _CenterField:
             self.set_centers(centers.take(near.nonzero()[0], axis=1))
         if found is None:
             return None
+        if len(found) == 1:
+            return found[0]
         counts, runs = zip(*found)
         return np.concatenate(counts), np.concatenate(runs, axis=1)
 
 
-def _square_sum(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """dx^2 + dy^2, computed in place: both arguments are overwritten."""
-    dx *= dx
-    dy *= dy
-    dx += dy
-    return dx
+def _squared_distances(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(x - cx)^2 + (y - cy)^2 from each point to each center.
+
+    Both arguments hold their points as rows x and y; the result has one
+    row per point.  x and y are subtracted in one operation, into a
+    (2, P, C) array whose first row is squared and summed in place and
+    returned.
+    """
+    d = pts[:, :, None] - centers[:, None, :]
+    d *= d
+    d2 = d[0]
+    d2 += d[1]
+    return d2
 
 
 def _kth_smallest(d2: np.ndarray, k: int) -> np.ndarray:
     if k == 1:
-        return d2.min(axis=1)
+        return np.minimum.reduce(d2, axis=1)
     return np.partition(d2, k - 1, axis=1)[:, k - 1]
 
 
@@ -349,7 +364,9 @@ def _root_grid(config: PeriodicConfig) -> tuple[np.ndarray, float, Rect]:
     long side, keeps only the squares that meet the parallelogram.  The
     closed parallelogram holds a point of every orbit of the lattice and
     each of its points lies in a kept square, so the maximum of d_k over
-    the kept squares is the global maximum.
+    the kept squares is the global maximum.  The grid and its cull run in
+    plain floats, box by box in x-major order: a typical root of a few
+    dozen boxes costs less that way than as a dozen numpy calls.
 
     Returns the box centers as the (n, 2) view of their rows x and y,
     their half side, and the bounding box of the kept boxes: every box
@@ -371,25 +388,31 @@ def _root_grid(config: PeriodicConfig) -> tuple[np.ndarray, float, Rect]:
     sy = height / ny
     side = max(sx, sy)
     half = side / 2.0
-    # x-major order, as in a meshgrid with "ij" indexing
-    grid = np.empty((2, nx, ny))
-    offset = side * (np.arange(max(nx, ny)) + 0.5)
-    grid[0] = (xmin + offset[:nx])[:, None]
-    grid[1] = ymin + offset[:ny]
-    grid = grid.reshape(2, -1)
-    # lattice coordinates (s, t) of each center by the closed-form inverse
-    # of the reduced basis, and the half width of each box's (s, t) interval
-    st = (grid * [[vy], [ux]] - grid[::-1] * [[vx], [uy]]) / det
-    width = np.array(
-        [
-            [half * (abs(vx) + abs(vy)) / det * (1.0 + _CULL_SLACK)],
-            [half * (abs(ux) + abs(uy)) / det * (1.0 + _CULL_SLACK)],
-        ]
+    # the half width of each box's interval in lattice coordinates (s, t)
+    ws = half * (abs(vx) + abs(vy)) / det * (1.0 + _CULL_SLACK)
+    wt = half * (abs(ux) + abs(uy)) / det * (1.0 + _CULL_SLACK)
+    # each row's y with its products y vx and y ux
+    rows = [(y, y * vx, y * ux) for y in [ymin + side * (j + 0.5) for j in range(ny)]]
+    xs: list[float] = []
+    ys: list[float] = []
+    # x-major order, as in a meshgrid with "ij" indexing; (s, t) of each
+    # center by the closed-form inverse of the reduced basis
+    for i in range(nx):
+        x = xmin + side * (i + 0.5)
+        xvy, xuy = x * vy, x * uy
+        for y, yvx, yux in rows:
+            s = (xvy - yvx) / det
+            if s + ws >= 0.0 and s - ws <= 1.0:
+                t = (yux - xuy) / det
+                if t + wt >= 0.0 and t - wt <= 1.0:
+                    xs.append(x)
+                    ys.append(y)
+    left, right, low, high = xs[0], xs[-1], min(ys), max(ys)
+    return (
+        np.array([xs, ys]).T,
+        half,
+        Rect(left - half, low - half, right + half, high + half),
     )
-    keep = (st + width >= 0.0) & (st - width <= 1.0)
-    grid = grid.take((keep[0] & keep[1]).nonzero()[0], axis=1)
-    (left, low), (right, high) = grid.min(axis=1).tolist(), grid.max(axis=1).tolist()
-    return grid.T, half, Rect(left - half, low - half, right + half, high + half)
 
 
 def _circumcenters(tri: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -445,7 +468,7 @@ def _circumcenters(tri: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     floor = abs_det - det_err
     error = np.sqrt((norm[0] + norm[1]) * (rho[0] + rho[1])) / floor
     error *= 1.0 + 16.0 * _U
-    error[~(floor > 0.0)] = math.inf
+    error = np.where(floor > 0.0, error, math.inf)
     opposite *= opposite
     radius = np.sqrt(norm[0] * norm[1] * (opposite[0] + opposite[1]))
     radius /= 2.0 * (abs_det + det_err)
@@ -473,10 +496,10 @@ def _finish_candidates(
     and y and their error bounds.
     """
     count, centers = ring
-    triples = _triples()
-    box, triple = (triples[:, 2] < count[:, None]).nonzero()
+    triples, last = _triples()
+    box, triple = (last < count[:, None]).nonzero()
     # vertex, triangle
-    index = (count.cumsum() - count).take(box) + triples.take(triple, axis=0).T
+    index = (count.cumsum() - count).take(box) + triples.take(triple, axis=1)
     mid = boxes.take(box, axis=1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         q, error, radius = _circumcenters(centers.take(index, axis=1))
@@ -567,15 +590,16 @@ def covering_radius(
                 break
             processed += pts.shape[1]
             dks = field.dk(pts.T)
+            upper = dks + err + error
+            # with no circumcenter in a surviving box, max d_k = low
+            tried = low
             if len(dks):
                 best = int(dks.argmax())
                 if dks[best] > top:
                     top = float(dks[best])
                     witness = pts[:, best]
                 low = top - err
-            upper = dks + err + error
-            # with no circumcenter in a surviving box, max d_k = low
-            tried = max(low, float(upper.max(initial=low)))
+                tried = max(low, float(upper[upper.argmax()]))
             high = min(high, tried)
             if high - low <= tol:
                 converged = True

@@ -300,34 +300,42 @@ def _index_ranges(
 
     Every center within `margin` of `rect` is p + i*u + j*v for an offset
     p and lo_i <= i <= hi_i, lo_j <= j <= hi_j in the reduced basis (u, v).
-    The bounds follow from mapping the expanded rect's corners through the
-    inverse of the reduced basis; padding by one absorbs rounding.  Raises
+    The bounds follow from mapping the expanded rect's corners and the
+    offsets through the inverse of the reduced basis, once each, and
+    subtracting; padding by one absorbs rounding.  Raises
     ValueError when those ranges are not finite, span more than
     _MAX_ENUMERATED_POINTS centers or reach an index of magnitude 2**53.
     """
     ux, uy = config.reduced.u
     vx, vy = config.reduced.v
     det = config.reduced.det
-    # lattice coordinates (s, t) of each corner of the expanded rect minus
-    # each offset, by the closed-form inverse of the 2x2 basis matrix
+    # lattice coordinates (s, t) of the expanded rect's corners and of the
+    # offsets, by the closed-form inverse of the 2x2 basis matrix; a
+    # corner's less an offset's differ from those of their difference by
+    # rounding alone
     s, t = [], []
-    for p in config.offsets:
-        for x in (rect.xmin - margin - p.x, rect.xmax + margin - p.x):
-            for y in (rect.ymin - margin - p.y, rect.ymax + margin - p.y):
-                s.append((x * vy - y * vx) / det)
-                t.append((y * ux - x * uy) / det)
-    if not all(map(math.isfinite, s + t)):
+    for x in (rect.xmin - margin, rect.xmax + margin):
+        for y in (rect.ymin - margin, rect.ymax + margin):
+            s.append((x * vy - y * vx) / det)
+            t.append((y * ux - x * uy) / det)
+    ps = [(p.x * vy - p.y * vx) / det for p in config.offsets]
+    pt = [(p.y * ux - p.x * uy) / det for p in config.offsets]
+    low_s, high_s = min(s) - max(ps), max(s) - min(ps)
+    low_t, high_t = min(t) - max(pt), max(t) - min(pt)
+    # the inputs too, since min and max can pass over a nan
+    if not all(map(math.isfinite, (*s, *t, *ps, *pt, low_s, high_s, low_t, high_t))):
         raise ValueError("center enumeration overflows the float range")
     # exact Python ints, so no range can wrap before the budget check
-    lo_i, hi_i = math.floor(min(s)) - 1, math.ceil(max(s)) + 1
-    lo_j, hi_j = math.floor(min(t)) - 1, math.ceil(max(t)) + 1
+    lo_i, hi_i = math.floor(low_s) - 1, math.ceil(high_s) + 1
+    lo_j, hi_j = math.floor(low_t) - 1, math.ceil(high_t) + 1
     count = len(config.offsets) * (hi_i - lo_i + 1) * (hi_j - lo_j + 1)
     if count > _MAX_ENUMERATED_POINTS:
         raise ValueError(
             f"center enumeration needs more than {_MAX_ENUMERATED_POINTS} points"
         )
     # from 2**53 on a float lattice coordinate has no fractional part left,
-    # so no center position could be placed; np.arange would also leave int64
+    # so no center position could be placed, and an index is no longer
+    # exact in the float ranges of `_translates_array`
     if max(-lo_i, hi_i, -lo_j, hi_j) >= 2**53:
         raise ValueError("center enumeration needs lattice indices of 2**53 or more")
     return lo_i, hi_i, lo_j, hi_j
@@ -347,15 +355,23 @@ def _translates_array(config: PeriodicConfig, rect: Rect, margin: float) -> np.n
     """
     lo_i, hi_i, lo_j, hi_j = _index_ranges(config, rect, margin)
     (ux, uy), (vx, vy) = config.reduced.u, config.reduced.v
+    # rows x and y of the basis vectors, the rect's corners and the
+    # offsets, as columns of one array
+    const = np.array(
+        [
+            [ux, vx, rect.xmin, rect.xmax, *(p.x for p in config.offsets)],
+            [uy, vy, rect.ymin, rect.ymax, *(p.y for p in config.offsets)],
+        ]
+    )[:, :, None]
     # rows x and y of every lattice point i*u + j*v, i-major, then of it
-    # plus every offset, offset-major
-    pts = np.arange(lo_i, hi_i + 1)[:, None] * np.array([[[ux]], [[uy]]])
-    pts = pts + np.arange(lo_j, hi_j + 1) * np.array([[[vx]], [[vy]]])
-    offsets = [[[p.x] for p in config.offsets], [[p.y] for p in config.offsets]]
-    pts = (pts.reshape(2, 1, -1) + np.array(offsets)).reshape(2, -1)
+    # plus every offset, offset-major; the indices are exact in float64
+    # below 2**53, so float ranges spare the multiplications a cast
+    pts = np.arange(float(lo_i), hi_i + 1.0)[:, None] * const[:, 0:1]
+    pts = pts + np.arange(float(lo_j), hi_j + 1.0) * const[:, 1:2]
+    pts = (pts.reshape(2, 1, -1) + const[:, 4:]).reshape(2, -1)
     # each center's x and y distance outside the rect
-    gap = np.maximum(np.array([[rect.xmin], [rect.ymin]]) - pts, 0.0)
-    gap = np.maximum(gap, pts - np.array([[rect.xmax], [rect.ymax]]))
+    gap = np.maximum(const[:, 2] - pts, 0.0)
+    gap = np.maximum(gap, pts - const[:, 3])
     gap *= gap
     keep = (gap[0] + gap[1] <= _keep_radius(config, margin) ** 2).nonzero()[0]
     return pts.take(keep, axis=1).T

@@ -313,6 +313,51 @@ def optimizer_start_configs() -> list[tuple[PeriodicConfig, int]]:
     return cases
 
 
+def root_grid_reference(config: PeriodicConfig):
+    """The branch-and-bound root grid, computed on numpy arrays.
+
+    The same grid over the reduced cell's bounding box (the package's
+    `_ROOT_SHORT`, `_ROOT_LONG` and `_CULL_SLACK`), with every box center,
+    lattice coordinate and cull test computed by numpy on (2, n) rows in
+    the operations of the plain-float `_root_grid`, which it is the
+    reference for.  Returns the kept box
+    centers as an (n, 2) array in x-major order, their half side and the
+    bounding box of the kept boxes.
+    """
+    from diskcover.coverage import _CULL_SLACK, _ROOT_LONG, _ROOT_SHORT
+    from diskcover.lattice import Rect
+
+    ux, uy = config.reduced.u
+    vx, vy = config.reduced.v
+    det = config.reduced.det
+    xs = [0.0, ux, vx, ux + vx]
+    ys = [0.0, uy, vy, uy + vy]
+    xmin, xmax = min(xs), max(xs)
+    ymin, ymax = min(ys), max(ys)
+    width, height = xmax - xmin, ymax - ymin
+    side = max(min(width, height) / _ROOT_SHORT, max(width, height) / _ROOT_LONG, 1e-9)
+    nx = max(1, math.ceil(width / side - 1e-9))
+    ny = max(1, math.ceil(height / side - 1e-9))
+    side = max(width / nx, height / ny)
+    half = side / 2.0
+    grid = np.empty((2, nx, ny))
+    offset = side * (np.arange(max(nx, ny)) + 0.5)
+    grid[0] = (xmin + offset[:nx])[:, None]
+    grid[1] = ymin + offset[:ny]
+    grid = grid.reshape(2, -1)
+    st = (grid * [[vy], [ux]] - grid[::-1] * [[vx], [uy]]) / det
+    width = np.array(
+        [
+            [half * (abs(vx) + abs(vy)) / det * (1.0 + _CULL_SLACK)],
+            [half * (abs(ux) + abs(uy)) / det * (1.0 + _CULL_SLACK)],
+        ]
+    )
+    keep = (st + width >= 0.0) & (st - width <= 1.0)
+    grid = grid.take((keep[0] & keep[1]).nonzero()[0], axis=1)
+    (left, low), (right, high) = grid.min(axis=1).tolist(), grid.max(axis=1).tolist()
+    return grid.T, half, Rect(left - half, low - half, right + half, high + half)
+
+
 def finish_reference(centers, boxes, inner, outer, half, pad):
     """The exact finish's candidates of a level, brute force in plain floats.
 

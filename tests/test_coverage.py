@@ -24,6 +24,7 @@ from helpers import (
     grid_covering_radii,
     optimizer_start_configs,
     random_config,
+    root_grid_reference,
     skewed_config,
 )
 
@@ -351,20 +352,21 @@ class TestCoveringRadius:
         cfg = skewed_config(np.random.default_rng(97), 8)
         expected = covering_radius(cfg, 8, tol=1e-8)
         monkeypatch.setattr(coverage, "_CHUNK_ELEMENTS", chunk)
-        square_sum = coverage._square_sum
+        squared_distances = coverage._squared_distances
         dk = coverage._CenterField.dk
         sizes = []
         levels = []
 
-        def recording_square_sum(dx, dy):
-            sizes.append(dx.size)
-            return square_sum(dx, dy)
+        def recording_squared_distances(pts, centers):
+            d2 = squared_distances(pts, centers)
+            sizes.append(d2.size)
+            return d2
 
         def recording_dk(self, pts):
             levels.append(len(pts) * self.centers.shape[1])
             return dk(self, pts)
 
-        monkeypatch.setattr(coverage, "_square_sum", recording_square_sum)
+        monkeypatch.setattr(coverage, "_squared_distances", recording_squared_distances)
         monkeypatch.setattr(coverage._CenterField, "dk", recording_dk)
         r = covering_radius(cfg, 8, tol=1e-8)
         assert max(levels) > chunk
@@ -421,6 +423,21 @@ def _moved(config: PeriodicConfig, phi: float, shift, scale: float = 1.0) -> Per
     offsets = [tuple(rot @ (p.x, p.y) + shift) for p in config.offsets]
     basis = (tuple(rot @ config.basis.u), tuple(rot @ config.basis.v))
     return PeriodicConfig(basis, offsets, scale * config.radius)
+
+
+def _root_cells(rng: np.random.Generator) -> list[PeriodicConfig]:
+    """Skewed, random, critical and needle-shaped cells for the root grid.
+
+    The needles are 1 wide and up to 1000 high, so `_ROOT_LONG` sets their
+    box size.
+    """
+    cfgs = [skewed_config(rng, int(rng.integers(1, 5))) for _ in range(60)]
+    cfgs += [random_config(rng) for _ in range(30)]
+    cfgs += [cfg for cfg, _ in _critical_configs()]
+    for height in (3.9, 30.0, 250.0, 1000.0):
+        needle = PeriodicConfig(Basis((1.0, 0.0), (0.3, height)), [(0, 0)], 1.0)
+        cfgs += [needle, _moved(needle, 0.61, (0.0, 0.0)), _moved(needle, 2.2, (0.0, 0.0))]
+    return cfgs
 
 
 class TestCenterPruning:
@@ -576,15 +593,9 @@ class TestCenterPruning:
 
     def test_root_boxes_hold_the_whole_cell(self):
         # every point of the closed reduced cell lies in a kept root box:
-        # its corners, points on its edges and random interior points, on
-        # skewed, random, critical and needle-shaped cells
+        # its corners, points on its edges and random interior points
         rng = np.random.default_rng(127)
-        cfgs = [skewed_config(rng, int(rng.integers(1, 5))) for _ in range(60)]
-        cfgs += [random_config(rng) for _ in range(30)]
-        cfgs += [cfg for cfg, _ in _critical_configs()]
-        for height in (3.9, 30.0, 250.0, 1000.0):
-            needle = PeriodicConfig(Basis((1.0, 0.0), (0.3, height)), [(0, 0)], 1.0)
-            cfgs += [needle, _moved(needle, 0.61, (0.0, 0.0)), _moved(needle, 2.2, (0.0, 0.0))]
+        cfgs = _root_cells(rng)
         edge = rng.uniform(0.0, 1.0, 16)
         zeros, ones = np.zeros(16), np.ones(16)
         st = np.vstack(
@@ -607,6 +618,21 @@ class TestCenterPruning:
                 np.abs(pts[:, None, 0] - boxes[:, 0]), np.abs(pts[:, None, 1] - boxes[:, 1])
             )
             assert (gap.min(axis=1) <= half + ulp).all()
+
+    def test_root_grid_matches_the_array_reference(self):
+        # the plain-float grid, cull and rect give the array computation's
+        # boxes, half side and rect bit for bit, in the same x-major order
+        cfgs = _root_cells(np.random.default_rng(127))
+        cfgs += [cfg for cfg, _ in optimizer_start_configs()]
+        for cfg in cfgs:
+            boxes, half, rect = coverage._root_grid(cfg)
+            want_boxes, want_half, want_rect = root_grid_reference(cfg)
+            assert boxes.shape == want_boxes.shape
+            assert boxes.tobytes() == want_boxes.tobytes()
+            assert half.hex() == want_half.hex()
+            assert [getattr(rect, f).hex() for f in ("xmin", "ymin", "xmax", "ymax")] == [
+                getattr(want_rect, f).hex() for f in ("xmin", "ymin", "xmax", "ymax")
+            ]
 
     def test_center_cache_bound(self):
         # the reduced cell placed at each center of one offset gives disjoint
