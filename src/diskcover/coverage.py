@@ -59,6 +59,7 @@ centers.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -96,8 +97,10 @@ _ROOT_LONG = 64
 # 1e-13 of the interval's half width
 _CULL_SLACK = 1e-9
 # the finish runs once no surviving box has more ring centers than this;
-# it solves all C(6, 3) = 20 triples of each box
+# it solves all C(6, 3) = 20 triples of each box, in blocks of boxes whose
+# triangles' vertices stay under _CHUNK_ELEMENTS coordinates
 _FINISH_CAP = 6
+_FINISH_BOXES = _CHUNK_ELEMENTS // (6 * 20)
 
 # unit roundoff of float64
 _U = 2.0**-53
@@ -124,14 +127,7 @@ def _triples() -> tuple[np.ndarray, np.ndarray]:
     # the finish's index triples into a box's ring centers, each ascending,
     # so a triple exists in a box exactly when its last index is below the
     # box's ring count; shaped (vertex, triple), with the last row apart
-    rows = np.array(
-        [
-            (a, b, c)
-            for a in range(_FINISH_CAP)
-            for b in range(a + 1, _FINISH_CAP)
-            for c in range(b + 1, _FINISH_CAP)
-        ]
-    ).T.copy()
+    rows = np.array(list(itertools.combinations(range(_FINISH_CAP), 3))).T.copy()
     return rows, rows[2]
 
 
@@ -167,6 +163,24 @@ class CoveringRadius:
     witness: Point
     boxes: int
     converged: bool
+
+    def certificate(self, k: int, r: float, tol: float) -> CoverageCertificate:
+        """The verdict on k-fold coverage by disks of radius r.
+
+        A sampled point with d_k above r proves non-coverage and wins over
+        everything else; next, an upper bound at or below r proves
+        coverage.  Otherwise, when both bounds land within tol of r, the
+        covering is reported as tight rather than forced to either side.
+        """
+        if self.low > r:
+            status = STATUS_UNCOVERED
+        elif self.high <= r:
+            status = STATUS_COVERED
+        elif abs(self.high - r) <= tol and abs(self.low - r) <= tol:
+            status = STATUS_TIGHT
+        else:
+            status = STATUS_UNDECIDED
+        return CoverageCertificate(k, status, self.witness, self.low, self.high)
 
 
 class _CenterField:
@@ -204,7 +218,7 @@ class _CenterField:
         per_center = config.basis.det / len(config.offsets)
         self.reach = math.sqrt(k * per_center / math.pi) + len_u + len_v
         corner = max(abs(rect.xmin), abs(rect.xmax), abs(rect.ymin), abs(rect.ymax))
-        offset = max(max(abs(p.x), abs(p.y)) for p in config.offsets)
+        offset = max([abs(c) for p in config.offsets for c in (p.x, p.y)])
         self.eval_error = _EVAL_ULPS * _U * (corner + offset + self.reach)
         self.set_centers(_translates_array(config, rect, self.reach).T)
 
@@ -274,7 +288,9 @@ class _CenterField:
             if count[count.argmax()] > _FINISH_CAP:
                 found = None
                 continue
-            found.append((count, centers.take(hit.nonzero()[1], axis=1)))
+            # each hit's column, row by row, from the cheaper flat nonzero
+            columns = hit.ravel().nonzero()[0] % hit.shape[1]
+            found.append((count, centers.take(columns, axis=1)))
         if centers.shape[1] > _PRUNE_MIN:
             self.set_centers(centers.take(near.nonzero()[0], axis=1))
         if found is None:
@@ -303,7 +319,10 @@ def _squared_distances(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
 def _kth_smallest(d2: np.ndarray, k: int) -> np.ndarray:
     if k == 1:
         return np.minimum.reduce(d2, axis=1)
-    return np.partition(d2, k - 1, axis=1)[:, k - 1]
+    # the method on a copy: np.partition is the same with a Python wrapper
+    part = d2.copy()
+    part.partition(k - 1, axis=1)
+    return part[:, k - 1]
 
 
 def kth_nearest_distance(p: Point, config: PeriodicConfig, k: int) -> float:
@@ -346,12 +365,7 @@ def kth_nearest_distance_batch(
     out = np.empty(len(pts))
     for rows in np.split(order, runs):
         part = pts[rows]
-        rect = Rect(
-            float(part[:, 0].min()),
-            float(part[:, 1].min()),
-            float(part[:, 0].max()),
-            float(part[:, 1].max()),
-        )
+        rect = Rect(*part.min(axis=0).tolist(), *part.max(axis=0).tolist())
         out[rows] = _CenterField(config, rect, k).dk(part)
     return out
 
@@ -373,13 +387,9 @@ def _root_grid(config: PeriodicConfig) -> tuple[np.ndarray, float, Rect]:
     center of a search lies in it, so it is the rect the center field
     must serve.
     """
-    ux, uy = config.reduced.u
-    vx, vy = config.reduced.v
-    det = config.reduced.det
-    xs = [0.0, ux, vx, ux + vx]
-    ys = [0.0, uy, vy, uy + vy]
-    xmin, xmax = min(xs), max(xs)
-    ymin, ymax = min(ys), max(ys)
+    (ux, uy), (vx, vy), det = config.reduced.u, config.reduced.v, config.reduced.det
+    xmin, xmax = min(0.0, ux, vx, ux + vx), max(0.0, ux, vx, ux + vx)
+    ymin, ymax = min(0.0, uy, vy, uy + vy), max(0.0, uy, vy, uy + vy)
     width, height = xmax - xmin, ymax - ymin
     side = max(min(width, height) / _ROOT_SHORT, max(width, height) / _ROOT_LONG, 1e-9)
     nx = max(1, math.ceil(width / side - 1e-9))
@@ -493,21 +503,32 @@ def _finish_candidates(
     circumcenter lies farther than its error bound plus `pad` outside the
     box; each kept circumcenter is clamped into its box, which moves it no
     farther from an exact vertex in the box.  Returns the points as rows x
-    and y and their error bounds.
+    and y and their error bounds.  The triples are solved in blocks of
+    _FINISH_BOXES boxes, so only the kept points take memory beyond a
+    block.
     """
     count, centers = ring
     triples, last = _triples()
-    box, triple = (last < count[:, None]).nonzero()
-    # vertex, triangle
-    index = (count.cumsum() - count).take(box) + triples.take(triple, axis=1)
-    mid = boxes.take(box, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        q, error, radius = _circumcenters(centers.take(index, axis=1))
-        inside = np.abs(q - mid) <= half + pad + error
-        keep = ((radius <= outer.take(box)) & inside[0] & inside[1]).nonzero()[0]
-    mid = mid.take(keep, axis=1)
-    q = np.minimum(np.maximum(q.take(keep, axis=1), mid - half), mid + half)
-    return q, error.take(keep)
+    start = count.cumsum() - count
+    found = []
+    for lo in range(0, len(count), _FINISH_BOXES):
+        box, triple = (last < count[lo : lo + _FINISH_BOXES, None]).nonzero()
+        if lo:
+            box += lo
+        # vertex, triangle
+        index = start.take(box) + triples.take(triple, axis=1)
+        mid = boxes.take(box, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            q, error, radius = _circumcenters(centers.take(index, axis=1))
+            inside = np.abs(q - mid) <= half + pad + error
+            keep = ((radius <= outer.take(box)) & inside[0] & inside[1]).nonzero()[0]
+        mid = mid.take(keep, axis=1)
+        q = np.minimum(np.maximum(q.take(keep, axis=1), mid - half), mid + half)
+        found.append((q, error.take(keep)))
+    if len(found) == 1:
+        return found[0]
+    q, error = zip(*found)
+    return np.concatenate(q, axis=1), np.concatenate(error)
 
 
 def covering_radius(
@@ -615,9 +636,7 @@ def covering_radius(
             break
         half /= 2.0
         cols = (parents[:, :, None] + _sign_rows() * half).reshape(2, -1)
-    return CoveringRadius(
-        low, high, Point(float(witness[0]), float(witness[1])), processed, converged
-    )
+    return CoveringRadius(low, high, Point(*witness.tolist()), processed, converged)
 
 
 def verify_k_coverage(
@@ -629,26 +648,10 @@ def verify_k_coverage(
     """Certify whether disks of the configured radius k-cover the plane.
 
     Closed disks: a point on k disk boundaries counts as covered k times.
-    A sampled point with d_k above the radius proves non-coverage and
-    wins over everything else; next, an upper bound at or below the
-    radius proves coverage.  Otherwise, when both covering-radius bounds
-    land within tol of the radius, the covering is reported as tight
-    rather than forced to either side.
+    The verdict is `CoveringRadius.certificate`'s.
     """
     _check_tol(tol)
-    enclosure = covering_radius(config, k, tol, max_boxes)
-    r = config.radius
-    if enclosure.low > r:
-        status = STATUS_UNCOVERED
-    elif enclosure.high <= r:
-        status = STATUS_COVERED
-    elif abs(enclosure.high - r) <= tol and abs(enclosure.low - r) <= tol:
-        status = STATUS_TIGHT
-    else:
-        status = STATUS_UNDECIDED
-    return CoverageCertificate(
-        k, status, enclosure.witness, enclosure.low, enclosure.high
-    )
+    return covering_radius(config, k, tol, max_boxes).certificate(k, config.radius, tol)
 
 
 def _check_k(k: int) -> None:

@@ -33,32 +33,27 @@ class ConfigFormatError(ValueError):
     """Raised when a serialized configuration cannot be parsed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Basis:
     u: tuple[float, float]
     v: tuple[float, float]
+    # u[0] v[1] - u[1] v[0], made positive by the constructor
+    det: float = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        u = (float(self.u[0]), float(self.u[1]))
-        v = (float(self.v[0]), float(self.v[1]))
-        if not all(math.isfinite(t) for t in (*u, *v)):
-            raise ValueError("basis vectors must be finite")
-        det = u[0] * v[1] - u[1] * v[0]
-        squares = (u[0] * u[0] + u[1] * u[1], v[0] * v[0] + v[1] * v[1])
-        if not all(math.isfinite(t) for t in (det, *squares)):
+    def __init__(self, u, v) -> None:
+        ux, uy, vx, vy = float(u[0]), float(u[1]), float(v[0]), float(v[1])
+        det = ux * vy - uy * vx
+        # finite squares need finite components
+        if not all(map(math.isfinite, (det, ux * ux + uy * uy, vx * vx + vy * vy))):
+            if not all(map(math.isfinite, (ux, uy, vx, vy))):
+                raise ValueError("basis vectors must be finite")
             raise ValueError("basis overflows the float range")
         if det < 0.0:
             # -v spans the same lattice; keep orientation positive
-            v = (-v[0], -v[1])
-            det = -det
+            vx, vy, det = -vx, -vy, -det
         if det <= DET_TOL:
             raise ValueError("degenerate lattice")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-
-    @property
-    def det(self) -> float:
-        return self.u[0] * self.v[1] - self.u[1] * self.v[0]
+        self.__dict__.update(u=(ux, uy), v=(vx, vy), det=det)
 
     def lengths(self) -> tuple[float, float]:
         return (math.hypot(*self.u), math.hypot(*self.v))
@@ -72,7 +67,8 @@ def reduce_basis(basis: Basis) -> Basis:
     the reduction stalls: on extremely skewed bases the rounding of
     v - mu * u can undo every step, or |u|^2 can underflow.  Every dot
     product is x0 * y0 + x1 * y1 in plain floats, so the result does not
-    depend on how a linear-algebra library rounds.
+    depend on how a linear-algebra library rounds.  A basis that no step
+    changes is returned as it is.
     """
     (ux, uy), (vx, vy) = basis.u, basis.v
     mu = 0
@@ -113,6 +109,9 @@ def reduce_basis(basis: Basis) -> Basis:
         raise ValueError("basis reduction did not converge")
     if ux * ux + uy * uy > vx * vx + vy * vy:
         ux, uy, vx, vy = vx, vy, ux, uy
+    # the first key of `seen` holds the input's bits
+    if _STATE_BITS.pack(ux, uy, vx, vy) == next(iter(seen)):
+        return basis
     return Basis((ux, uy), (vx, vy))
 
 
@@ -126,9 +125,7 @@ class Rect:
     ymax: float
 
     def __post_init__(self) -> None:
-        if not all(
-            math.isfinite(t) for t in (self.xmin, self.ymin, self.xmax, self.ymax)
-        ):
+        if not all(map(math.isfinite, (self.xmin, self.ymin, self.xmax, self.ymax))):
             raise ValueError("rect bounds must be finite")
         if self.xmin > self.xmax or self.ymin > self.ymax:
             raise ValueError("rect has negative extent")
@@ -139,7 +136,7 @@ class Rect:
         return math.hypot(dx, dy)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PeriodicConfig:
     basis: Basis
     offsets: tuple[Point, ...]
@@ -147,38 +144,34 @@ class PeriodicConfig:
     # Lagrange-Gauss reduction of `basis`, derived once per configuration
     reduced: Basis = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.basis, Basis):
-            u, v = self.basis
-            object.__setattr__(self, "basis", Basis(tuple(u), tuple(v)))
-        if not (math.isfinite(self.radius) and self.radius > 0.0):
-            raise ValueError(f"radius must be positive, got {self.radius}")
-        offs = tuple(
-            p if isinstance(p, Point) else Point(p[0], p[1]) for p in self.offsets
-        )
-        if not offs:
+    def __init__(self, basis, offsets, radius) -> None:
+        if not isinstance(basis, Basis):
+            u, v = basis
+            basis = Basis(u, v)
+        if not (math.isfinite(radius) and radius > 0.0):
+            raise ValueError(f"radius must be positive, got {radius}")
+        offsets = [p if isinstance(p, Point) else Point(p[0], p[1]) for p in offsets]
+        if not offsets:
             raise ValueError("at least one offset required")
-        offs = tuple(self._wrap(p) for p in offs)
-        object.__setattr__(self, "offsets", offs)
-        object.__setattr__(self, "reduced", reduce_basis(self.basis))
-        if len(offs) > 1 and _min_periodic_gap(offs, self.reduced) <= SEPARATION_TOL:
+        (ux, uy), (vx, vy), det = basis.u, basis.v, basis.det
+        wrapped = []
+        for p in offsets:
+            s = (p.x * vy - p.y * vx) / det
+            t = (p.y * ux - p.x * uy) / det
+            if not (math.isfinite(s) and math.isfinite(t)):
+                raise ValueError("offset overflows the float range in lattice coordinates")
+            s -= math.floor(s)
+            t -= math.floor(t)
+            if s >= 1.0:
+                s = 0.0
+            if t >= 1.0:
+                t = 0.0
+            wrapped.append(Point(s * ux + t * vx, s * uy + t * vy))
+        offsets = tuple(wrapped)
+        reduced = reduce_basis(basis)
+        if len(offsets) > 1 and _min_periodic_gap(offsets, reduced) <= SEPARATION_TOL:
             raise ValueError("offsets coincide modulo the lattice")
-
-    def _wrap(self, p: Point) -> Point:
-        ux, uy = self.basis.u
-        vx, vy = self.basis.v
-        det = self.basis.det
-        s = (p.x * vy - p.y * vx) / det
-        t = (p.y * ux - p.x * uy) / det
-        if not (math.isfinite(s) and math.isfinite(t)):
-            raise ValueError("offset overflows the float range in lattice coordinates")
-        s -= math.floor(s)
-        t -= math.floor(t)
-        if s >= 1.0:
-            s = 0.0
-        if t >= 1.0:
-            t = 0.0
-        return Point(s * ux + t * vx, s * uy + t * vy)
+        self.__dict__.update(basis=basis, offsets=offsets, radius=radius, reduced=reduced)
 
     @property
     def det(self) -> float:
@@ -306,9 +299,7 @@ def _index_ranges(
     ValueError when those ranges are not finite, span more than
     _MAX_ENUMERATED_POINTS centers or reach an index of magnitude 2**53.
     """
-    ux, uy = config.reduced.u
-    vx, vy = config.reduced.v
-    det = config.reduced.det
+    (ux, uy), (vx, vy), det = config.reduced.u, config.reduced.v, config.reduced.det
     # lattice coordinates (s, t) of the expanded rect's corners and of the
     # offsets, by the closed-form inverse of the 2x2 basis matrix; a
     # corner's less an offset's differ from those of their difference by
@@ -330,9 +321,7 @@ def _index_ranges(
     lo_j, hi_j = math.floor(low_t) - 1, math.ceil(high_t) + 1
     count = len(config.offsets) * (hi_i - lo_i + 1) * (hi_j - lo_j + 1)
     if count > _MAX_ENUMERATED_POINTS:
-        raise ValueError(
-            f"center enumeration needs more than {_MAX_ENUMERATED_POINTS} points"
-        )
+        raise ValueError(f"center enumeration needs more than {_MAX_ENUMERATED_POINTS} points")
     # from 2**53 on a float lattice coordinate has no fractional part left,
     # so no center position could be placed, and an index is no longer
     # exact in the float ranges of `_translates_array`
@@ -358,20 +347,18 @@ def _translates_array(config: PeriodicConfig, rect: Rect, margin: float) -> np.n
     # rows x and y of the basis vectors, the rect's corners and the
     # offsets, as columns of one array
     const = np.array(
-        [
-            [ux, vx, rect.xmin, rect.xmax, *(p.x for p in config.offsets)],
-            [uy, vy, rect.ymin, rect.ymax, *(p.y for p in config.offsets)],
-        ]
-    )[:, :, None]
+        [ux, vx, rect.xmin, rect.xmax, *[p.x for p in config.offsets]]
+        + [uy, vy, rect.ymin, rect.ymax, *[p.y for p in config.offsets]]
+    ).reshape(2, -1, 1)
     # rows x and y of every lattice point i*u + j*v, i-major, then of it
     # plus every offset, offset-major; the indices are exact in float64
     # below 2**53, so float ranges spare the multiplications a cast
     pts = np.arange(float(lo_i), hi_i + 1.0)[:, None] * const[:, 0:1]
     pts = pts + np.arange(float(lo_j), hi_j + 1.0) * const[:, 1:2]
     pts = (pts.reshape(2, 1, -1) + const[:, 4:]).reshape(2, -1)
-    # each center's x and y distance outside the rect
-    gap = np.maximum(const[:, 2] - pts, 0.0)
-    gap = np.maximum(gap, pts - const[:, 3])
+    # each center less its nearest point of the rect: its x and y distance
+    # outside the rect, up to sign
+    gap = pts - np.minimum(np.maximum(pts, const[:, 2]), const[:, 3])
     gap *= gap
     keep = (gap[0] + gap[1] <= _keep_radius(config, margin) ** 2).nonzero()[0]
     return pts.take(keep, axis=1).T

@@ -10,7 +10,10 @@ the one evaluation budget: the call that would pass it raises, which
 ends the refinement under way and with it the search.  It has no random
 step, so a run is a pure function of the family, k, budget and tol.  The
 simplex step is `minimize`, a Nelder-Mead port kept here so the package
-needs numpy alone.
+needs numpy alone.  It keeps its simplex and values in Python lists of
+floats, whose arithmetic rounds as numpy's elementwise operations do, and
+calls numpy only to order the values, since its unstable argsort decides
+ties, and to hand each point to the objective as an array.
 """
 
 from __future__ import annotations
@@ -18,10 +21,12 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from operator import itemgetter
+from functools import reduce
+from operator import add, itemgetter
 
 from ._lazy import lazy_numpy
-from .coverage import CoverageCertificate, covering_radius, verify_k_coverage
+from .coverage import CoverageCertificate, CoveringRadius, covering_radius
+from .coverage import verify_k_coverage  # noqa: F401 (unused here; perfbench hooks this name)
 from .density import config_density
 from .geometry import Point
 from .lattice import Basis, PeriodicConfig
@@ -94,49 +99,49 @@ def minimize(func, x0) -> None:
     def by_value(sim, fsim):
         # argsort's default kind, as in the reference: it is not stable,
         # and the order it gives ties decides which vertex moves next
-        order = np.argsort(fsim)
-        return sim[order], fsim[order]
+        order = np.array(fsim).argsort().tolist()
+        return [sim[i] for i in order], [fsim[i] for i in order]
 
-    x0 = np.asarray(x0, dtype=float)
+    x0 = [float(x) for x in x0]
     n = len(x0)
-    sim = np.tile(x0, (n + 1, 1))
-    for i in range(n):
-        sim[i + 1, i] = 1.05 * x0[i] if x0[i] != 0 else 0.00025
-    fsim = np.full(n + 1, np.inf)
-    for i in range(n + 1):
-        fsim[i] = func(sim[i].copy())
-    sim, fsim = by_value(sim, fsim)
+    step = [1.05 * x if x != 0 else 0.00025 for x in x0]
+    sim = [x0] + [x0[:i] + step[i : i + 1] + x0[i + 1 :] for i in range(n)]
+    sim, fsim = by_value(sim, [func(np.array(x)) for x in sim])
 
     while not (
-        np.max(np.abs(sim[1:] - sim[0])) <= _XATOL
-        and np.max(np.abs(fsim[0] - fsim[1:])) <= _FATOL
+        all(abs(a - b) <= _XATOL for x in sim[1:] for a, b in zip(x, sim[0]))
+        and all(abs(fsim[0] - f) <= _FATOL for f in fsim[1:])
     ):
-        xbar = sim[:-1].sum(axis=0) / n
-        xr = 2 * xbar - sim[-1]
-        fxr = func(xr.copy())
+        # the centroid of all but the worst vertex, summed in vertex order as
+        # numpy sums the rows of the reference
+        xbar = [reduce(add, col) / n for col in zip(*sim[:-1])]
+        worst = sim[-1]
+        xr = [2 * b - w for b, w in zip(xbar, worst)]
+        fxr = func(np.array(xr))
         if fxr < fsim[0]:
-            xe = 3 * xbar - 2 * sim[-1]
-            fxe = func(xe.copy())
+            xe = [3 * b - 2 * w for b, w in zip(xbar, worst)]
+            fxe = func(np.array(xe))
             sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:
             sim[-1], fsim[-1] = xr, fxr
         else:
             if fxr < fsim[-1]:
                 # outside contraction
-                xc = 1.5 * xbar - 0.5 * sim[-1]
-                fxc = func(xc.copy())
+                xc = [1.5 * b - 0.5 * w for b, w in zip(xbar, worst)]
+                fxc = func(np.array(xc))
                 accept = fxc <= fxr
             else:
                 # inside contraction
-                xc = 0.5 * xbar + 0.5 * sim[-1]
-                fxc = func(xc.copy())
+                xc = [0.5 * b + 0.5 * w for b, w in zip(xbar, worst)]
+                fxc = func(np.array(xc))
                 accept = fxc < fsim[-1]
             if accept:
                 sim[-1], fsim[-1] = xc, fxc
             else:
+                best = sim[0]
                 for j in range(1, n + 1):
-                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                    fsim[j] = func(sim[j].copy())
+                    sim[j] = [a + 0.5 * (x - a) for a, x in zip(best, sim[j])]
+                    fsim[j] = func(np.array(sim[j]))
         sim, fsim = by_value(sim, fsim)
 
 
@@ -169,26 +174,28 @@ def _multistart(
     objective is memoized on the clipped parameters, since the simplex and
     the clip revisit points; every evaluation still counts and enters the
     history.  The winner, the first least value in the history, is
-    reported with its disks shrunk to the certified covering radius.
+    reported with its disks shrunk to the certified covering radius and
+    its certificate read from the memoized enclosure, so no clipped
+    parameters are searched twice.
     """
     if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= MAX_FOLD:
         raise ValueError(f"k must be an integer in [1, {MAX_FOLD}], got {k!r}")
     if budget < 1000:
         raise ValueError(f"budget must be at least 1000, got {budget}")
-    # clipped parameters -> (scaled density, certified covering radius)
-    memo: dict[tuple[float, ...], tuple[float, float]] = {}
+    # clipped parameters -> (scaled density, enclosure of the covering radius)
+    memo: dict[tuple[float, ...], tuple[float, CoveringRadius]] = {}
     history: list[tuple[tuple[float, ...], float]] = []
     limit = budget - (pin is not None)
 
     def evaluate(params) -> float:
         if len(history) >= limit:
             raise _OutOfEvaluations
-        params = tuple(float(p) for p in params)
+        params = tuple(map(float, params))
         key = clip(params)
         if key not in memo:
             config = build(key)
-            radius = covering_radius(config, k, tol).high
-            memo[key] = (_scaled_density(config, radius), radius)
+            enclosure = covering_radius(config, k, tol)
+            memo[key] = (_scaled_density(config, enclosure.high), enclosure)
         history.append((params, memo[key][0]))
         return memo[key][0]
 
@@ -211,12 +218,13 @@ def _multistart(
         evaluate(best)
         best = clip(best)
     # the winner was evaluated, so its enclosure is in the memo
+    enclosure = memo[best][1]
     bare = build(best)
-    config = PeriodicConfig(bare.basis, bare.offsets, memo[best][1])
+    config = PeriodicConfig(bare.basis, bare.offsets, enclosure.high)
     return OptimizationResult(
         best_config=config,
         density=config_density(config),
-        certificate=verify_k_coverage(config, k, tol),
+        certificate=enclosure.certificate(k, config.radius, tol),
         history=history,
         converged=len(history) < budget,
         param_names=param_names,

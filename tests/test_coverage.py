@@ -185,6 +185,30 @@ class TestCoveringRadius:
         assert cut.boxes < full.boxes
         assert cut.low <= full.high and full.low <= cut.high
 
+    def test_finish_in_blocks_of_one_box(self, monkeypatch):
+        # the finish solves its triples in blocks of boxes: one box at a
+        # time it solves the same triangles and gives the same enclosures,
+        # converged and cut short by the budget alike
+        cfg = PeriodicConfig(Basis((1.07, 0), (0.33, 0.91)), [(0, 0)], radius=1.0)
+        full = covering_radius(cfg, 2, tol=1e-12)
+        cut = covering_radius(cfg, 2, tol=1e-12, max_boxes=full.boxes - 1)
+        circumcenters = coverage._circumcenters
+        solved = []
+
+        def recording(tri):
+            solved.append(tri.shape[2])
+            return circumcenters(tri)
+
+        monkeypatch.setattr(coverage, "_circumcenters", recording)
+        assert covering_radius(cfg, 2, tol=1e-12) == full
+        (whole,) = solved
+        monkeypatch.setattr(coverage, "_FINISH_BOXES", 1)
+        solved.clear()
+        assert covering_radius(cfg, 2, tol=1e-12) == full
+        assert len(solved) > 1 and sum(solved) == whole
+        assert covering_radius(cfg, 2, tol=1e-12, max_boxes=full.boxes - 1) == cut
+        assert not cut.converged
+
     @pytest.mark.parametrize("tol", [1e-15, 1e-16])
     def test_rounding_floor_is_not_converged(self, tol, monkeypatch):
         # below the rounding floor of its bounds the finish stops with its

@@ -1,7 +1,6 @@
 import contextlib
 import hashlib
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +8,9 @@ import pytest
 import diskcover.optimize
 from diskcover import (
     Basis,
+    CoveringRadius,
     PeriodicConfig,
+    Point,
     kershner_theta,
     optimal_scaled_density,
     optimize_pattern_b,
@@ -46,41 +47,45 @@ class _Capped(Exception):
 class TestNelderMead:
     """The in-repo port makes scipy's Nelder-Mead calls, bit for bit."""
 
-    # in 3-D the start simplex takes 4 calls, so caps 1..3 stop inside it;
-    # on the plateau cap 13 stops inside a shrink (see below); no descent
-    # here reaches cap 10**6, so it compares the whole of each
+    # in n dimensions the start simplex takes n + 1 calls, so caps 1..n
+    # stop inside it; on the 3-D plateau cap 13 stops inside a shrink (see
+    # below); no descent here reaches cap 10**6, so it compares the whole
+    # of each
     @pytest.mark.parametrize("cap", [1, 2, 3, 8, 13, 200, 10**6])
     @pytest.mark.parametrize("objective", [_quadratic, _rosenbrock, _plateau, _walled])
     def test_same_calls_as_scipy(self, objective, cap):
         scipy_optimize = pytest.importorskip("scipy.optimize")
-        x0 = (0.0, 1.2, -0.7)
+        start = (0.0, 1.2, -0.7)
+        # the pattern_b dimension, then the single-lattice one: the same
+        # objectives on the plane through the 3-D start where x[2] = -0.7
+        for x0 in (start, start[:2]):
 
-        def recorded(calls):
-            def f(x):
-                # the port has no call limit: the objective enforces it
-                if len(calls) >= cap:
-                    raise _Capped
-                value = objective(x)
-                calls.append((repr(x.tolist()), repr(value)))
-                return value
+            def recorded(calls):
+                def f(x):
+                    # the port has no call limit: the objective enforces it
+                    if len(calls) >= cap:
+                        raise _Capped
+                    value = objective(np.append(x, start[len(x) :]))
+                    calls.append((repr(x.tolist()), repr(value)))
+                    return value
 
-            return f
+                return f
 
-        ours, theirs = [], []
-        with contextlib.suppress(_Capped):
-            diskcover.optimize.minimize(recorded(ours), x0)
-        scipy_optimize.minimize(
-            recorded(theirs),
-            np.asarray(x0),
-            method="Nelder-Mead",
-            options={
-                "xatol": diskcover.optimize._XATOL,
-                "fatol": diskcover.optimize._FATOL,
-                "maxfev": cap,
-            },
-        )
-        assert ours == theirs
-        assert len(ours) <= cap
+            ours, theirs = [], []
+            with contextlib.suppress(_Capped):
+                diskcover.optimize.minimize(recorded(ours), x0)
+            scipy_optimize.minimize(
+                recorded(theirs),
+                np.asarray(x0),
+                method="Nelder-Mead",
+                options={
+                    "xatol": diskcover.optimize._XATOL,
+                    "fatol": diskcover.optimize._FATOL,
+                    "maxfev": cap,
+                },
+            )
+            assert ours == theirs
+            assert len(ours) <= cap
 
     def test_cap_stops_inside_a_shrink(self):
         points = []
@@ -226,6 +231,27 @@ def test_pinned_winners(case):
     assert hashlib.sha256(repr(winner).encode()).hexdigest() == WINNERS[case]
 
 
+# every (params, value) of the benchmark's five searches at tol 1e-4 and
+# the default budget, with the evaluation count; 1218 evaluations in all
+HISTORIES = {
+    1: (125, "ec557614bef38ce65316206abc100b0c7a56306506ac52750a08d446e22f99cf"),
+    2: (354, "5ae9e83595ebc62604ecc3f52663e159c2d04efe2aae7cd60bbfb156201c8855"),
+    3: (286, "3b1bcb0908ab80b157328d594992100500dc58d019752b21c564f3b1b85b3d61"),
+    4: (128, "774ea350886708ecb08eebb1b1169de0545c800be6f7cc3c3b2db73b1007e734"),
+    "pattern_b": (325, "3f7d03ce2a28c565fdff343f82f196d6196b6d045cec1905bb137173eeb57572"),
+}
+
+
+@pytest.mark.parametrize("case", list(HISTORIES))
+def test_pinned_histories(case):
+    if case == "pattern_b":
+        res = optimize_pattern_b(tol=1e-4)
+    else:
+        res = optimize_single_lattice(case, tol=1e-4)
+    digest = hashlib.sha256(repr(res.history).encode()).hexdigest()
+    assert (res.evaluations, digest) == HISTORIES[case]
+
+
 # refinements per pinned search: the last one is the first that finds
 # nothing lower than the values before it
 REFINEMENTS = {1: 1, 2: 2, 3: 2, 4: 1, 5: 3, 6: 1, "pattern_b": 2}
@@ -291,7 +317,9 @@ class TestStopRule:
             return PeriodicConfig(Basis((1.0, 0.0), (0.0, params[0])), [(0.0, 0.0)], 1.0)
 
         monkeypatch.setattr(module, "minimize", refine)
-        monkeypatch.setattr(module, "covering_radius", lambda *a: SimpleNamespace(high=1.0))
+        # the winner's certificate is built from the memoized enclosure
+        enclosure = CoveringRadius(1.0, 1.0, Point(0.0, 0.0), boxes=1, converged=True)
+        monkeypatch.setattr(module, "covering_radius", lambda *a: enclosure)
         res = module._multistart(("p",), 1, self.GRID, tuple, build, 1000, 1e-4, pin)
         return res, starts, made
 
