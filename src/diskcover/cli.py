@@ -7,6 +7,11 @@ verdict, 2 for usage errors, 3 for unreadable configurations, 4 for
 infeasible parameters, 141 (128 + SIGPIPE, as a shell reports a process
 that SIGPIPE ended) when the reader of stdout closed the pipe before the
 output was written.
+
+A module that only some commands use is imported inside them, so each
+process loads just what its command runs.  The names imported below stay
+bound on this module because perfbench's tracer rebinds them here
+(HOOKS in `perfbench/pbench/trace.py`).
 """
 
 from __future__ import annotations
@@ -16,11 +21,9 @@ import json
 import os
 import sys
 
+from ._lazy import lazy_numpy
 from .coverage import covering_radius, verify_k_coverage
-from .density import density_report, kershner_theta, known_values, toth_lower_bound
 from .lattice import ConfigFormatError, PeriodicConfig
-from .optimize import optimize_pattern_b, optimize_single_lattice
-from .patterns import PatternSpec
 from .render import render_svg
 from .voronoi import all_cells_congruent, congruence_signature, voronoi_cell
 
@@ -61,17 +64,27 @@ def _write_out(
 
 
 def cmd_pattern(args, parser) -> int:
+    from .patterns import PatternSpec
+
     spec = PatternSpec(args.name, args.x, args.y, args.d)
     return _emit(spec.build().to_dict())
 
 
+def _import_numpy() -> None:
+    # the search computes with numpy: importing it before a piped config is
+    # read overlaps the import with the process that writes the pipe
+    lazy_numpy().ndarray
+
+
 def cmd_verify(args, parser) -> int:
+    _import_numpy()
     config = _load_config(args, parser)
     cert = verify_k_coverage(config, args.k, args.tol)
     return _emit(cert.to_dict())
 
 
 def cmd_radius(args, parser) -> int:
+    _import_numpy()
     config = _load_config(args, parser)
     enclosure = covering_radius(config, args.k, args.tol)
     return _emit(
@@ -86,6 +99,8 @@ def cmd_radius(args, parser) -> int:
 
 
 def cmd_density(args, parser) -> int:
+    from .density import density_report
+
     config = _load_config(args, parser)
     report = density_report(config, args.k)
     return _emit(report.to_dict())
@@ -114,6 +129,8 @@ def cmd_voronoi(args, parser) -> int:
 
 
 def cmd_bounds(args, parser) -> int:
+    from .density import kershner_theta, known_values, toth_lower_bound
+
     table = known_values()
     payload = {
         "k": args.k,
@@ -130,6 +147,8 @@ def cmd_bounds(args, parser) -> int:
 
 
 def cmd_optimize(args, parser) -> int:
+    from .optimize import optimize_pattern_b, optimize_single_lattice
+
     if args.mode == "pattern-b" and args.k != 2:
         # checked before the probe, so a rejected run creates no file
         raise ValueError(f"pattern-b is a two-fold search: k must be 2, got {args.k}")

@@ -61,10 +61,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 from ._lazy import lazy_numpy
-from .geometry import Point
+from .geometry import Point, Record
 from .lattice import PeriodicConfig, Rect, _translates_array
 from .lattice import reduce_basis  # noqa: F401 (unused here; perfbench hooks this name)
 
@@ -131,13 +130,13 @@ def _triples() -> tuple[np.ndarray, np.ndarray]:
     return rows, rows[2]
 
 
-@dataclass(frozen=True)
-class CoverageCertificate:
-    k: int
-    status: str
-    witness: Point | None
-    radius_low: float
-    radius_high: float
+class CoverageCertificate(Record):
+    _fields = ("k", "status", "witness", "radius_low", "radius_high")
+
+    def __init__(self, k: int, status: str, witness: Point | None,
+                 radius_low: float, radius_high: float) -> None:
+        self.__dict__.update(k=k, status=status, witness=witness,
+                             radius_low=radius_low, radius_high=radius_high)
 
     def to_dict(self) -> dict:
         return {
@@ -149,8 +148,7 @@ class CoverageCertificate:
         }
 
 
-@dataclass(frozen=True)
-class CoveringRadius:
+class CoveringRadius(Record):
     """Enclosure of max d_k with the deepest sampled point as witness.
 
     `low` is d_k at the witness less the field's evaluation error;
@@ -158,11 +156,12 @@ class CoveringRadius:
     candidates alike.
     """
 
-    low: float
-    high: float
-    witness: Point
-    boxes: int
-    converged: bool
+    _fields = ("low", "high", "witness", "boxes", "converged")
+
+    def __init__(self, low: float, high: float, witness: Point, boxes: int,
+                 converged: bool) -> None:
+        self.__dict__.update(low=low, high=high, witness=witness, boxes=boxes,
+                             converged=converged)
 
     def certificate(self, k: int, r: float, tol: float) -> CoverageCertificate:
         """The verdict on k-fold coverage by disks of radius r.

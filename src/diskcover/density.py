@@ -10,8 +10,8 @@ in the unit circle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from .geometry import Record
 from .lattice import PeriodicConfig
 from .voronoi import VoronoiCell
 
@@ -70,13 +70,13 @@ def known_value(name: str) -> float:
     return table[name]
 
 
-@dataclass(frozen=True)
-class DensityReport:
-    k: int
-    density: float
-    normalized: float
-    toth_bound: float
-    meets_toth: bool
+class DensityReport(Record):
+    _fields = ("k", "density", "normalized", "toth_bound", "meets_toth")
+
+    def __init__(self, k: int, density: float, normalized: float,
+                 toth_bound: float, meets_toth: bool) -> None:
+        self.__dict__.update(k=k, density=density, normalized=normalized,
+                             toth_bound=toth_bound, meets_toth=meets_toth)
 
     def to_dict(self) -> dict:
         return {

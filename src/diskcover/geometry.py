@@ -10,22 +10,52 @@ in the same length units as the coordinates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 REP_TOL = 1e-12
 GEOM_TOL = 1e-9
 
 
-@dataclass(frozen=True, init=False)
-class Point:
-    x: float
-    y: float
+class Record:
+    """Immutable value compared, hashed and printed by the names in `_fields`.
+
+    A subclass's `__init__` puts its fields straight into the instance
+    dict, since assignment raises.  Records are equal only to records of
+    the same class, hash as the tuple of their fields, and print as
+    `Name(field=value, ...)`; anything else in the dict is derived and
+    left out of all three.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Point(Record):
+    _fields = ("x", "y")
 
     def __init__(self, x, y) -> None:
         x, y = float(x), float(y)
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError(f"non-finite point ({x}, {y})")
-        # frozen: the fields go straight into the instance dict
         self.__dict__.update(x=x, y=y)
 
     def distance_to(self, other: "Point") -> float:
@@ -35,14 +65,13 @@ class Point:
         return (self.x, self.y)
 
 
-@dataclass(frozen=True)
-class Circle:
-    center: Point
-    radius: float
+class Circle(Record):
+    _fields = ("center", "radius")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.radius) and self.radius > 0.0):
-            raise ValueError(f"radius must be positive, got {self.radius}")
+    def __init__(self, center: Point, radius: float) -> None:
+        if not (math.isfinite(radius) and radius > 0.0):
+            raise ValueError(f"radius must be positive, got {radius}")
+        self.__dict__.update(center=center, radius=radius)
 
 
 class ConvexPolygon:

@@ -12,10 +12,9 @@ import itertools
 import json
 import math
 import struct
-from dataclasses import dataclass, field
 
 from ._lazy import lazy_numpy
-from .geometry import Point
+from .geometry import Point, Record
 
 np = lazy_numpy()
 
@@ -33,12 +32,9 @@ class ConfigFormatError(ValueError):
     """Raised when a serialized configuration cannot be parsed."""
 
 
-@dataclass(frozen=True, init=False)
-class Basis:
-    u: tuple[float, float]
-    v: tuple[float, float]
-    # u[0] v[1] - u[1] v[0], made positive by the constructor
-    det: float = field(init=False, repr=False, compare=False)
+class Basis(Record):
+    # and det, u[0] v[1] - u[1] v[0] made positive by the constructor
+    _fields = ("u", "v")
 
     def __init__(self, u, v) -> None:
         ux, uy, vx, vy = float(u[0]), float(u[1]), float(v[0]), float(v[1])
@@ -115,20 +111,17 @@ def reduce_basis(basis: Basis) -> Basis:
     return Basis((ux, uy), (vx, vy))
 
 
-@dataclass(frozen=True)
-class Rect:
+class Rect(Record):
     """Axis-aligned rectangle; degenerate (point or segment) allowed."""
 
-    xmin: float
-    ymin: float
-    xmax: float
-    ymax: float
+    _fields = ("xmin", "ymin", "xmax", "ymax")
 
-    def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.xmin, self.ymin, self.xmax, self.ymax))):
+    def __init__(self, xmin: float, ymin: float, xmax: float, ymax: float) -> None:
+        if not all(map(math.isfinite, (xmin, ymin, xmax, ymax))):
             raise ValueError("rect bounds must be finite")
-        if self.xmin > self.xmax or self.ymin > self.ymax:
+        if xmin > xmax or ymin > ymax:
             raise ValueError("rect has negative extent")
+        self.__dict__.update(xmin=xmin, ymin=ymin, xmax=xmax, ymax=ymax)
 
     def distance_to(self, x: float, y: float) -> float:
         dx = max(self.xmin - x, 0.0, x - self.xmax)
@@ -136,13 +129,9 @@ class Rect:
         return math.hypot(dx, dy)
 
 
-@dataclass(frozen=True, init=False)
-class PeriodicConfig:
-    basis: Basis
-    offsets: tuple[Point, ...]
-    radius: float
-    # Lagrange-Gauss reduction of `basis`, derived once per configuration
-    reduced: Basis = field(init=False, repr=False, compare=False)
+class PeriodicConfig(Record):
+    # and reduced, the Lagrange-Gauss reduction of `basis`, derived once
+    _fields = ("basis", "offsets", "radius")
 
     def __init__(self, basis, offsets, radius) -> None:
         if not isinstance(basis, Basis):

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
 from functools import reduce
 from operator import add, itemgetter
 
@@ -28,7 +27,7 @@ from ._lazy import lazy_numpy
 from .coverage import CoverageCertificate, CoveringRadius, covering_radius
 from .coverage import verify_k_coverage  # noqa: F401 (unused here; perfbench hooks this name)
 from .density import config_density
-from .geometry import Point
+from .geometry import Point, Record
 from .lattice import Basis, PeriodicConfig
 from .patterns import pattern_b
 from .voronoi import all_cells_congruent  # noqa: F401 (unused here; perfbench hooks this name)
@@ -39,14 +38,19 @@ MAX_FOLD = 6
 _C_MAX = 3.5
 
 
-@dataclass
-class OptimizationResult:
-    best_config: PeriodicConfig
-    density: float
-    certificate: CoverageCertificate
-    history: list[tuple[tuple[float, ...], float]]
-    converged: bool
-    param_names: tuple[str, ...]
+class OptimizationResult(Record):
+    _fields = ("best_config", "density", "certificate", "history", "converged",
+               "param_names")
+    # the one mutable record, and so unhashable
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, best_config: PeriodicConfig, density: float,
+                 certificate: CoverageCertificate,
+                 history: list[tuple[tuple[float, ...], float]], converged: bool,
+                 param_names: tuple[str, ...]) -> None:
+        self.__dict__.update(best_config=best_config, density=density,
+                             certificate=certificate, history=history,
+                             converged=converged, param_names=param_names)
 
     @property
     def evaluations(self) -> int:

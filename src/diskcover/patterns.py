@@ -9,9 +9,8 @@ at a given column half-spacing x.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .geometry import Point
+from .geometry import Point, Record
 from .lattice import Basis, PeriodicConfig
 
 PATTERN_NAMES = ("triangle", "pattern_b", "pattern_c_a", "pattern_c_b")
@@ -83,24 +82,22 @@ def tangent_pattern_c(variant: str = "a", spacing: float = 1.0) -> PeriodicConfi
     return PeriodicConfig(Basis((1.0, 0.0), (0.0, spacing)), (Point(0.0, 0.0),), 1.0)
 
 
-@dataclass(frozen=True)
-class PatternSpec:
+class PatternSpec(Record):
     """Named pattern plus its parameters, as given on the command line."""
 
-    name: str
-    x: float | None = None
-    y: float | None = None
-    d: float | None = None
+    _fields = ("name", "x", "y", "d")
 
-    def __post_init__(self) -> None:
-        if self.name not in PATTERN_NAMES:
-            raise ValueError(f"unknown pattern {self.name!r}")
-        params = (self.x, self.y, self.d)
-        if self.name == "pattern_b":
+    def __init__(self, name: str, x: float | None = None, y: float | None = None,
+                 d: float | None = None) -> None:
+        if name not in PATTERN_NAMES:
+            raise ValueError(f"unknown pattern {name!r}")
+        params = (x, y, d)
+        if name == "pattern_b":
             if any(p is None for p in params):
                 raise ValueError("pattern_b requires x, y, and d")
         elif any(p is not None for p in params):
-            raise ValueError(f"pattern {self.name!r} takes no parameters")
+            raise ValueError(f"pattern {name!r} takes no parameters")
+        self.__dict__.update(name=name, x=x, y=y, d=d)
 
     def build(self) -> PeriodicConfig:
         if self.name == "triangle":

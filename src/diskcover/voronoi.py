@@ -33,11 +33,10 @@ rigid motion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .coverage import _check_tol
-from .geometry import ConvexPolygon, Point, _merge_close
+from .geometry import ConvexPolygon, Point, Record, _merge_close
 from .lattice import PeriodicConfig, Rect, _translates
 from .lattice import reduce_basis  # noqa: F401 (unused here; perfbench hooks this name)
 
@@ -47,18 +46,20 @@ CONGRUENCE_TOL = 1e-6
 _CUTOFF_SPANS = 2.0
 
 
-@dataclass(frozen=True)
-class VoronoiCell:
-    site: Point
-    polygon: ConvexPolygon
+class VoronoiCell(Record):
+    _fields = ("site", "polygon")
+
+    def __init__(self, site: Point, polygon: ConvexPolygon) -> None:
+        self.__dict__.update(site=site, polygon=polygon)
 
 
-@dataclass(frozen=True)
-class CongruenceSignature:
+class CongruenceSignature(Record):
     """Canonical quantized (edge, angle) sequence of a convex polygon."""
 
-    pairs: tuple[tuple[int, int], ...]
-    tol: float
+    _fields = ("pairs", "tol")
+
+    def __init__(self, pairs: tuple[tuple[int, int], ...], tol: float) -> None:
+        self.__dict__.update(pairs=pairs, tol=tol)
 
 
 def voronoi_cell(config: PeriodicConfig, offset_index: int) -> VoronoiCell:

@@ -1,17 +1,30 @@
 """Independent oracles used to cross-check library results.
 
 Everything here is deliberately naive: direct translate enumeration and
-dense sampling, sharing no code with the package internals.
+dense sampling, sharing no code with the package internals.  `child_env`
+lets a test's child interpreter import the package from this checkout.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 
 from diskcover import Basis, PeriodicConfig, Point, pattern_b
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def child_env() -> dict[str, str]:
+    """This process's environment with the checkout's `src` first on
+    PYTHONPATH, so `python -m diskcover` in a child runs the tested code."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    return env
 
 
 def oracle_centers(config: PeriodicConfig, reach: float) -> np.ndarray:

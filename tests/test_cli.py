@@ -1,3 +1,5 @@
+import hashlib
+import importlib
 import json
 import math
 import os
@@ -8,8 +10,9 @@ import warnings
 import pytest
 
 from diskcover import kershner_theta, optimize_single_lattice, render_svg, triangle_pattern
-from diskcover import cli
+from diskcover import cli, optimize
 from diskcover.cli import main
+from helpers import child_env
 
 THETA = kershner_theta()
 
@@ -250,7 +253,8 @@ class TestOptimizeCommand:
         def no_search(*args, **kwargs):
             raise AssertionError("the search ran")
 
-        monkeypatch.setattr(cli, "optimize_single_lattice", no_search)
+        # the command imports the search from its module when it runs
+        monkeypatch.setattr(optimize, "optimize_single_lattice", no_search)
         out = tmp_path / "missing" / "h.csv" if where == "missing_dir" else tmp_path
         with pytest.raises(SystemExit) as err:
             main(["optimize", "--k", "1", "--budget", "1000", "--out", str(out)])
@@ -329,6 +333,54 @@ class TestRenderCommand:
         assert captured.err.count("\n") == 1
 
 
+PATTERN_B = ["pattern", "--name", "pattern_b", "--x", "0.8", "--y", "1.2", "--d", "0.9"]
+
+
+class TestOutputBytes:
+    """The default output of every command but optimize, pinned byte for byte:
+    the stages that read a configuration get the pattern_b one."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["pattern", "--name", "triangle"],
+             "1d9267ce10488c3fd8f57b222712c9a5477b3677d2155c2209d45f17ec46a9d7"),
+            (PATTERN_B, "16bd46064a605add8e17e20d7b54a577fa10a54a73f6a4c1d8716195ed7f7e3d"),
+            (["verify", "--k", "2"],
+             "69c2b12b9be1e74f74ea1326d56577021313d83a562b15874a8c1279566f28ce"),
+            (["radius", "--k", "2", "--tol", "1e-9"],
+             "b6888c1f928ef574f595bccf9ac3a5c2671fbda4046adff7a9046275d4f9cd99"),
+            (["density", "--k", "2"],
+             "02c036b820f116ddbf61fa228069591ac4f8eb69922b91a4062c43b7e0f2c8a9"),
+            (["voronoi", "--congruence"],
+             "6d4cd1435da87f1a1da860f7b9f1a054e996ff105757150662b981ea50a5d69c"),
+            (["bounds", "--k", "2"],
+             "d7dd22220b437eddc3edf8c52670652bb6267c88467128af3f84be5d1f740261"),
+            # the digest of the SVG file; stdout stays empty
+            (["render", "--size", "64"],
+             "4035980e3a88fabde4b2a0709a271fd86829d6c9cd9257761aadb056b685b120"),
+        ],
+        ids=["triangle", "pattern_b", "verify", "radius", "density", "voronoi", "bounds",
+             "render"],
+    )
+    def test_sha256_of_output(self, capsys, tmp_path, argv, digest):
+        config, svg = tmp_path / "config.json", tmp_path / "out.svg"
+        code, out = _run(capsys, PATTERN_B)
+        assert code == 0
+        config.write_text(out)
+        if argv[0] in ("verify", "radius", "density", "voronoi", "render"):
+            argv = argv + ["--config", str(config)]
+        if argv[0] == "render":
+            argv = argv + ["--out", str(svg)]
+        code, out = _run(capsys, argv)
+        assert code == 0
+        data = out.encode()
+        if argv[0] == "render":
+            assert data == b""
+            data = svg.read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
+
 class TestUsageErrors:
     def test_missing_subcommand_exit_2(self):
         with pytest.raises(SystemExit) as err:
@@ -354,6 +406,7 @@ class TestPipeline:
             proc = subprocess.run(
                 [sys.executable, "-m", "diskcover", *argv],
                 stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+                env=child_env(),
             )
         finally:
             os.close(write_end)
@@ -367,10 +420,19 @@ class TestPipeline:
             f" | {sys.executable} -X importtime -m diskcover verify --k 2 --tol 1e-6"
         )
         proc = subprocess.run(
-            command, shell=True, capture_output=True, text=True, timeout=120
+            command, shell=True, capture_output=True, text=True, timeout=120,
+            env=child_env(),
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["status"] == "tight"
+        modules = _imported_modules(proc.stderr)
+        assert _loads_numpy(modules) and "diskcover.optimize" not in modules
+        assert not any(m == "scipy" or m.startswith("scipy.") for m in modules)
+        # nor does a process that imports the optimizer
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-c", "import diskcover.optimize"],
+            capture_output=True, text=True, timeout=120, env=child_env(),
+        )
         modules = _imported_modules(proc.stderr)
         assert "diskcover.optimize" in modules
         assert not any(m == "scipy" or m.startswith("scipy.") for m in modules)
@@ -382,7 +444,8 @@ def _loads_numpy(modules: set[str]) -> bool:
 
 def _python(code: str) -> list[str]:
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.split()
@@ -412,7 +475,7 @@ class TestImportGraph:
         stdin = triangle_pattern().to_json() if reads_config else None
         proc = subprocess.run(
             [sys.executable, "-X", "importtime", "-m", "diskcover", *argv],
-            input=stdin, capture_output=True, text=True, timeout=120,
+            input=stdin, capture_output=True, text=True, timeout=120, env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr[-500:]
         if argv[0] == "render":
@@ -441,7 +504,10 @@ class TestImportGraph:
         assert out == ["True"]
 
     def test_package_and_cli_import_without_scipy(self):
-        code = "import sys, diskcover, diskcover.cli; print('scipy' in sys.modules)"
+        code = (
+            "import sys, diskcover, diskcover.cli, diskcover.optimize\n"
+            "print('scipy' in sys.modules)"
+        )
         assert _python(code) == ["False"]
 
     def test_optimizer_runs_with_scipy_blocked(self):
@@ -454,7 +520,8 @@ class TestImportGraph:
             "print(hashlib.sha256(repr(res.history).encode()).hexdigest())\n"
         )
         proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=300,
+            env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         # the history digest pinned in test_memoized_objective_keeps_history;
@@ -468,9 +535,56 @@ class TestImportGraph:
         argv = ["optimize", "--mode", "single-lattice", "--k", "1", "--budget", "1000",
                 "--tol", "1e-4"]
         proc = subprocess.run(
-            [sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=300
+            [sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=300,
+            env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == optimize_single_lattice(
             1, budget=1000, tol=1e-4
         ).to_dict()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            PATTERN_B,
+            ["bounds", "--k", "2"],
+            ["density", "--k", "2"],
+            ["voronoi", "--congruence"],
+            ["render", "--size", "64", "--out", "{svg}"],
+        ],
+        ids=["pattern", "bounds", "density", "voronoi", "render"],
+    )
+    def test_stages_import_neither_dataclasses_nor_the_optimizer(self, argv, tmp_path):
+        argv = [a.format(svg=tmp_path / "out.svg") for a in argv]
+        stdin = None if argv[0] in ("pattern", "bounds") else triangle_pattern().to_json()
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "diskcover", *argv],
+            input=stdin, capture_output=True, text=True, timeout=120, env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr[-500:]
+        modules = _imported_modules(proc.stderr)
+        assert "diskcover.cli" in modules
+        assert "dataclasses" not in modules and "diskcover.optimize" not in modules
+
+    def test_package_import_loads_no_submodule(self):
+        code = (
+            "import sys, diskcover\n"
+            "print(sorted(m for m in sys.modules if m.startswith('diskcover')))\n"
+            "print('numpy' in sys.modules, 'dataclasses' in sys.modules)\n"
+        )
+        assert _python(code) == ["['diskcover']", "False", "False"]
+
+    def test_every_public_name_is_its_modules_object(self):
+        import diskcover
+
+        constants = {"STATUS_COVERED": "coverage", "STATUS_TIGHT": "coverage",
+                     "STATUS_UNCOVERED": "coverage", "STATUS_UNDECIDED": "coverage",
+                     "PATTERN_NAMES": "patterns"}
+        for name in diskcover.__all__:
+            obj = getattr(diskcover, name)
+            where = obj.__module__ if name not in constants else f"diskcover.{constants[name]}"
+            assert getattr(importlib.import_module(where), name) is obj, name
+        namespace: dict = {}
+        exec("from diskcover import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(diskcover.__all__)
+        assert set(diskcover.__all__) <= set(dir(diskcover))
