@@ -51,9 +51,8 @@ d_k(m) + 2h of m.  Centers farther than that from every surviving box
 center can be dropped before the next level: the kept set still holds
 each later query point's k nearest, so every d_k value, and with it
 every bound, witness and box count, is the same as with all centers.
-The same pass over the level's d^2 counts the ring centers of the finish,
-and a center field prunes only while it holds more than _PRUNE_MIN
-centers.
+Every level prunes its field, in the same pass over the level's d^2 that
+counts the ring centers of the finish.
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ import itertools
 import math
 
 from ._lazy import lazy_numpy
-from .geometry import Point, Record
+from .geometry import Point, Record, _check_tol
 from .lattice import PeriodicConfig, Rect, _translates_array
 from .lattice import reduce_basis  # noqa: F401 (unused here; perfbench hooks this name)
 
@@ -79,10 +78,6 @@ DEFAULT_MAX_BOXES = 10_000_000
 # 16 MiB array of x and y differences), so the memory of one block does
 # not grow with k or with the number of centers
 _CHUNK_ELEMENTS = 2**20
-# a center field this small is not pruned, which never changes a d_k
-# value: before the finish it beat pruning every field on replays of the
-# certify and optimize calls, and with it the two measure alike
-_PRUNE_MIN = 16
 # root boxes across the short side of the reduced cell's bounding box, and
 # at most along its long side, so a needle-shaped cell cannot explode the
 # root.  Against one box across, 4 cut the boxes of tol-1e-9 searches on
@@ -227,17 +222,17 @@ class _CenterField:
         self._rows = max(1, _CHUNK_ELEMENTS // centers.shape[1])
         self._d2 = None
 
-    def dk(self, pts: np.ndarray) -> np.ndarray:
-        """d_k at each row of the (N, 2) array `pts`, all inside the rect."""
-        cols = pts.T
+    def dk(self, cols: np.ndarray) -> np.ndarray:
+        """d_k at the points held as rows x and y of `cols`, all inside the rect."""
         rows = self._rows
-        if len(pts) <= rows:
+        count = cols.shape[1]
+        if count <= rows:
             # only a query that fits one block leaves its d^2 for `ring`
             self._d2 = _squared_distances(cols, self.centers)
             return np.sqrt(_kth_smallest(self._d2, self.k))
         self._d2 = None
-        out = np.empty(len(pts))
-        for start in range(0, len(pts), rows):
+        out = np.empty(count)
+        for start in range(0, count, rows):
             block = slice(start, start + rows)
             d2 = _squared_distances(cols[:, block], self.centers)
             out[block] = np.sqrt(_kth_smallest(d2, self.k))
@@ -256,12 +251,11 @@ class _CenterField:
         in the order of `kept`, each in the field's order; else None.
 
         Then drops every center farther than `outer` from all kept
-        points, unless the field holds at most _PRUNE_MIN: with outer at
-        least d_k(m) + 2h for a box of center m and half-diagonal h, every
-        later query point of the box keeps its k nearest.  Reads the
-        query's d^2 when it fit one kernel block and recomputes the kept
-        rows block by block otherwise, bit for bit the same, so the
-        result does not depend on the blocking.
+        points: with outer at least d_k(m) + 2h for a box of center m and
+        half-diagonal h, every later query point of the box keeps its k
+        nearest.  Reads the query's d^2 when it fit one kernel block and
+        recomputes the kept rows block by block otherwise, bit for bit the
+        same, so the result does not depend on the blocking.
         """
         lo2 = inner * inner
         hi2 = outer * outer
@@ -290,8 +284,7 @@ class _CenterField:
             # each hit's column, row by row, from the cheaper flat nonzero
             columns = hit.ravel().nonzero()[0] % hit.shape[1]
             found.append((count, centers.take(columns, axis=1)))
-        if centers.shape[1] > _PRUNE_MIN:
-            self.set_centers(centers.take(near.nonzero()[0], axis=1))
+        self.set_centers(centers.take(near.nonzero()[0], axis=1))
         if found is None:
             return None
         if len(found) == 1:
@@ -326,9 +319,7 @@ def _kth_smallest(d2: np.ndarray, k: int) -> np.ndarray:
 
 def kth_nearest_distance(p: Point, config: PeriodicConfig, k: int) -> float:
     """Distance from p to the k-th nearest center of the periodic set."""
-    _check_k(k)
-    field = _CenterField(config, Rect(p.x, p.y, p.x, p.y), k)
-    return float(field.dk(np.array([[p.x, p.y]]))[0])
+    return float(kth_nearest_distance_batch(np.array([[p.x, p.y]]), config, k)[0])
 
 
 def kth_nearest_distance_batch(
@@ -339,8 +330,8 @@ def kth_nearest_distance_batch(
     The points are grouped by the translate of the reduced parallelogram
     that holds them, and each group is served by a center field over its
     own bounding box, so far-apart points never share one enumeration.
-    Points keep their coordinates: each value equals that of a one-point
-    call bit for bit.
+    Points keep their coordinates: each value is bit for bit the one the
+    point gets alone, which is `kth_nearest_distance`.
     """
     _check_k(k)
     pts = np.asarray(points, dtype=float)
@@ -353,7 +344,8 @@ def kth_nearest_distance_batch(
     ux, uy = config.reduced.u
     vx, vy = config.reduced.v
     det = config.reduced.det
-    x, y = pts[:, 0], pts[:, 1]
+    cols = pts.T
+    x, y = cols
     # the cell (floor s, floor t) of each point; sorted by cell, the rows
     # of one cell are a run
     cell_s = np.floor((x * vy - y * vx) / det)
@@ -363,8 +355,8 @@ def kth_nearest_distance_batch(
     runs = ((cell_s[1:] != cell_s[:-1]) | (cell_t[1:] != cell_t[:-1])).nonzero()[0] + 1
     out = np.empty(len(pts))
     for rows in np.split(order, runs):
-        part = pts[rows]
-        rect = Rect(*part.min(axis=0).tolist(), *part.max(axis=0).tolist())
+        part = cols.take(rows, axis=1)
+        rect = Rect(*part.min(axis=1).tolist(), *part.max(axis=1).tolist())
         out[rows] = _CenterField(config, rect, k).dk(part)
     return out
 
@@ -381,10 +373,9 @@ def _root_grid(config: PeriodicConfig) -> tuple[np.ndarray, float, Rect]:
     plain floats, box by box in x-major order: a typical root of a few
     dozen boxes costs less that way than as a dozen numpy calls.
 
-    Returns the box centers as the (n, 2) view of their rows x and y,
-    their half side, and the bounding box of the kept boxes: every box
-    center of a search lies in it, so it is the rect the center field
-    must serve.
+    Returns the box centers as rows x and y, their half side, and the
+    bounding box of the kept boxes: every box center of a search lies in
+    it, so it is the rect the center field must serve.
     """
     (ux, uy), (vx, vy), det = config.reduced.u, config.reduced.v, config.reduced.det
     xmin, xmax = min(0.0, ux, vx, ux + vx), max(0.0, ux, vx, ux + vx)
@@ -417,11 +408,7 @@ def _root_grid(config: PeriodicConfig) -> tuple[np.ndarray, float, Rect]:
                     xs.append(x)
                     ys.append(y)
     left, right, low, high = xs[0], xs[-1], min(ys), max(ys)
-    return (
-        np.array([xs, ys]).T,
-        half,
-        Rect(left - half, low - half, right + half, high + half),
-    )
+    return np.array([xs, ys]), half, Rect(left - half, low - half, right + half, high + half)
 
 
 def _circumcenters(tri: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -491,6 +478,7 @@ def _finish_candidates(
     outer: np.ndarray,
     pad: float,
     ring: tuple[np.ndarray, np.ndarray],
+    budget: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The in-box circumcenters of every box's ring triples.
 
@@ -504,12 +492,15 @@ def _finish_candidates(
     farther from an exact vertex in the box.  Returns the points as rows x
     and y and their error bounds.  The triples are solved in blocks of
     _FINISH_BOXES boxes, so only the kept points take memory beyond a
-    block.
+    block, and the blocks stop at the one whose kept points pass `budget`:
+    the points returned then number more than `budget`, and the caller
+    skips the finish without the triples of the blocks after it.
     """
     count, centers = ring
     triples, last = _triples()
     start = count.cumsum() - count
     found = []
+    total = 0
     for lo in range(0, len(count), _FINISH_BOXES):
         box, triple = (last < count[lo : lo + _FINISH_BOXES, None]).nonzero()
         if lo:
@@ -524,6 +515,9 @@ def _finish_candidates(
         mid = mid.take(keep, axis=1)
         q = np.minimum(np.maximum(q.take(keep, axis=1), mid - half), mid + half)
         found.append((q, error.take(keep)))
+        total += len(keep)
+        if total > budget:
+            break
     if len(found) == 1:
         return found[0]
     q, error = zip(*found)
@@ -566,19 +560,17 @@ def covering_radius(
     """
     _check_k(k)
     _check_tol(tol)
-    boxes, half, rect = _root_grid(config)
+    # the level's box centers as rows x and y
+    cols, half, rect = _root_grid(config)
     field = _CenterField(config, rect, k)
     err = field.eval_error
-    # the level's box centers as rows x and y; the kernel reads the
-    # (n, 2) view `cols.T`
-    cols = boxes.T
     top = -math.inf
     witness = cols[:, 0]
     processed = 0
     converged = False
     finish_high = math.inf
     while True:
-        vals = field.dk(cols.T)
+        vals = field.dk(cols)
         processed += len(vals)
         best = int(vals.argmax())
         level_top = float(vals[best])
@@ -605,11 +597,13 @@ def covering_radius(
         ring = field.ring(cols, survivors, inner, outer)
         parents = cols.take(survivors, axis=1)
         if ring is not None:
-            pts, error = _finish_candidates(parents, half, outer, err, ring)
+            pts, error = _finish_candidates(
+                parents, half, outer, err, ring, max_boxes - processed
+            )
             if processed + pts.shape[1] > max_boxes:
                 break
             processed += pts.shape[1]
-            dks = field.dk(pts.T)
+            dks = field.dk(pts)
             upper = dks + err + error
             # with no circumcenter in a surviving box, max d_k = low
             tried = low
@@ -649,7 +643,6 @@ def verify_k_coverage(
     Closed disks: a point on k disk boundaries counts as covered k times.
     The verdict is `CoveringRadius.certificate`'s.
     """
-    _check_tol(tol)
     return covering_radius(config, k, tol, max_boxes).certificate(k, config.radius, tol)
 
 
@@ -658,8 +651,3 @@ def _check_k(k: int) -> None:
         raise ValueError(f"k must be an integer, got {k!r}")
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-
-
-def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tolerance must be positive, got {tol}")

@@ -24,8 +24,12 @@ def kershner_theta() -> float:
 
 
 def config_density(config: PeriodicConfig) -> float:
-    n = len(config.offsets)
-    return n * math.pi * config.radius**2 / config.basis.det
+    return scaled_density(config, config.radius)
+
+
+def scaled_density(config: PeriodicConfig, radius: float) -> float:
+    """Density of config's centers with disks of the given radius."""
+    return len(config.offsets) * math.pi * radius**2 / config.basis.det
 
 
 def cell_density(cell: VoronoiCell, radius: float) -> float:

@@ -15,6 +15,12 @@ REP_TOL = 1e-12
 GEOM_TOL = 1e-9
 
 
+def _check_tol(tol: float) -> None:
+    # a caller's tolerance: positive and finite
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tolerance must be positive, got {tol}")
+
+
 class Record:
     """Immutable value compared, hashed and printed by the names in `_fields`.
 

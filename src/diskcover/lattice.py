@@ -52,7 +52,12 @@ class Basis(Record):
         self.__dict__.update(u=(ux, uy), v=(vx, vy), det=det)
 
     def lengths(self) -> tuple[float, float]:
-        return (math.hypot(*self.u), math.hypot(*self.v))
+        # |u| and |v|, derived on first use and kept, out of eq, hash and
+        # repr like det
+        lengths = self.__dict__.get("_lengths")
+        if lengths is None:
+            lengths = self.__dict__["_lengths"] = (math.hypot(*self.u), math.hypot(*self.v))
+        return lengths
 
 
 def reduce_basis(basis: Basis) -> Basis:

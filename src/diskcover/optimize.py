@@ -26,7 +26,7 @@ from operator import add, itemgetter
 from ._lazy import lazy_numpy
 from .coverage import CoverageCertificate, CoveringRadius, covering_radius
 from .coverage import verify_k_coverage  # noqa: F401 (unused here; perfbench hooks this name)
-from .density import config_density
+from .density import config_density, scaled_density
 from .geometry import Point, Record
 from .lattice import Basis, PeriodicConfig
 from .patterns import pattern_b
@@ -153,11 +153,7 @@ def optimal_scaled_density(
     config: PeriodicConfig, k: int, tol: float = 1e-6
 ) -> float:
     """Density after shrinking the disks to the certified k-cover radius."""
-    return _scaled_density(config, covering_radius(config, k, tol).high)
-
-
-def _scaled_density(config: PeriodicConfig, radius: float) -> float:
-    return len(config.offsets) * math.pi * radius**2 / config.basis.det
+    return scaled_density(config, covering_radius(config, k, tol).high)
 
 
 def _multistart(
@@ -199,7 +195,7 @@ def _multistart(
         if key not in memo:
             config = build(key)
             enclosure = covering_radius(config, k, tol)
-            memo[key] = (_scaled_density(config, enclosure.high), enclosure)
+            memo[key] = (scaled_density(config, enclosure.high), enclosure)
         history.append((params, memo[key][0]))
         return memo[key][0]
 

@@ -35,8 +35,7 @@ from __future__ import annotations
 import math
 from operator import itemgetter
 
-from .coverage import _check_tol
-from .geometry import ConvexPolygon, Point, Record, _merge_close
+from .geometry import ConvexPolygon, Point, Record, _check_tol, _merge_close
 from .lattice import PeriodicConfig, Rect, _translates
 from .lattice import reduce_basis  # noqa: F401 (unused here; perfbench hooks this name)
 

@@ -334,7 +334,7 @@ def root_grid_reference(config: PeriodicConfig):
     lattice coordinate and cull test computed by numpy on (2, n) rows in
     the operations of the plain-float `_root_grid`, which it is the
     reference for.  Returns the kept box
-    centers as an (n, 2) array in x-major order, their half side and the
+    centers as rows x and y in x-major order, their half side and the
     bounding box of the kept boxes.
     """
     from diskcover.coverage import _CULL_SLACK, _ROOT_LONG, _ROOT_SHORT
@@ -368,7 +368,7 @@ def root_grid_reference(config: PeriodicConfig):
     keep = (st + width >= 0.0) & (st - width <= 1.0)
     grid = grid.take((keep[0] & keep[1]).nonzero()[0], axis=1)
     (left, low), (right, high) = grid.min(axis=1).tolist(), grid.max(axis=1).tolist()
-    return grid.T, half, Rect(left - half, low - half, right + half, high + half)
+    return grid, half, Rect(left - half, low - half, right + half, high + half)
 
 
 def finish_reference(centers, boxes, inner, outer, half, pad):

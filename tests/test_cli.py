@@ -574,6 +574,10 @@ class TestImportGraph:
         )
         assert _python(code) == ["['diskcover']", "False", "False"]
 
+    def test_voronoi_loads_no_coverage_layer(self):
+        code = "import sys, diskcover.voronoi\nprint('diskcover.coverage' in sys.modules)\n"
+        assert _python(code) == ["False"]
+
     def test_every_public_name_is_its_modules_object(self):
         import diskcover
 

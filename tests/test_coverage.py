@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from diskcover import coverage
+from diskcover.coverage import DEFAULT_MAX_BOXES
 from diskcover.lattice import Rect, _translates_array
 from diskcover import (
     Basis,
@@ -209,6 +210,29 @@ class TestCoveringRadius:
         assert covering_radius(cfg, 2, tol=1e-12, max_boxes=full.boxes - 1) == cut
         assert not cut.converged
 
+    def test_finish_stops_at_the_block_past_the_budget(self, monkeypatch):
+        # one box per block, the finish stops at the block whose kept points
+        # pass the remaining budget of 6, 11 or 18 boxes and solves none of
+        # the 45 triangles after it; the search then stops where it did
+        # when every block was solved, with the enclosure recorded then.
+        # At 42 boxes the last block is the one that passes
+        cfg = PeriodicConfig(Basis((1.07, 0), (0.33, 0.91)), [(0, 0)], radius=1.0)
+        circumcenters = coverage._circumcenters
+        solved = []
+
+        def recording(tri):
+            solved.append(tri.shape[2])
+            return circumcenters(tri)
+
+        monkeypatch.setattr(coverage, "_circumcenters", recording)
+        monkeypatch.setattr(coverage, "_FINISH_BOXES", 1)
+        cut = (0.8950366612602946, 1.0559034539802619, Point(0.40874999999999995, 0.79625))
+        for max_boxes, triangles in ((30, 16), (35, 34), (42, 45)):
+            solved.clear()
+            r = covering_radius(cfg, 2, tol=1e-12, max_boxes=max_boxes)
+            assert sum(solved) == triangles
+            assert (r.low, r.high, r.witness, r.boxes, r.converged) == (*cut, 24, False)
+
     @pytest.mark.parametrize("tol", [1e-15, 1e-16])
     def test_rounding_floor_is_not_converged(self, tol, monkeypatch):
         # below the rounding floor of its bounds the finish stops with its
@@ -329,8 +353,8 @@ class TestCoveringRadius:
                 levels.append([cols.take(kept, axis=1).T.tolist(), inner.tolist()])
             return found
 
-        def recording_finish(boxes, half, outer, pad, found):
-            pts, error = finish(boxes, half, outer, pad, found)
+        def recording_finish(boxes, half, outer, pad, found, budget):
+            pts, error = finish(boxes, half, outer, pad, found, budget)
             levels[-1] += [outer.tolist(), half, pad, list(zip(*pts.tolist(), error.tolist()))]
             return pts, error
 
@@ -386,9 +410,9 @@ class TestCoveringRadius:
             sizes.append(d2.size)
             return d2
 
-        def recording_dk(self, pts):
-            levels.append(len(pts) * self.centers.shape[1])
-            return dk(self, pts)
+        def recording_dk(self, cols):
+            levels.append(cols.shape[1] * self.centers.shape[1])
+            return dk(self, cols)
 
         monkeypatch.setattr(coverage, "_squared_distances", recording_squared_distances)
         monkeypatch.setattr(coverage._CenterField, "dk", recording_dk)
@@ -573,6 +597,39 @@ class TestCenterPruning:
         digest = hashlib.sha256(repr(rows).encode()).hexdigest()
         assert digest == "8deaf7462181b8a330e9f5149a3a5b076fd944305e68d7d28a68b0496e55f883"
 
+    def test_pruning_changes_no_search(self, monkeypatch):
+        # with the unpruned field put back after every `ring`, the searches
+        # of the two pinned digests give the same fields, bit for bit
+        rng = np.random.default_rng(79)
+        cases = [(skewed_config(rng, n), k) for k in range(1, 9) for n in range(1, 9)]
+        searches = [(cfg, k, tol, DEFAULT_MAX_BOXES) for tol in (1e-4, 1e-9) for cfg, k in cases]
+        searches.append((*cases[45], 1e-12, 200))
+        searches += [(cfg, k, 1e-4, DEFAULT_MAX_BOXES) for cfg, k in optimizer_start_configs()]
+
+        def run():
+            return [
+                (r.low, r.high, r.witness, r.boxes, r.converged)
+                for r in (
+                    covering_radius(cfg, k, tol=tol, max_boxes=budget)
+                    for cfg, k, tol, budget in searches
+                )
+            ]
+
+        pruned = run()
+        ring = coverage._CenterField.ring
+        dropped = []
+
+        def unpruned_ring(self, cols, kept, inner, outer):
+            centers = self.centers
+            found = ring(self, cols, kept, inner, outer)
+            dropped.append(centers.shape[1] - self.centers.shape[1])
+            self.set_centers(centers)
+            return found
+
+        monkeypatch.setattr(coverage._CenterField, "ring", unpruned_ring)
+        assert run() == pruned
+        assert sum(map(bool, dropped)) > len(searches)
+
     def test_start_reach_bounds_dk(self):
         # d_k against every center within 3R of the rect, at points sampled
         # over the root boxes and at the rect's corners: a value below 3R is
@@ -585,13 +642,13 @@ class TestCenterPruning:
             boxes, half, rect = coverage._root_grid(cfg)
             field = coverage._CenterField(cfg, rect, k)
             corners = [(x, y) for x in (rect.xmin, rect.xmax) for y in (rect.ymin, rect.ymax)]
-            jitter = rng.uniform(-half, half, (32 * len(boxes), 2))
-            pts = np.vstack((np.repeat(boxes, 32, axis=0) + jitter, corners))
+            jitter = rng.uniform(-half, half, (32 * boxes.shape[1], 2))
+            pts = np.vstack((np.repeat(boxes.T, 32, axis=0) + jitter, corners))
             centers = _translates_array(cfg, rect, 3.0 * field.reach)
             d2 = (pts[:, 0:1] - centers[:, 0]) ** 2 + (pts[:, 1:2] - centers[:, 1]) ** 2
             brute = np.sqrt(np.partition(d2, k - 1, axis=1)[:, k - 1])
             assert brute.max() < field.reach
-            assert np.array_equal(field.dk(pts), brute)
+            assert np.array_equal(field.dk(pts.T), brute)
 
     def test_root_rect_holds_every_root_box(self):
         # the rect is the union of the root boxes, so every box center of a
@@ -604,7 +661,7 @@ class TestCenterPruning:
         for cfg in cfgs:
             boxes, half, rect = coverage._root_grid(cfg)
             ulp = 1e-12 * max(1.0, *cfg.reduced.lengths())
-            x, y = boxes[:, 0], boxes[:, 1]
+            x, y = boxes
             assert x.min() - half == pytest.approx(rect.xmin, abs=ulp)
             assert x.max() + half == pytest.approx(rect.xmax, abs=ulp)
             assert y.min() - half == pytest.approx(rect.ymin, abs=ulp)
@@ -634,12 +691,12 @@ class TestCenterPruning:
         )
         for cfg in cfgs:
             boxes, half, _ = coverage._root_grid(cfg)
-            assert 1 <= len(boxes) <= 4 * 64
+            assert 1 <= boxes.shape[1] <= 4 * 64
             u, v = np.array(cfg.reduced.u), np.array(cfg.reduced.v)
             pts = st[:, :1] * u + st[:, 1:] * v
             ulp = 1e-12 * max(1.0, *cfg.reduced.lengths())
             gap = np.maximum(
-                np.abs(pts[:, None, 0] - boxes[:, 0]), np.abs(pts[:, None, 1] - boxes[:, 1])
+                np.abs(pts[:, None, 0] - boxes[0]), np.abs(pts[:, None, 1] - boxes[1])
             )
             assert (gap.min(axis=1) <= half + ulp).all()
 
