@@ -62,7 +62,7 @@ import itertools
 import math
 
 from ._lazy import lazy_numpy
-from .geometry import Point, Record, _check_tol
+from .geometry import Point, Record, _check_k, _check_tol
 from .lattice import PeriodicConfig, Rect, _translates_array
 from .lattice import reduce_basis  # noqa: F401 (unused here; perfbench hooks this name)
 
@@ -128,11 +128,6 @@ def _triples() -> tuple[np.ndarray, np.ndarray]:
 class CoverageCertificate(Record):
     _fields = ("k", "status", "witness", "radius_low", "radius_high")
 
-    def __init__(self, k: int, status: str, witness: Point | None,
-                 radius_low: float, radius_high: float) -> None:
-        self.__dict__.update(k=k, status=status, witness=witness,
-                             radius_low=radius_low, radius_high=radius_high)
-
     def to_dict(self) -> dict:
         return {
             "k": self.k,
@@ -152,11 +147,6 @@ class CoveringRadius(Record):
     """
 
     _fields = ("low", "high", "witness", "boxes", "converged")
-
-    def __init__(self, low: float, high: float, witness: Point, boxes: int,
-                 converged: bool) -> None:
-        self.__dict__.update(low=low, high=high, witness=witness, boxes=boxes,
-                             converged=converged)
 
     def certificate(self, k: int, r: float, tol: float) -> CoverageCertificate:
         """The verdict on k-fold coverage by disks of radius r.
@@ -645,9 +635,3 @@ def verify_k_coverage(
     """
     return covering_radius(config, k, tol, max_boxes).certificate(k, config.radius, tol)
 
-
-def _check_k(k: int) -> None:
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
-        raise ValueError(f"k must be an integer, got {k!r}")
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .geometry import Record
+from .geometry import Record, _check_k
 from .lattice import PeriodicConfig
 from .voronoi import VoronoiCell
 
@@ -41,8 +41,7 @@ def cell_density(cell: VoronoiCell, radius: float) -> float:
 
 def toth_lower_bound(k: int) -> float:
     """Lower bound (pi/3) / sin(pi / (3k)) for k-fold covering density."""
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
+    k = _check_k(k)
     return (math.pi / 3.0) / math.sin(math.pi / (3.0 * k))
 
 
@@ -76,11 +75,6 @@ def known_value(name: str) -> float:
 
 class DensityReport(Record):
     _fields = ("k", "density", "normalized", "toth_bound", "meets_toth")
-
-    def __init__(self, k: int, density: float, normalized: float,
-                 toth_bound: float, meets_toth: bool) -> None:
-        self.__dict__.update(k=k, density=density, normalized=normalized,
-                             toth_bound=toth_bound, meets_toth=meets_toth)
 
     def to_dict(self) -> dict:
         return {

@@ -10,6 +10,7 @@ in the same length units as the coordinates.
 from __future__ import annotations
 
 import math
+import operator
 
 REP_TOL = 1e-12
 GEOM_TOL = 1e-9
@@ -21,17 +22,45 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tolerance must be positive, got {tol}")
 
 
+def _check_k(k, most: int | None = None) -> int:
+    # a caller's fold k: an int or numpy integer, never a bool, from 1 up
+    # to most; returned as a plain int
+    if not isinstance(k, bool):
+        try:
+            k = operator.index(k)
+        except TypeError:
+            pass
+        else:
+            if k >= 1 and (most is None or k <= most):
+                return k
+    wanted = "a positive integer" if most is None else f"an integer in [1, {most}]"
+    raise ValueError(f"k must be {wanted}, got {k!r}")
+
+
 class Record:
     """Immutable value compared, hashed and printed by the names in `_fields`.
 
-    A subclass's `__init__` puts its fields straight into the instance
-    dict, since assignment raises.  Records are equal only to records of
-    the same class, hash as the tuple of their fields, and print as
-    `Name(field=value, ...)`; anything else in the dict is derived and
-    left out of all three.
+    A subclass declares its fields once, in `_fields`, and the shared
+    constructor stores them, by position or by name, straight into the
+    instance dict, since assignment raises; a missing, extra or unknown
+    field raises TypeError.  A subclass that validates or canonicalizes
+    its fields has its own `__init__`, which stores them the same way.
+    Records are equal only to records of the same class, hash as the tuple
+    of their fields, and print as `Name(field=value, ...)`; anything else
+    in the dict is derived and left out of all three.
     """
 
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values, **named) -> None:
+        fields = self._fields
+        self.__dict__.update(zip(fields, values))
+        if named or len(values) != len(fields):
+            # keywords give exactly the fields after the positional ones
+            if len(values) > len(fields) or set(named) != set(fields[len(values):]):
+                raise TypeError(f"{type(self).__qualname__} takes the fields {fields}, got "
+                                f"{len(values)} by position and {sorted(named)} by name")
+            self.__dict__.update(named)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -80,7 +109,7 @@ class Circle(Record):
         self.__dict__.update(center=center, radius=radius)
 
 
-class ConvexPolygon:
+class ConvexPolygon(Record):
     """Strictly convex polygon with counter-clockwise vertices.
 
     Construction canonicalizes the boundary: orientation is flipped to
@@ -91,9 +120,9 @@ class ConvexPolygon:
     whichever vertex it is listed from.
     """
 
-    __slots__ = ("vertices",)
+    _fields = ("vertices",)
 
-    def __init__(self, vertices):
+    def __init__(self, vertices) -> None:
         pts = [p if isinstance(p, Point) else Point(p[0], p[1]) for p in vertices]
         if len(pts) < 3:
             raise ValueError("polygon needs at least 3 vertices")
@@ -114,17 +143,11 @@ class ConvexPolygon:
             if _cross(a, b, c) <= 0.0:
                 raise ValueError("polygon is not strictly convex")
         start = min(range(len(pts)), key=lambda i: (pts[i].y, pts[i].x))
-        self.vertices: tuple[Point, ...] = tuple(pts[start:] + pts[:start])
+        self.__dict__["vertices"] = tuple(pts[start:] + pts[:start])
 
     @property
     def area(self) -> float:
         return _signed_area(list(self.vertices))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ConvexPolygon) and self.vertices == other.vertices
-
-    def __hash__(self) -> int:
-        return hash(self.vertices)
 
     def __repr__(self) -> str:
         return f"ConvexPolygon({list(self.vertices)!r})"

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import struct
 
 from ._lazy import lazy_numpy
 from .geometry import Point, Record
@@ -24,8 +23,6 @@ _MAX_REDUCTION_STEPS = 256
 # lattice points one center enumeration may visit (64 MiB of float64
 # pairs); only bases far too skewed for their scale ask for more
 _MAX_ENUMERATED_POINTS = 2**22
-# the bits of a reduction state (u, v), which key its cycle detection
-_STATE_BITS = struct.Struct("4d")
 
 
 class ConfigFormatError(ValueError):
@@ -73,46 +70,32 @@ def reduce_basis(basis: Basis) -> Basis:
     """
     (ux, uy), (vx, vy) = basis.u, basis.v
     mu = 0
-    # per step: the state it started from, keyed by its bits, and its mu
-    seen: dict[bytes, int] = {}
-    states: list[tuple[float, float, float, float]] = []
-    mus: list[int] = []
-    for step in range(_MAX_REDUCTION_STEPS):
-        state = _STATE_BITS.pack(ux, uy, vx, vy)
-        if state in seen:
-            # the remaining steps repeat a cycle: jump to the state and the
-            # mu the step bound ends at, keeping the bound's parity
-            first = seen[state]
-            period = step - first
-            ux, uy, vx, vy = states[first + (_MAX_REDUCTION_STEPS - first) % period]
-            mu = mus[first + (_MAX_REDUCTION_STEPS - 1 - first) % period]
-            break
-        seen[state] = step
-        states.append((ux, uy, vx, vy))
+    changed = False
+    for _ in range(_MAX_REDUCTION_STEPS):
         uu = ux * ux + uy * uy
         vv = vx * vx + vy * vy
         if vv < uu:
             ux, uy, vx, vy, uu = vx, vy, ux, uy, vv
+            changed = True
         ratio = (ux * vx + uy * vy) / uu if uu > 0.0 else math.inf
         if not math.isfinite(ratio):
             # |u|^2 underflowed: the basis is too skewed for float64
             raise ValueError("basis too skewed to reduce in floating point")
         mu = round(ratio)
-        mus.append(mu)
         if mu == 0:
             break
         vx, vy = vx - mu * ux, vy - mu * uy
-    # a nonzero mu means the step bound was reached (or jumped to).  On a
-    # reduced pair with dot(u, v) within an ulp of |u|^2 / 2 (hexagonal)
-    # rounding flips mu between +1 and -1 for good; any other mu at the
-    # step bound means the reduction stalled
+        changed = True
+    # a nonzero mu means the step bound was reached.  On a reduced pair
+    # with dot(u, v) within an ulp of |u|^2 / 2 (hexagonal) rounding flips
+    # mu between +1 and -1 for good; any other mu at the step bound means
+    # the reduction stalled
     if abs(mu) > 1:
         raise ValueError("basis reduction did not converge")
+    if not changed:
+        return basis
     if ux * ux + uy * uy > vx * vx + vy * vy:
         ux, uy, vx, vy = vx, vy, ux, uy
-    # the first key of `seen` holds the input's bits
-    if _STATE_BITS.pack(ux, uy, vx, vy) == next(iter(seen)):
-        return basis
     return Basis((ux, uy), (vx, vy))
 
 

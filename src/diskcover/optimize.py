@@ -24,10 +24,10 @@ from functools import reduce
 from operator import add, itemgetter
 
 from ._lazy import lazy_numpy
-from .coverage import CoverageCertificate, CoveringRadius, covering_radius
+from .coverage import CoveringRadius, covering_radius
 from .coverage import verify_k_coverage  # noqa: F401 (unused here; perfbench hooks this name)
 from .density import config_density, scaled_density
-from .geometry import Point, Record
+from .geometry import Point, Record, _check_k
 from .lattice import Basis, PeriodicConfig
 from .patterns import pattern_b
 from .voronoi import all_cells_congruent  # noqa: F401 (unused here; perfbench hooks this name)
@@ -43,14 +43,6 @@ class OptimizationResult(Record):
                "param_names")
     # the one mutable record, and so unhashable
     __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
-
-    def __init__(self, best_config: PeriodicConfig, density: float,
-                 certificate: CoverageCertificate,
-                 history: list[tuple[tuple[float, ...], float]], converged: bool,
-                 param_names: tuple[str, ...]) -> None:
-        self.__dict__.update(best_config=best_config, density=density,
-                             certificate=certificate, history=history,
-                             converged=converged, param_names=param_names)
 
     @property
     def evaluations(self) -> int:
@@ -178,8 +170,7 @@ def _multistart(
     its certificate read from the memoized enclosure, so no clipped
     parameters are searched twice.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= MAX_FOLD:
-        raise ValueError(f"k must be an integer in [1, {MAX_FOLD}], got {k!r}")
+    k = _check_k(k, MAX_FOLD)
     if budget < 1000:
         raise ValueError(f"budget must be at least 1000, got {budget}")
     # clipped parameters -> (scaled density, enclosure of the covering radius)

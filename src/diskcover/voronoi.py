@@ -48,17 +48,11 @@ _CUTOFF_SPANS = 2.0
 class VoronoiCell(Record):
     _fields = ("site", "polygon")
 
-    def __init__(self, site: Point, polygon: ConvexPolygon) -> None:
-        self.__dict__.update(site=site, polygon=polygon)
-
 
 class CongruenceSignature(Record):
     """Canonical quantized (edge, angle) sequence of a convex polygon."""
 
     _fields = ("pairs", "tol")
-
-    def __init__(self, pairs: tuple[tuple[int, int], ...], tol: float) -> None:
-        self.__dict__.update(pairs=pairs, tol=tol)
 
 
 def voronoi_cell(config: PeriodicConfig, offset_index: int) -> VoronoiCell:
@@ -116,12 +110,9 @@ def _clip_halfplane(pts, nx, ny, rhs, eps):
         ex, ey = pts[(i + 1) % n]
         s_in = nx * sx + ny * sy <= rhs + eps
         e_in = nx * ex + ny * ey <= rhs + eps
-        if s_in and e_in:
-            out.append((ex, ey))
-        elif s_in and not e_in:
+        if s_in != e_in:
             out.append(_line_hit(sx, sy, ex, ey, nx, ny, rhs))
-        elif not s_in and e_in:
-            out.append(_line_hit(sx, sy, ex, ey, nx, ny, rhs))
+        if e_in:
             out.append((ex, ey))
     return out
 

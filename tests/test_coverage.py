@@ -802,5 +802,9 @@ class TestVerifyKCoverage:
         assert cert.status == "undecided"
 
     def test_rejects_bad_k(self):
-        with pytest.raises(ValueError):
-            verify_k_coverage(SQUARE, 0)
+        for k in (0, True, np.True_, 2.0):
+            with pytest.raises(ValueError):
+                verify_k_coverage(SQUARE, k)
+
+    def test_accepts_a_numpy_integer_k(self):
+        assert covering_radius(SQUARE, np.int64(2)) == covering_radius(SQUARE, 2)

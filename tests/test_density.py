@@ -63,14 +63,16 @@ class TestTothBound:
         # (pi/3) / sin(pi/6) = 2 pi / 3
         assert toth_lower_bound(2) == pytest.approx(2 * math.pi / 3, abs=1e-15)
         assert f"{toth_lower_bound(2):.6f}" == "2.094395"
+        assert toth_lower_bound(np.int64(2)) == toth_lower_bound(2)
 
     def test_increasing_in_k(self):
         vals = [toth_lower_bound(k) for k in range(1, 8)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_rejects_bad_k(self):
-        with pytest.raises(ValueError):
-            toth_lower_bound(0)
+        for k in (0, True, np.True_, 2.0):
+            with pytest.raises(ValueError):
+                toth_lower_bound(k)
 
 
 class TestKnownValues:

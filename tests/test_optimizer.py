@@ -205,6 +205,8 @@ class TestOptimizeSingleLattice:
         with pytest.raises(ValueError):
             optimize_single_lattice(7)
         with pytest.raises(ValueError):
+            optimize_single_lattice(True)
+        with pytest.raises(ValueError):
             optimize_single_lattice(2, budget=10)
 
 

@@ -4,13 +4,19 @@ Each record compares equal field by field to another of its own class,
 hashes as the tuple of those fields, prints as `Name(field=value, ...)`
 and refuses assignment.  `Basis.det` and `PeriodicConfig.reduced` are
 derived, so they take no part in any of this.  `OptimizationResult` alone
-is mutable, and therefore unhashable.
+is mutable, and therefore unhashable.  Records without a constructor of
+their own share `Record`'s, which takes each field once, by position or
+by name.
 """
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+
 import pytest
 
+import diskcover
 from diskcover import (
     Basis,
     Circle,
@@ -26,6 +32,7 @@ from diskcover import (
     Rect,
     VoronoiCell,
 )
+from diskcover.geometry import Record
 
 
 def _config(radius=1.0):
@@ -53,6 +60,11 @@ CASES = {
         lambda a: Basis((a, 0), (0.5, -2)),
         ("u", "v"),
         "Basis(u=(1.0, 0.0), v=(-0.5, 2.0))",
+    ),
+    "ConvexPolygon": (
+        lambda a: ConvexPolygon([(0, 0), (a, 0), (0, 1)]),
+        ("vertices",),
+        "ConvexPolygon([Point(x=0.0, y=0.0), Point(x=1.0, y=0.0), Point(x=0.0, y=1.0)])",
     ),
     "Rect": (
         lambda a: Rect(0.0, -1.0, a, 3.0),
@@ -148,3 +160,48 @@ def test_derived_fields_are_left_out():
     assert config.reduced == Basis((1, 0), (0, 1))
     assert "reduced" not in repr(config) and "det" not in repr(config.basis)
     assert hash(config) == hash((config.basis, config.offsets, config.radius))
+
+
+# the records that declare no constructor and store their fields through
+# Record's
+SHARED_CONSTRUCTOR = (
+    "CoverageCertificate",
+    "CoveringRadius",
+    "DensityReport",
+    "OptimizationResult",
+    "VoronoiCell",
+    "CongruenceSignature",
+)
+
+
+@pytest.mark.parametrize("name", SHARED_CONSTRUCTOR)
+def test_shared_constructor_takes_each_field_once(name):
+    build, fields, _ = CASES[name]
+    cls = type(build(1.0))
+    assert "__init__" not in vars(cls)
+    values = [getattr(build(1.0), f) for f in fields]
+    # by position, by name, or positions first and names after
+    assert cls(*values) == cls(**dict(zip(fields, values))) == build(1.0)
+    assert cls(*values[:1], **dict(zip(fields[1:], values[1:]))) == build(1.0)
+    with pytest.raises(TypeError):
+        cls(*values[:-1])
+    with pytest.raises(TypeError):
+        cls(*values, 0.0)
+    with pytest.raises(TypeError):
+        cls(*values[:-1], unknown=0.0)
+    with pytest.raises(TypeError):
+        cls(*values, **{fields[0]: values[0]})
+
+
+def test_every_record_is_a_case():
+    # import every submodule, then find each Record subclass they define
+    for info in pkgutil.iter_modules(diskcover.__path__):
+        if info.name != "__main__":
+            importlib.import_module(f"diskcover.{info.name}")
+    found, todo = set(), [Record]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub.__module__.startswith("diskcover.") and sub.__name__ not in found:
+                found.add(sub.__name__)
+                todo.append(sub)
+    assert found <= set(CASES), sorted(found - set(CASES))
