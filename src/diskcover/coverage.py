@@ -371,7 +371,7 @@ def _root_grid(config: PeriodicConfig) -> tuple[np.ndarray, float, Rect]:
     xmin, xmax = min(0.0, ux, vx, ux + vx), max(0.0, ux, vx, ux + vx)
     ymin, ymax = min(0.0, uy, vy, uy + vy), max(0.0, uy, vy, uy + vy)
     width, height = xmax - xmin, ymax - ymin
-    side = max(min(width, height) / _ROOT_SHORT, max(width, height) / _ROOT_LONG, 1e-9)
+    side = max(min(width, height) / _ROOT_SHORT, max(width, height) / _ROOT_LONG)
     nx = max(1, math.ceil(width / side - 1e-9))
     ny = max(1, math.ceil(height / side - 1e-9))
     sx = width / nx
@@ -554,8 +554,8 @@ def covering_radius(
     cols, half, rect = _root_grid(config)
     field = _CenterField(config, rect, k)
     err = field.eval_error
+    # the first level raises top from -inf, and with it sets the witness
     top = -math.inf
-    witness = cols[:, 0]
     processed = 0
     converged = False
     finish_high = math.inf
@@ -633,5 +633,6 @@ def verify_k_coverage(
     Closed disks: a point on k disk boundaries counts as covered k times.
     The verdict is `CoveringRadius.certificate`'s.
     """
+    k = _check_k(k)
     return covering_radius(config, k, tol, max_boxes).certificate(k, config.radius, tol)
 

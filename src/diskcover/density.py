@@ -13,7 +13,6 @@ import math
 
 from .geometry import Record, _check_k
 from .lattice import PeriodicConfig
-from .voronoi import VoronoiCell
 
 HEXAGON_AREA = 3.0 * math.sqrt(3.0) / 2.0
 
@@ -32,8 +31,9 @@ def scaled_density(config: PeriodicConfig, radius: float) -> float:
     return len(config.offsets) * math.pi * radius**2 / config.basis.det
 
 
-def cell_density(cell: VoronoiCell, radius: float) -> float:
-    """Disk area over cell area, the per-cell share of the density."""
+def cell_density(cell, radius: float) -> float:
+    """Disk area over the area of `cell`, a `VoronoiCell`: the per-cell
+    share of the density."""
     if not (math.isfinite(radius) and radius > 0.0):
         raise ValueError(f"radius must be positive, got {radius}")
     return math.pi * radius**2 / cell.polygon.area
@@ -93,6 +93,7 @@ def density_report(config: PeriodicConfig, k: int) -> DensityReport:
     comparison against the bound allows 1e-9 of slack so densities that
     sit exactly on it report as meeting it.
     """
+    k = _check_k(k)
     dens = config_density(config)
     bound = toth_lower_bound(k)
     return DensityReport(

@@ -1,10 +1,11 @@
 """Planar primitives: points, circles, convex polygons.
 
-Two tolerance regimes are used throughout the package.  REP_TOL guards
+This module's primitives use two tolerance regimes.  REP_TOL guards
 representation-level degeneracies (coincident points, collinear triples,
 zero determinants).  GEOM_TOL is the default for geometric coincidence
-tests such as "does this intersection point equal q".  Both are absolute,
-in the same length units as the coordinates.
+tests such as "does this intersection point equal q".  Each use scales
+its tolerance by the size of the figure at hand, mostly by max(1, size),
+so below scale 1 most act as absolute lengths.
 """
 
 from __future__ import annotations

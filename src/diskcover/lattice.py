@@ -127,6 +127,8 @@ class PeriodicConfig(Record):
             basis = Basis(u, v)
         if not (math.isfinite(radius) and radius > 0.0):
             raise ValueError(f"radius must be positive, got {radius}")
+        # a plain float, so that the JSON of any real radius serializes
+        radius = float(radius)
         offsets = [p if isinstance(p, Point) else Point(p[0], p[1]) for p in offsets]
         if not offsets:
             raise ValueError("at least one offset required")

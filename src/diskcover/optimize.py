@@ -234,7 +234,7 @@ def optimize_single_lattice(
     """
 
     def c_min(b):
-        return math.sqrt(max(1.0 - b * b, 0.0))
+        return math.sqrt(1.0 - b * b)
 
     def clip(params):
         b = min(max(params[0], 0.0), 0.5)
@@ -270,7 +270,8 @@ def optimize_pattern_b(
     """
 
     def y_max(x):
-        return math.sqrt(max(1.0 - x * x, 0.0)) + 1.0
+        # x <= 1 in the clip and the start grid, so 1 - x^2 >= 0 in floats
+        return math.sqrt(1.0 - x * x) + 1.0
 
     def clip(params):
         x = min(max(params[0], 0.1), 1.0)

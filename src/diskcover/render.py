@@ -26,16 +26,14 @@ def render_svg(config: PeriodicConfig, size: int = 640) -> str:
         raise ValueError(f"size must be at least 1, got {size}")
     ux, uy = config.basis.u
     vx, vy = config.basis.v
-    corners = [
-        (i * ux + j * vx, i * uy + j * vy)
-        for i in (-1.0, 2.0)
-        for j in (-1.0, 2.0)
-    ]
+    # the corners of the 3 x 3 block of domains; the view is the block
+    # widened by r
+    xs = [i * ux + j * vx for i in (-1.0, 2.0) for j in (-1.0, 2.0)]
+    ys = [i * uy + j * vy for i in (-1.0, 2.0) for j in (-1.0, 2.0)]
+    block = Rect(min(xs), min(ys), max(xs), max(ys))
     r = config.radius
-    xmin = min(x for x, _ in corners) - r
-    xmax = max(x for x, _ in corners) + r
-    ymin = min(y for _, y in corners) - r
-    ymax = max(y for _, y in corners) + r
+    xmin, xmax = block.xmin - r, block.xmax + r
+    ymin, ymax = block.ymin - r, block.ymax + r
     span = max(xmax - xmin, ymax - ymin)
     scale = size / span
     width = (xmax - xmin) * scale
@@ -44,12 +42,6 @@ def render_svg(config: PeriodicConfig, size: int = 640) -> str:
     def to_svg(x: float, y: float) -> tuple[float, float]:
         return ((x - xmin) * scale, (ymax - y) * scale)
 
-    block = Rect(
-        min(x for x, _ in corners),
-        min(y for _, y in corners),
-        max(x for x, _ in corners),
-        max(y for _, y in corners),
-    )
     centers = enumerate_centers(config, block, r)
 
     parts = [

@@ -23,11 +23,13 @@ and that cutoff drops none that cuts:
   the reach is at most sqrt(2/3) * span (up to the clip tolerance), and
   the next center, beyond 2 * span > 2 * sqrt(2/3) * span, stops the loop.
 
-So any larger cutoff clips the same centers in the same order and gives
-the same cell, bit for bit.  Congruence is decided on quantized (edge
-length, interior angle) sequences, canonical over cyclic rotation and
-reflection, so a signature is a plain tuple comparison away from any
-rigid motion.
+So every cell lies within sqrt(2/3) * span of its site, up to the clip
+tolerance, well inside the start square: a test checks that bound on
+every vertex, and nothing checks it at run time.  Any larger cutoff clips
+the same centers in the same order and gives the same cell, bit for bit.
+Congruence is decided on quantized (edge length, interior angle)
+sequences, canonical over cyclic rotation and reflection, so a signature
+is a plain tuple comparison away from any rigid motion.
 """
 
 from __future__ import annotations
@@ -93,10 +95,6 @@ def voronoi_cell(config: PeriodicConfig, offset_index: int) -> VoronoiCell:
         poly = _clip_halfplane(poly, nx, ny, rhs, eps)
         if len(poly) < 3:
             raise ValueError("cell clipped away; inconsistent configuration")
-
-    for px, py in poly:
-        if max(abs(px - site.x), abs(py - site.y)) >= half - 1e-9 * half:
-            raise ValueError("unbounded cell at the chosen cutoff")
     cleaned = _merge_close([Point(x, y) for x, y in poly], 1e-9 * max(1.0, span))
     return VoronoiCell(site, ConvexPolygon(cleaned))
 
@@ -111,17 +109,13 @@ def _clip_halfplane(pts, nx, ny, rhs, eps):
         s_in = nx * sx + ny * sy <= rhs + eps
         e_in = nx * ex + ny * ey <= rhs + eps
         if s_in != e_in:
-            out.append(_line_hit(sx, sy, ex, ey, nx, ny, rhs))
+            ds = nx * sx + ny * sy - rhs
+            de = nx * ex + ny * ey - rhs
+            t = ds / (ds - de)
+            out.append((sx + t * (ex - sx), sy + t * (ey - sy)))
         if e_in:
             out.append((ex, ey))
     return out
-
-
-def _line_hit(sx, sy, ex, ey, nx, ny, rhs):
-    ds = nx * sx + ny * sy - rhs
-    de = nx * ex + ny * ey - rhs
-    t = ds / (ds - de)
-    return (sx + t * (ex - sx), sy + t * (ey - sy))
 
 
 def congruence_signature(
@@ -130,13 +124,11 @@ def congruence_signature(
     """Signature invariant under rigid motions, reflections included."""
     _check_tol(tol)
     poly = cell.polygon if isinstance(cell, VoronoiCell) else cell
-    verts = list(poly.vertices)
+    verts = poly.vertices
     forward = _quantized_pairs(verts, tol)
-    backward = _quantized_pairs(list(reversed(verts)), tol)
-    best = min(
-        min(_rotations(forward)),
-        min(_rotations(backward)),
-    )
+    backward = _quantized_pairs(verts[::-1], tol)
+    # the least rotation of either orientation
+    best = min(seq[i:] + seq[:i] for seq in (forward, backward) for i in range(len(seq)))
     return CongruenceSignature(best, tol)
 
 
@@ -156,11 +148,6 @@ def _quantized_pairs(verts, tol):
             raise ValueError(f"congruence tolerance {tol} is too small for this cell")
         pairs.append((round(steps[0]), round(steps[1])))
     return tuple(pairs)
-
-
-def _rotations(seq):
-    n = len(seq)
-    return [seq[i:] + seq[:i] for i in range(n)]
 
 
 def all_cells_congruent(

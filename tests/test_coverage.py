@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -396,9 +397,20 @@ class TestCoveringRadius:
     def test_kernel_blocks_stay_bounded(self, monkeypatch):
         # a level larger than one block is split into blocks of at most
         # _CHUNK_ELEMENTS d^2 entries, and the split changes no result
+        def fields(r):
+            return (r.low, r.high, r.witness, r.boxes, r.converged)
+
         chunk = 4000
         cfg = skewed_config(np.random.default_rng(97), 8)
         expected = covering_radius(cfg, 8, tol=1e-8)
+        # at 600 entries a block, a ring over several blocks returns its
+        # centers: the per-block runs are joined
+        small = [
+            (skewed_config(np.random.default_rng(97), n), k)
+            for n in (1, 2, 3, 8)
+            for k in (1, 2, 3, 8)
+        ]
+        small_expected = [fields(covering_radius(c, k, tol=1e-8)) for c, k in small]
         monkeypatch.setattr(coverage, "_CHUNK_ELEMENTS", chunk)
         squared_distances = coverage._squared_distances
         dk = coverage._CenterField.dk
@@ -426,6 +438,21 @@ class TestCoveringRadius:
             expected.boxes,
             expected.converged,
         )
+
+        ring = coverage._CenterField.ring
+        joined = []
+
+        def counting_ring(self, cols, kept, inner, outer):
+            blocks = -(-len(kept) // self._rows)
+            found = ring(self, cols, kept, inner, outer)
+            if blocks > 1 and found is not None:
+                joined.append(blocks)
+            return found
+
+        monkeypatch.setattr(coverage, "_CHUNK_ELEMENTS", 600)
+        monkeypatch.setattr(coverage._CenterField, "ring", counting_ring)
+        assert [fields(covering_radius(c, k, tol=1e-8)) for c, k in small] == small_expected
+        assert len(joined) >= 1
 
     def test_matches_circumcenter_oracle(self):
         # d_k peaks at the circumcenter of a center triple; the oracle sizes
@@ -772,6 +799,9 @@ class TestVerifyKCoverage:
         d = cert.to_dict()
         assert d["status"] == "tight"
         assert d["k"] == 2
+        # a numpy integer k is kept as the plain int it names
+        same = verify_k_coverage(triangle_pattern(), np.int64(2), tol=1e-6)
+        assert json.dumps(same.to_dict()) == json.dumps(d)
 
     def test_critical_cases_stay_tight_under_motion(self):
         # each classical pattern at its critical radius, under 40 seeded

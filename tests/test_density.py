@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -110,3 +111,6 @@ class TestDensityReport:
         assert rep.meets_toth
         d = rep.to_dict()
         assert set(d) >= {"k", "density", "normalized", "toth_bound", "meets_toth"}
+        # a numpy integer k is kept as the plain int it names
+        same = density_report(triangle_pattern(), np.int64(2))
+        assert json.dumps(same.to_dict()) == json.dumps(d)

@@ -211,6 +211,14 @@ class TestPeriodicConfig:
         with pytest.raises(ValueError, match="radius"):
             PeriodicConfig(Basis((1, 0), (0, 1)), [(0, 0)], radius=0.0)
 
+    def test_stores_a_numpy_radius_as_a_plain_float(self):
+        cfg = PeriodicConfig(Basis((1, 0), (0, 1)), [(0, 0)], np.float32(1.0))
+        assert type(cfg.radius) is float
+        assert json.loads(cfg.to_json())["radius"] == 1.0
+        # validated as before the conversion: a string is still refused
+        with pytest.raises(TypeError):
+            PeriodicConfig(Basis((1, 0), (0, 1)), [(0, 0)], "1.0")
+
     def test_scaled(self):
         cfg = PeriodicConfig(Basis((1, 0), (0, 1)), [(0.25, 0.25)], radius=0.8)
         doubled = cfg.scaled(2.0)

@@ -10,11 +10,12 @@ from diskcover import (
     all_cells_congruent,
     congruence_signature,
     pattern_b,
+    tangent_pattern_c,
     triangle_pattern,
     voronoi_cell,
 )
 from diskcover import voronoi
-from helpers import random_config
+from helpers import random_config, skewed_config
 
 
 class TestVoronoiCell:
@@ -216,3 +217,28 @@ def test_two_span_cutoff_gives_the_cells_of_eight_spans(monkeypatch):
             patch.setattr(voronoi, "_CUTOFF_SPANS", 8.0)
             wide = [voronoi_cell(cfg, i).polygon.vertices for i in range(len(offsets))]
         assert near == wide
+
+
+def test_every_cell_lies_within_the_reach_bound():
+    # the module docstring proves that every cell lies within
+    # sqrt(2/3) * span of its site, so the start square of half-width
+    # 4 * span never survives; voronoi_cell relies on that and does not
+    # check it
+    rng = np.random.default_rng(1411)
+    configs = [triangle_pattern(), tangent_pattern_c("a"), tangent_pattern_c("b", 0.6)]
+    for _ in range(60):
+        # the range of the pattern_b triples the command line is given
+        x = rng.uniform(0.4, 1.0)
+        y = (math.sqrt(1.0 - x * x) + 1.0) * rng.uniform(0.5, 1.0)
+        configs.append(pattern_b(x, y, y * rng.uniform(0.2, 1.8)))
+    for seed in range(8):
+        configs += [skewed_config(np.random.default_rng(seed), n) for n in range(1, 9)]
+    configs += [random_config(rng) for _ in range(60)]
+    worst = 0.0
+    for cfg in configs:
+        span = max(cfg.reduced.lengths())
+        for i in range(len(cfg.offsets)):
+            cell = voronoi_cell(cfg, i)
+            reach = max(p.distance_to(cell.site) for p in cell.polygon.vertices)
+            worst = max(worst, reach / span)
+    assert worst <= math.sqrt(2.0 / 3.0) * (1.0 + 1e-9)
