@@ -171,16 +171,34 @@ class _CenterField:
     """Cached center enumeration serving batched d_k queries on a rect.
 
     The centers are held as rows x and y of the (2, N) array `centers`:
-    every center within the reach R = sqrt(k * det / (n * pi)) + D
-    of the rect, where det and D = |u| + |v| come from the reduced basis
-    u, v and n is the offset count, plus a margin of 1e-12 * scale that
-    absorbs rounding, that of the query points included.  R bounds d_k at
-    every point p of the rect, so the cache holds the k nearest centers
-    of every query.  Proof: D >= diam(P) for the reduced parallelogram P.
-    The half-open translates of P tile the plane, and each holds exactly
-    n centers.  The translates that meet the disk B(p, R - D) cover it,
-    so there are at least pi (R - D)^2 / det = k / n of them; they hold at
-    least k centers, each within R - D + diam(P) <= R of p.
+    every center within the reach R of the rect, plus a margin of
+    1e-12 * scale that absorbs rounding, that of the query points
+    included.  R is the lesser of two bounds on d_k over the rect, so the
+    cache holds the k nearest centers of every query.
+
+    The area reach A = sqrt(k * det / (n * pi)) + D, where det and
+    D = |u| + |v| come from the reduced basis u, v and n is the offset
+    count.  Proof: D >= diam(P) for the reduced parallelogram P.  The
+    half-open translates of P tile the plane, and each holds exactly n
+    centers.  The translates that meet the disk B(p, A - D) cover it, so
+    there are at least pi (A - D)^2 / det = k / n of them; they hold at
+    least k centers, each within A - D + diam(P) <= A of p.
+
+    The lattice reach rho + lam + 2 h, for m = ceil(k / n) <= 7, widened
+    by 1e-9 of itself and by 2 eval_error for rounding.  With v replaced
+    by -v where dot(u, v) < 0, rho is the circumradius of the triangle
+    (0, u, v), and lam is 0, |u|, |v| or |u - v| for m <= 1, 3, 5 or 7.
+    Proof: for a reduced basis that triangle is non-obtuse, so each of
+    its points lies within rho of one of its vertices.  It and its image
+    under q -> u + v - q tile the cell (0, u, u + v, v), and the lattice
+    translates of both tile the plane; so every point p has a center of
+    each offset within rho.  Adding the
+    lattice vectors 0, then +-u, +-v and +-(u - v), all of norm at most
+    lam, gives m distinct centers of each offset, n m >= k in all, within
+    rho + lam of p.  h is the root boxes' half-diagonal that
+    `covering_radius` passes: a root box's ring reaches d_k(m) + 2 h from
+    its center m, so the field holds every center of every ring.  For
+    larger m only the area reach is used.
 
     The cache is bounded.  For a W x H rect, the translates of P placed at
     the centers of one offset are disjoint and lie in a box of sides
@@ -193,17 +211,31 @@ class _CenterField:
     point of the rect, and of a sum of such a value with a bound of the
     same scale: _EVAL_ULPS units of roundoff times the coordinate scale,
     the largest rect coordinate plus the largest offset coordinate plus
-    the reach, which bounds every coordinate the computation meets.
+    the area reach A.  A bounds every coordinate the computation meets,
+    and it is kept whatever R is, so that R moves no bound by a bit.
     """
 
-    def __init__(self, config: PeriodicConfig, rect: Rect, k: int):
+    def __init__(self, config: PeriodicConfig, rect: Rect, k: int, diag_root: float = 0.0):
         self.k = k
-        len_u, len_v = config.reduced.lengths()
-        per_center = config.basis.det / len(config.offsets)
-        self.reach = math.sqrt(k * per_center / math.pi) + len_u + len_v
+        reduced = config.reduced
+        len_u, len_v = reduced.lengths()
+        count = len(config.offsets)
+        area = math.sqrt(k * (config.basis.det / count) / math.pi) + len_u + len_v
         corner = max(abs(rect.xmin), abs(rect.xmax), abs(rect.ymin), abs(rect.ymax))
         offset = max([abs(c) for p in config.offsets for c in (p.x, p.y)])
-        self.eval_error = _EVAL_ULPS * _U * (corner + offset + self.reach)
+        self.eval_error = _EVAL_ULPS * _U * (corner + offset + area)
+        self.reach = area
+        # m lattice translates of each offset's nearest center, m = ceil(k / n)
+        copies = -(-k // count)
+        if copies <= 7:
+            (ux, uy), (vx, vy) = reduced.u, reduced.v
+            if ux * vx + uy * vy < 0.0:
+                vx, vy = -vx, -vy
+            len_w = math.hypot(ux - vx, uy - vy)
+            rho = len_u * len_v * len_w / (2.0 * reduced.det)
+            lam = (0.0, len_u, len_v, len_w)[copies // 2]
+            lattice = (rho + lam + 2.0 * diag_root) * (1.0 + 1e-9) + 2.0 * self.eval_error
+            self.reach = min(area, lattice)
         self.set_centers(_translates_array(config, rect, self.reach).T)
 
     def set_centers(self, centers: np.ndarray) -> None:
@@ -552,7 +584,8 @@ def covering_radius(
     _check_tol(tol)
     # the level's box centers as rows x and y
     cols, half, rect = _root_grid(config)
-    field = _CenterField(config, rect, k)
+    # the field holds every center of a root box's ring
+    field = _CenterField(config, rect, k, half * math.sqrt(2.0))
     err = field.eval_error
     # the first level raises top from -inf, and with it sets the witness
     top = -math.inf

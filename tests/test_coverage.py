@@ -368,8 +368,9 @@ class TestCoveringRadius:
         for cfg, k, tol in cases:
             levels.clear()
             covering_radius(cfg, k, tol=tol)
-            _, _, rect = coverage._root_grid(cfg)
-            centers = coverage._CenterField(cfg, rect, k).centers.T.tolist()
+            _, root_half, rect = coverage._root_grid(cfg)
+            field = coverage._CenterField(cfg, rect, k, root_half * math.sqrt(2.0))
+            centers = field.centers.T.tolist()
             for boxes, inner, outer, half, pad, got in levels:
                 want = finish_reference(centers, boxes, inner, outer, half, pad)
                 assert [tuple(map(float.hex, row)) for row in got] == [
