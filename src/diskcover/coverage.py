@@ -23,17 +23,20 @@ numpy as one array.
 The finish.  max d_k is attained at a vertex of the order-k Voronoi
 diagram (Lee 1982): at a maximizer v at least three centers lie at
 distance d_k(v), and no half-plane through v holds them all, or moving v
-away from them would raise d_k; so v is their circumcenter.  If v lies in
-a surviving box with center m and half-diagonal h, those centers lie in
-the ring |c - m| in [d_k(m) - 2h, d_k(m) + 2h], since d_k is 1-Lipschitz.
-Every dropped box has d_k <= low.  Hence max d_k = max(low, d_k at the
-circumcenters of ring triples that lie in surviving boxes).  Once no
-surviving box has more than _FINISH_CAP ring centers, all their triples
-are solved in one pass, and d_k at each in-box circumcenter bounds the
-maximum from both sides: the point is real, so its value (less the
-evaluation error) is a lower bound, and the exact vertex lies within the
-circumcenter's a-posteriori error bound of it, so its value plus that
-bound is an upper bound (Moore 1966).  Every bound carries an explicit
+away from them would raise d_k; so v is their circumcenter.  Every
+dropped box has d_k <= low, and only a v with d_k(v) > low can raise the
+maximum above low.  If such a v lies in a surviving box with center m and
+half-diagonal h, its centers lie at distance d_k(v) from v and |v - m| <=
+h, so |c - m| lies in [d_k(v) - h, d_k(v) + h].  d_k is 1-Lipschitz, so
+d_k(v) is within h of d_k(m), and d_k(v) > low: the centers lie in the
+ring |c - m| in [max(d_k(m) - 2h, low - h), d_k(m) + 2h].  Hence max d_k
+= max(low, d_k at the circumcenters of ring triples that lie in surviving
+boxes).  Once no surviving box has more than _FINISH_CAP ring centers, all
+their triples are solved in one pass, and d_k at each in-box
+circumcenter bounds the maximum from both sides: the point is real, so
+its value (less the evaluation error) is a lower bound, and the exact
+vertex lies within the circumcenter's a-posteriori error bound of it, so
+its value plus that bound is an upper bound (Moore 1966).  Every bound carries an explicit
 rounding allowance, so an enclosure narrower than float resolution is
 never claimed.
 
@@ -44,7 +47,11 @@ that misses the cell.  Boxes over the rest of the bounding box would carry
 1.5 to 2.5 copies of every deep hole down the levels: on random skewed
 cells at tol 1e-9 the culled root evaluates 43% fewer boxes.
 
-The same bound prunes the centers each level scans.  If a box with
+The search starts from every center within a reach of the root boxes
+that bounds d_k everywhere plus the root ring's 2h: the lesser of an
+area bound and the lattice's covering radius plus the length of a few
+lattice vectors (`_CenterField`), so each root ring is whole.  The same
+Lipschitz bound prunes the centers each level scans.  If a box with
 center m and half-diagonal h survives, every point p of it has
 d_k(p) <= d_k(m) + h, so the k nearest centers of p lie within
 d_k(m) + 2h of m.  Centers farther than that from every surviving box
@@ -91,10 +98,10 @@ _ROOT_LONG = 64
 # 1e-13 of the interval's half width
 _CULL_SLACK = 1e-9
 # the finish runs once no surviving box has more ring centers than this;
-# it solves all C(6, 3) = 20 triples of each box, in blocks of boxes whose
-# triangles' vertices stay under _CHUNK_ELEMENTS coordinates
-_FINISH_CAP = 6
-_FINISH_BOXES = _CHUNK_ELEMENTS // (6 * 20)
+# it solves all C(8, 3) = 56 triples of each box, in blocks of boxes whose
+# triangles' 6 coordinates each stay under _CHUNK_ELEMENTS in all
+_FINISH_CAP = 8
+_FINISH_BOXES = _CHUNK_ELEMENTS // (6 * math.comb(_FINISH_CAP, 3))
 
 # unit roundoff of float64
 _U = 2.0**-53
@@ -192,13 +199,12 @@ class _CenterField:
     its points lies within rho of one of its vertices.  It and its image
     under q -> u + v - q tile the cell (0, u, u + v, v), and the lattice
     translates of both tile the plane; so every point p has a center of
-    each offset within rho.  Adding the
-    lattice vectors 0, then +-u, +-v and +-(u - v), all of norm at most
-    lam, gives m distinct centers of each offset, n m >= k in all, within
-    rho + lam of p.  h is the root boxes' half-diagonal that
-    `covering_radius` passes: a root box's ring reaches d_k(m) + 2 h from
-    its center m, so the field holds every center of every ring.  For
-    larger m only the area reach is used.
+    each offset within rho.  Adding the lattice vectors 0, then +-u, +-v
+    and +-(u - v), all of norm at most lam, gives m distinct centers of
+    each offset, n m >= k in all, within rho + lam of p.  h is the root
+    boxes' half-diagonal that `covering_radius` passes: a root box's ring
+    reaches d_k(m) + 2 h from its center m, so the field holds every
+    center of every ring.  For larger m only the area reach is used.
 
     The cache is bounded.  For a W x H rect, the translates of P placed at
     the centers of one offset are disjoint and lie in a box of sides
@@ -234,8 +240,8 @@ class _CenterField:
             len_w = math.hypot(ux - vx, uy - vy)
             rho = len_u * len_v * len_w / (2.0 * reduced.det)
             lam = (0.0, len_u, len_v, len_w)[copies // 2]
-            lattice = (rho + lam + 2.0 * diag_root) * (1.0 + 1e-9) + 2.0 * self.eval_error
-            self.reach = min(area, lattice)
+            bound = (rho + lam + 2.0 * diag_root) * (1.0 + 1e-9) + 2.0 * self.eval_error
+            self.reach = min(area, bound)
         self.set_centers(_translates_array(config, rect, self.reach).T)
 
     def set_centers(self, centers: np.ndarray) -> None:
@@ -612,11 +618,12 @@ def covering_radius(
             converged = True
             break
         survivors = (vals + spread > low).nonzero()[0]
-        # the ring of each surviving box, widened by err, which is far above
-        # the relative rounding of d^2 and of the ring radii
+        # the ring of each surviving box, from no lower than low - diag,
+        # widened by err, which is far above the relative rounding of d^2
+        # and of the ring radii
         kept = vals.take(survivors)
         outer = kept + 2.0 * diag + err
-        inner = np.maximum(kept - 2.0 * diag - err, 0.0)
+        inner = np.maximum(kept - 2.0 * diag - err, max(low - diag - err, 0.0))
         ring = field.ring(cols, survivors, inner, outer)
         parents = cols.take(survivors, axis=1)
         if ring is not None:

@@ -66,12 +66,18 @@ def reduce_basis(basis: Basis) -> Basis:
     v - mu * u can undo every step, or |u|^2 can underflow.  Every dot
     product is x0 * y0 + x1 * y1 in plain floats, so the result does not
     depend on how a linear-algebra library rounds.  A basis that no step
-    changes is returned as it is.
+    changes is returned as it is.  A state that comes back two steps later
+    ends the loop on the state that the step bound would end it on, bit
+    for bit.
     """
     (ux, uy), (vx, vy) = basis.u, basis.v
     mu = 0
     changed = False
-    for _ in range(_MAX_REDUCTION_STEPS):
+    # the state this step started from, the one before it and that one's mu
+    state = (ux, uy, vx, vy)
+    older = None
+    older_mu = 0
+    for step in range(_MAX_REDUCTION_STEPS):
         uu = ux * ux + uy * uy
         vv = vx * vx + vy * vy
         if vv < uu:
@@ -86,10 +92,20 @@ def reduce_basis(basis: Basis) -> Basis:
             break
         vx, vy = vx - mu * ux, vy - mu * uy
         changed = True
-    # a nonzero mu means the step bound was reached.  On a reduced pair
-    # with dot(u, v) within an ulp of |u|^2 / 2 (hexagonal) rounding flips
-    # mu between +1 and -1 for good; any other mu at the step bound means
-    # the reduction stalled
+        after = (ux, uy, vx, vy)
+        if after == older and list(map(float.hex, after)) == list(map(float.hex, older)):
+            # each state is a function of the one before, so the loop would
+            # alternate between `state` and this one up to the step bound:
+            # end on the state and the mu of the bound's parity
+            if (_MAX_REDUCTION_STEPS - step) % 2 == 0:
+                ux, uy, vx, vy = state
+                mu = older_mu
+            break
+        older, state, older_mu = state, after, mu
+    # a nonzero mu means the step bound was reached, or jumped to.  On a
+    # reduced pair with dot(u, v) within an ulp of |u|^2 / 2 (hexagonal)
+    # rounding flips mu between +1 and -1 for good; any other mu at the
+    # step bound means the reduction stalled
     if abs(mu) > 1:
         raise ValueError("basis reduction did not converge")
     if not changed:
@@ -191,7 +207,7 @@ class PeriodicConfig(Record):
             if not (isinstance(val, (list, tuple)) and len(val) == 2):
                 raise ConfigFormatError(f"field {name!r} must be a pair of numbers")
             try:
-                return (float(val[0]), float(val[1]))
+                return (_number(val[0]), _number(val[1]))
             except (TypeError, ValueError) as exc:
                 raise ConfigFormatError(f"field {name!r} must be numeric") from exc
 
@@ -203,11 +219,11 @@ class PeriodicConfig(Record):
             if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
                 raise ConfigFormatError("each offset must be a pair of numbers")
             try:
-                pts.append(Point(float(entry[0]), float(entry[1])))
+                pts.append(Point(_number(entry[0]), _number(entry[1])))
             except (TypeError, ValueError) as exc:
                 raise ConfigFormatError("each offset must be numeric") from exc
         try:
-            radius = float(data["radius"])
+            radius = _number(data["radius"])
         except (TypeError, ValueError) as exc:
             raise ConfigFormatError("field 'radius' must be numeric") from exc
         try:
@@ -224,6 +240,14 @@ class PeriodicConfig(Record):
         except json.JSONDecodeError as exc:
             raise ConfigFormatError(f"invalid JSON: {exc}") from exc
         return cls.from_dict(data)
+
+
+def _number(value) -> float:
+    # float(value), except that a bool, Python's or numpy's, is no number
+    # here, though float() reads it as 0 or 1
+    if isinstance(value, bool) or getattr(getattr(value, "dtype", None), "kind", "") == "b":
+        raise TypeError(f"{value!r} is a bool")
+    return float(value)
 
 
 def _min_periodic_gap(offsets: tuple[Point, ...], reduced: Basis) -> float:

@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import io
 import json
 import math
 import os
@@ -77,10 +78,22 @@ class TestVerifyCommand:
     def test_bad_k_exit_4(self, triangle_config, capsys):
         assert main(["verify", "--config", triangle_config, "--k", "0"]) == 4
 
-    def test_malformed_config_exit_3(self, tmp_path, capsys):
+    def test_malformed_config_exit_3(self, tmp_path, capsys, monkeypatch):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["verify", "--config", str(bad)]) == 3
+        # JSON booleans are no numbers, though float() reads them as 0 and 1:
+        # this one certified the unit square at radius 1
+        monkeypatch.setattr(
+            sys, "stdin", io.StringIO('{"u":[true,0],"v":[0,1],"offsets":[[0,0]],"radius":true}')
+        )
+        assert main(["verify", "--k", "1"]) == 3
+        monkeypatch.setattr(
+            sys, "stdin", io.StringIO('{"u":[1,0],"v":[0,1],"offsets":[[false,0]],"radius":1}')
+        )
+        assert main(["density"]) == 3
+        err = capsys.readouterr().err
+        assert "'radius' must be numeric" in err and "each offset must be numeric" in err
 
     def test_missing_file_exit_3(self, capsys):
         assert main(["verify", "--config", "/nonexistent/cfg.json"]) == 3

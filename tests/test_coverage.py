@@ -211,12 +211,26 @@ class TestCoveringRadius:
         assert covering_radius(cfg, 2, tol=1e-12, max_boxes=full.boxes - 1) == cut
         assert not cut.converged
 
+    def test_finish_block_constants(self):
+        # every box of a finish block solves at most C(_FINISH_CAP, 3)
+        # triangles of 6 coordinates each, so a block's vertices stay within
+        # one kernel block; _triples holds each triple once, ascending
+        cap, boxes = coverage._FINISH_CAP, coverage._FINISH_BOXES
+        assert 6 * math.comb(cap, 3) * boxes <= coverage._CHUNK_ELEMENTS
+        triples, last = coverage._triples()
+        assert triples.shape == (3, math.comb(cap, 3))
+        assert len({tuple(t) for t in triples.T.tolist()}) == math.comb(cap, 3)
+        assert (triples[0] < triples[1]).all() and (triples[1] < triples[2]).all()
+        assert (last == triples[2]).all() and last.max() == cap - 1
+
     def test_finish_stops_at_the_block_past_the_budget(self, monkeypatch):
         # one box per block, the finish stops at the block whose kept points
         # pass the remaining budget of 6, 11 or 18 boxes and solves none of
-        # the 45 triangles after it; the search then stops where it did
+        # the 42 triangles after it; the search then stops where it did
         # when every block was solved, with the enclosure recorded then.
-        # At 42 boxes the last block is the one that passes
+        # At 42 boxes the last block is the one that passes.  Before the
+        # finish ring was bounded below by low - diag and _FINISH_CAP went
+        # from 6 to 8, the counts were 16, 34 and 45
         cfg = PeriodicConfig(Basis((1.07, 0), (0.33, 0.91)), [(0, 0)], radius=1.0)
         circumcenters = coverage._circumcenters
         solved = []
@@ -228,7 +242,7 @@ class TestCoveringRadius:
         monkeypatch.setattr(coverage, "_circumcenters", recording)
         monkeypatch.setattr(coverage, "_FINISH_BOXES", 1)
         cut = (0.8950366612602946, 1.0559034539802619, Point(0.40874999999999995, 0.79625))
-        for max_boxes, triangles in ((30, 16), (35, 34), (42, 45)):
+        for max_boxes, triangles in ((30, 16), (35, 31), (42, 42)):
             solved.clear()
             r = covering_radius(cfg, 2, tol=1e-12, max_boxes=max_boxes)
             assert sum(solved) == triangles
@@ -551,7 +565,9 @@ class TestCenterPruning:
             # alone, with the root culled to the cell, gave (0.9999999997671694,
             # 1.000000000754986, 2012), (1.1180339837518933,
             # 1.1180339890202493, 1632) and (0.49127877717591234,
-            # 0.4912787780501625, 9644)
+            # 0.4912787780501625, 9644).  The third took 503 boxes before the
+            # finish ring was bounded below by low - diag and _FINISH_CAP
+            # went from 6 to 8
             (
                 triangle_pattern(),
                 2,
@@ -576,7 +592,7 @@ class TestCenterPruning:
                 1e-9,
                 0.49127877717591223,
                 0.4912787780930263,
-                (0.4912787772171566, 0.4912787772171979, 503),
+                (0.4912787772171566, 0.4912787772171979, 253),
             ),
         ],
     )
@@ -594,7 +610,10 @@ class TestCenterPruning:
         # d4325555...5c3279, the cut at 400 boxes) every enclosure overlaps
         # its old one, and each end of the 128 converged searches moved by at
         # most 0.90 tol; against the bounding-box root before it (digest
-        # 0d5179fe...8ddc53c) they moved by at most 0.46 tol
+        # 0d5179fe...8ddc53c) they moved by at most 0.46 tol.  Against the
+        # finish with ring centers from d_k(m) - 2h and a cap of 6 (digest
+        # 1f1cc6f5...ca2f7fb) no enclosure moved; 106 box counts and 2
+        # witnesses did
         def fields(r):
             return (r.low, r.high, r.witness.x, r.witness.y, r.boxes, r.converged)
 
@@ -610,20 +629,23 @@ class TestCenterPruning:
         assert not cut.converged
         rows.append(fields(cut))
         digest = hashlib.sha256(repr(rows).encode()).hexdigest()
-        assert digest == "1f1cc6f5c63babb16d63858d164a6d48c18961f78698287481b6c31c0ca2f7fb"
+        assert digest == "95075568c4be7f6fb170c1a8c79e88d0ace88a57d877df93a3dec6c74cc6e659"
 
     def test_pinned_digest_on_optimizer_starts(self):
         # every field of the 264 tol-1e-4 searches of the optimizer's start
         # grids (single lattice k = 1..4, then pattern_b), recorded before
         # the search held its point sets in one (2, N) layout; the history
-        # digests of the optimizer tests see only `high`
+        # digests of the optimizer tests see only `high`.  Against the
+        # finish with ring centers from d_k(m) - 2h and a cap of 6 (digest
+        # 8deaf746...55f883) 4 enclosures moved, each overlapping its old
+        # one and by at most 3.2e-15 relative
         rows = [
             (r.low, r.high, r.witness.x, r.witness.y, r.boxes, r.converged)
             for r in (covering_radius(cfg, k, tol=1e-4) for cfg, k in optimizer_start_configs())
         ]
         assert len(rows) == 264
         digest = hashlib.sha256(repr(rows).encode()).hexdigest()
-        assert digest == "8deaf7462181b8a330e9f5149a3a5b076fd944305e68d7d28a68b0496e55f883"
+        assert digest == "394b71df7c9d1f96e92253b4aac45e0f95f18956e1a08972dcd583cebe65267b"
 
     def test_pruning_changes_no_search(self, monkeypatch):
         # with the unpruned field put back after every `ring`, the searches
@@ -677,6 +699,43 @@ class TestCenterPruning:
             brute = np.sqrt(np.partition(d2, k - 1, axis=1)[:, k - 1])
             assert brute.max() < field.reach
             assert np.array_equal(field.dk(pts.T), brute)
+        # the lattice reach: rho, the lattice's covering radius, plus the
+        # m-th shortest lattice vector, m = ceil(k / n) and 0 the first,
+        # bounds d_k at the certified witness and at 200 random points of
+        # the cell, with d_k over every center within the area reach; the
+        # field keeps the k nearest of each and its reach never passes the
+        # area reach.  On the 1 x 2.4 rectangle at k = 5, rho + |u| falls
+        # 7% short of max d_k, and rho + |v| holds
+        hexagonal = PeriodicConfig(Basis((1.0, 0.0), (0.5, math.sqrt(0.75))), [(0, 0)], 1.0)
+        rectangle = PeriodicConfig(Basis((1.0, 0.0), (0.0, 2.4)), [(0, 0)], 1.0)
+        cases = [(skewed_config(rng, n), k) for k in range(1, 9) for n in range(1, 9)]
+        cases += _critical_configs() + [(rectangle, 5)]
+        cases += [(cfg, k) for cfg in (hexagonal, triangle_pattern()) for k in range(1, 9)]
+        lattice_bounded = 0
+        for cfg, k in cases:
+            boxes, half, rect = coverage._root_grid(cfg)
+            field = coverage._CenterField(cfg, rect, k)
+            u, v = np.array(cfg.reduced.u), np.array(cfg.reduced.v)
+            steps = range(-4, 5)
+            lengths = sorted(np.hypot(*(i * u + j * v)) for i in steps for j in steps)
+            area = math.sqrt(k * cfg.det / len(cfg.offsets) / math.pi)
+            area += sum(cfg.reduced.lengths())
+            assert field.reach <= area * (1.0 + 1e-12)
+            one = PeriodicConfig(cfg.reduced, [(0, 0)], 1.0)
+            rho = covering_radius(one, 1, tol=1e-12).high
+            witness = covering_radius(cfg, k, tol=1e-9).witness
+            st = rng.uniform(0.0, 1.0, (200, 2))
+            pts = np.vstack(([[witness.x, witness.y]], st[:, :1] * u + st[:, 1:] * v))
+            centers = _translates_array(cfg, rect, area)
+            d2 = (pts[:, 0:1] - centers[:, 0]) ** 2 + (pts[:, 1:2] - centers[:, 1]) ** 2
+            brute = np.sqrt(np.partition(d2, k - 1, axis=1)[:, k - 1])
+            assert brute.max() < field.reach
+            assert np.array_equal(field.dk(pts.T), brute)
+            copies = -(-k // len(cfg.offsets))
+            if copies <= 7:
+                assert brute.max() <= (rho + lengths[copies - 1]) * (1.0 + 1e-12)
+                lattice_bounded += 1
+        assert lattice_bounded > 60
 
     def test_root_rect_holds_every_root_box(self):
         # the rect is the union of the root boxes, so every box center of a

@@ -128,6 +128,24 @@ class TestReduceBasis:
             0.5 * (r.u[0] ** 2 + r.u[1] ** 2), rel=1e-12
         )
 
+    def test_repeated_state_ends_the_loop(self, monkeypatch):
+        # once a state comes back two steps later the loop can only cycle,
+        # so it ends there, not after all 256 steps: on the flip between
+        # +1 and -1 and on a stall whose v - mu * u rounds back to v
+        steps = []
+
+        def counting_round(ratio):
+            steps.append(ratio)
+            return round(ratio)
+
+        monkeypatch.setattr(lattice, "round", counting_round, raising=False)
+        assert reduce_basis(ROTATED_HONEYCOMB) == ROTATED_HONEYCOMB
+        assert len(steps) == 2
+        steps.clear()
+        with pytest.raises(ValueError, match="did not converge"):
+            reduce_basis(Basis((4e-16, 7e-16), (7e29, -4e29)))
+        assert len(steps) == 2
+
     @pytest.mark.parametrize("steps", [256, 255, 8, 7])
     def test_cycle_exit_keeps_the_step_bound_parity(self, monkeypatch, steps):
         # the full loop ends on the other state of the cycle after an odd

@@ -234,13 +234,15 @@ def test_pinned_winners(case):
 
 
 # every (params, value) of the benchmark's five searches at tol 1e-4 and
-# the default budget, with the evaluation count; 1218 evaluations in all
+# the default budget, with the evaluation count; 1218 evaluations in all.
+# pattern_b's was 3f7d03ce...eb57572 with the finish ring from d_k(m) - 2h
+# and a cap of 6: 4 of its 325 values moved, by at most 6.4e-15 relative
 HISTORIES = {
     1: (125, "ec557614bef38ce65316206abc100b0c7a56306506ac52750a08d446e22f99cf"),
     2: (354, "5ae9e83595ebc62604ecc3f52663e159c2d04efe2aae7cd60bbfb156201c8855"),
     3: (286, "3b1bcb0908ab80b157328d594992100500dc58d019752b21c564f3b1b85b3d61"),
     4: (128, "774ea350886708ecb08eebb1b1169de0545c800be6f7cc3c3b2db73b1007e734"),
-    "pattern_b": (325, "3f7d03ce2a28c565fdff343f82f196d6196b6d045cec1905bb137173eeb57572"),
+    "pattern_b": (325, "72ec958376e13b2ba16f6bc0eef4e5b484b30d14c3d38455a27849ae14bce99c"),
 }
 
 
