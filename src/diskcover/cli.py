@@ -40,16 +40,17 @@ def _emit(payload: dict) -> int:
 
 
 def _load_config(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    if args.config is not None:
-        try:
+    if args.config is None and sys.stdin.isatty():
+        parser.exit(USAGE_ERROR, "error: no configuration: pass --config or pipe JSON\n")
+    try:
+        if args.config is None:
+            text = sys.stdin.read()
+        else:
             with open(args.config, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise ConfigFormatError(f"cannot read {args.config}: {exc}") from exc
-    elif not sys.stdin.isatty():
-        text = sys.stdin.read()
-    else:
-        parser.exit(USAGE_ERROR, "error: no configuration: pass --config or pipe JSON\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        source = "stdin" if args.config is None else args.config
+        raise ConfigFormatError(f"cannot read {source}: {exc}") from exc
     return PeriodicConfig.from_json(text)
 
 
@@ -256,7 +257,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
+        # OverflowError: an integer flag beyond the float range
         print(f"error: {exc}", file=sys.stderr)
         return INFEASIBLE_ERROR
 

@@ -201,53 +201,41 @@ class PeriodicConfig(Record):
         missing = {"u", "v", "offsets", "radius"} - set(data)
         if missing:
             raise ConfigFormatError(f"config missing fields: {sorted(missing)}")
-
-        def pair(name: str) -> tuple[float, float]:
-            val = data[name]
-            if not (isinstance(val, (list, tuple)) and len(val) == 2):
-                raise ConfigFormatError(f"field {name!r} must be a pair of numbers")
-            try:
-                return (_number(val[0]), _number(val[1]))
-            except (TypeError, ValueError) as exc:
-                raise ConfigFormatError(f"field {name!r} must be numeric") from exc
-
         offsets = data["offsets"]
         if not isinstance(offsets, (list, tuple)) or not offsets:
             raise ConfigFormatError("field 'offsets' must be a non-empty list of pairs")
-        pts = []
-        for entry in offsets:
-            if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
-                raise ConfigFormatError("each offset must be a pair of numbers")
-            try:
-                pts.append(Point(_number(entry[0]), _number(entry[1])))
-            except (TypeError, ValueError) as exc:
-                raise ConfigFormatError("each offset must be numeric") from exc
+        pairs = [("each offset", p) for p in offsets]
+        pairs += [(f"field {name!r}", data[name]) for name in ("u", "v")]
+        for what, pair in pairs:
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+                raise ConfigFormatError(f"{what} must be a pair of numbers")
+        # the structure holds; now the numbers, offsets first, then the
+        # radius, u and v
+        pairs.insert(-2, ("field 'radius'", [data["radius"]]))
+        for what, leaves in pairs:
+            if not all(map(_number, leaves)):
+                raise ConfigFormatError(f"{what} must be numeric")
         try:
-            radius = _number(data["radius"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigFormatError("field 'radius' must be numeric") from exc
-        try:
-            return cls(Basis(pair("u"), pair("v")), tuple(pts), radius)
-        except ConfigFormatError:
-            raise
-        except ValueError as exc:
+            return cls(Basis(data["u"], data["v"]), offsets, data["radius"])
+        except (ValueError, OverflowError) as exc:
+            # OverflowError: an int beyond the float range
             raise ConfigFormatError(str(exc)) from exc
 
     @classmethod
     def from_json(cls, text: str) -> "PeriodicConfig":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # a JSONDecodeError, an int of more digits than Python converts,
+            # or nesting deeper than the decoder's recursion
             raise ConfigFormatError(f"invalid JSON: {exc}") from exc
         return cls.from_dict(data)
 
 
-def _number(value) -> float:
-    # float(value), except that a bool, Python's or numpy's, is no number
-    # here, though float() reads it as 0 or 1
-    if isinstance(value, bool) or getattr(getattr(value, "dtype", None), "kind", "") == "b":
-        raise TypeError(f"{value!r} is a bool")
-    return float(value)
+def _number(value) -> bool:
+    # a JSON number: an int or a float, and never a bool, Python's or
+    # numpy's, though float() reads one as 0 or 1
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _min_periodic_gap(offsets: tuple[Point, ...], reduced: Basis) -> float:

@@ -41,8 +41,6 @@ _C_MAX = 3.5
 class OptimizationResult(Record):
     _fields = ("best_config", "density", "certificate", "history", "converged",
                "param_names")
-    # the one mutable record, and so unhashable
-    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
 
     @property
     def evaluations(self) -> int:

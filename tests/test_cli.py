@@ -16,6 +16,8 @@ from diskcover.cli import main
 from helpers import child_env
 
 THETA = kershner_theta()
+# an integer flag beyond the float range
+BIG = str(10**400)
 
 
 def _run(capsys, argv):
@@ -350,8 +352,8 @@ PATTERN_B = ["pattern", "--name", "pattern_b", "--x", "0.8", "--y", "1.2", "--d"
 
 
 class TestOutputBytes:
-    """The default output of every command but optimize, pinned byte for byte:
-    the stages that read a configuration get the pattern_b one."""
+    """The default output of every command, pinned byte for byte: the stages
+    that read a configuration get the pattern_b one."""
 
     @pytest.mark.parametrize(
         "argv, digest",
@@ -372,9 +374,13 @@ class TestOutputBytes:
             # the digest of the SVG file; stdout stays empty
             (["render", "--size", "64"],
              "4035980e3a88fabde4b2a0709a271fd86829d6c9cd9257761aadb056b685b120"),
+            (["optimize", "--k", "2"],
+             "aeeb53398d009ecbe4ba785f61a48bb28bd42dacf2f2e8dd25331f6bfa4b3827"),
+            (["optimize", "--mode", "pattern-b", "--k", "2"],
+             "f0b1a248cec1fbe1e14e31985943e9047e9861c40aa64f479361b83615baba8f"),
         ],
         ids=["triangle", "pattern_b", "verify", "radius", "density", "voronoi", "bounds",
-             "render"],
+             "render", "optimize", "optimize_pattern_b"],
     )
     def test_sha256_of_output(self, capsys, tmp_path, argv, digest):
         config, svg = tmp_path / "config.json", tmp_path / "out.svg"
@@ -392,6 +398,57 @@ class TestOutputBytes:
             assert data == b""
             data = svg.read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
+
+
+# a config whose u[0] is an int of 1 followed by `zeros` zeros
+def _int_config(zeros: int) -> bytes:
+    return b'{"u":[1' + b"0" * zeros + b',0],"v":[0,1],"offsets":[[0,0]],"radius":1}'
+
+
+class TestExitCodes:
+    """Malformed input, each with its documented exit code and a one-line error."""
+
+    @pytest.mark.parametrize(
+        "config, argv, code",
+        [
+            # float() read these strings as numbers, and the config certified
+            pytest.param(b'{"u":["1",0],"v":[0,"1e0"],"offsets":[["0","0"]],"radius":" 1 "}',
+                         ["verify", "--k", "1"], 3, id="string-numbers"),
+            pytest.param(_int_config(400), ["verify"], 3, id="int-beyond-floats-verify"),
+            pytest.param(_int_config(400), ["density"], 3, id="int-beyond-floats-density"),
+            # more digits than Python converts to an int
+            pytest.param(_int_config(5000), ["verify"], 3, id="int-of-5001-digits"),
+            pytest.param(b"[" * 100000 + b"]" * 100000, ["verify"], 3, id="deep-nesting"),
+            pytest.param(b"\xff\xfe{", ["verify"], 3, id="not-utf8"),
+            pytest.param(None, ["verify", "--k", BIG], 4, id="k-beyond-floats-verify"),
+            pytest.param(None, ["radius", "--k", BIG], 4, id="k-beyond-floats-radius"),
+            pytest.param(None, ["density", "--k", BIG], 4, id="k-beyond-floats-density"),
+            pytest.param(None, ["bounds", "--k", BIG], 4, id="k-beyond-floats-bounds"),
+            pytest.param(None, ["render", "--size", BIG], 4, id="size-beyond-floats-render"),
+        ],
+    )
+    def test_exit_code_and_one_error_line(self, capsys, tmp_path, config, argv, code):
+        path = tmp_path / "config.json"
+        # None: a valid config, so that the flag is what fails
+        path.write_bytes(triangle_pattern().to_json().encode() if config is None else config)
+        if argv[0] != "bounds":
+            argv = argv + ["--config", str(path)]
+        if argv[0] == "render":
+            argv = argv + ["--out", str(tmp_path / "out.svg")]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_non_utf8_stdin_exit_3(self):
+        # strict UTF-8 decoding of stdin, as PYTHONIOENCODING=utf-8 sets it;
+        # the POSIX locale's surrogateescape leaves bytes that fail as JSON
+        proc = subprocess.run(
+            [sys.executable, "-m", "diskcover", "verify"], input=b"\xff\xfe{",
+            capture_output=True, timeout=120, env=child_env() | {"PYTHONIOENCODING": "utf-8"},
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
 
 
 class TestUsageErrors:

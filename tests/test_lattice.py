@@ -326,19 +326,38 @@ class TestPeriodicConfig:
         assert calls == [cfg.basis]
 
 
-# every float, plus a well-scaled range so that valid configs occur too
-_ANY_FLOAT = st.one_of(st.floats(), st.floats(-4.0, 4.0))
-_PAIR = st.lists(_ANY_FLOAT, min_size=2, max_size=2)
+# well-scaled floats and small ints, so that valid configs occur, and one
+# leaf in eight drawn from every float, ints beyond the float range, and
+# leaves that are no numbers
+_ODD_LEAF = st.one_of(
+    st.floats(),
+    st.sampled_from([10**400, -10**400]),
+    st.booleans(),
+    st.text(max_size=3),
+    st.none(),
+)
+_LEAF = st.integers(0, 7).flatmap(
+    lambda i: _ODD_LEAF if i == 7 else st.one_of(st.floats(-4.0, 4.0), st.integers(-4, 4))
+)
+_FLAT_PAIR = st.lists(_LEAF, min_size=2, max_size=2)
+# and one pair in eight a pair of pairs
+_PAIR = st.integers(0, 7).flatmap(
+    lambda i: st.lists(_FLAT_PAIR, min_size=2, max_size=2) if i == 7 else _FLAT_PAIR
+)
 
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
-@given(u=_PAIR, v=_PAIR, offsets=st.lists(_PAIR, min_size=1, max_size=3), radius=_ANY_FLOAT)
+@given(u=_PAIR, v=_PAIR, offsets=st.lists(_PAIR, min_size=1, max_size=3), radius=_LEAF)
 def test_from_dict_returns_config_or_raises_config_error(u, v, offsets, radius):
     data = {"u": u, "v": v, "offsets": offsets, "radius": radius}
+    # any exception but ConfigFormatError fails the test
     try:
         cfg = PeriodicConfig.from_dict(data)
     except ConfigFormatError:
         return
+    # a config only when every leaf is an int or a float, and no bool
+    leaves = [*u, *v, *itertools.chain(*offsets), radius]
+    assert all(type(x) in (int, float) for x in leaves)
     assert cfg.basis.det > 0.0 and math.isfinite(cfg.basis.det)
     assert all(math.isfinite(p.x) and math.isfinite(p.y) for p in cfg.offsets)
 

@@ -47,3 +47,26 @@ def test_every_hook_only_import_names_a_hook():
     assert found
     for module, name, number in found:
         assert (module, name) in hooks, f"{module}:{number} imports {name} for no hook"
+
+
+def test_traced_cli_round_passes_its_checks(tmp_path, monkeypatch):
+    # the in-process pass of perfbench's cli workload, stdin a StringIO
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from pbench.trace import Tracer, instrument, layer_metrics
+    from pbench.workloads import Cli
+
+    from diskcover import cli
+
+    original = cli.covering_radius
+    workload = Cli(0)
+    # perfbench/out/ is absent from a fresh checkout
+    workload.render_path = str(tmp_path / "render.svg")
+    cases = workload.round(0)
+    tracer = Tracer()
+    with instrument(tracer):
+        results = [workload.run_layers(case, tracer) for case in cases]
+    assert cli.covering_radius is original
+    assert all(workload.check(c, r) == [] for c, r in zip(cases, results))
+    layers = layer_metrics(tracer)
+    assert layers["voronoi.congruence_calls"][0] > 0
+    assert layers["lattice.config_builds"][0] > 0
