@@ -205,13 +205,13 @@ class PeriodicConfig(Record):
         if not isinstance(offsets, (list, tuple)) or not offsets:
             raise ConfigFormatError("field 'offsets' must be a non-empty list of pairs")
         pairs = [("each offset", p) for p in offsets]
-        pairs += [(f"field {name!r}", data[name]) for name in ("u", "v")]
+        pairs += [("field 'u'", data["u"]), ("field 'v'", data["v"])]
         for what, pair in pairs:
             if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
                 raise ConfigFormatError(f"{what} must be a pair of numbers")
         # the structure holds; now the numbers, offsets first, then the
         # radius, u and v
-        pairs.insert(-2, ("field 'radius'", [data["radius"]]))
+        pairs.insert(-2, ("field 'radius'", (data["radius"],)))
         for what, leaves in pairs:
             if not all(map(_number, leaves)):
                 raise ConfigFormatError(f"{what} must be numeric")
