@@ -38,10 +38,7 @@ _EXPORTS = {
         "tangent_pattern_c", "triangle_pattern",
     ),
     "render": ("render_svg",),
-    "voronoi": (
-        "CongruenceSignature", "VoronoiCell", "all_cells_congruent",
-        "congruence_signature", "voronoi_cell",
-    ),
+    "voronoi": ("VoronoiCell", "all_cells_congruent", "congruence_signature", "voronoi_cell"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -65,24 +65,28 @@ def reduce_basis(basis: Basis) -> Basis:
     the reduction stalls: on extremely skewed bases the rounding of
     v - mu * u can undo every step, or |u|^2 can underflow.  Every dot
     product is x0 * y0 + x1 * y1 in plain floats, so the result does not
-    depend on how a linear-algebra library rounds.  A basis that no step
-    changes is returned as it is.  A state that comes back two steps later
-    ends the loop on the state that the step bound would end it on, bit
-    for bit.
+    depend on how a linear-algebra library rounds.  The loop ends at
+    mu = 0, or at the first state that comes back two steps later, so no
+    answer depends on the step bound, which only raises.  A basis that
+    ends where it began is returned as it is.
     """
     (ux, uy), (vx, vy) = basis.u, basis.v
-    mu = 0
-    changed = False
-    # the state this step started from, the one before it and that one's mu
-    state = (ux, uy, vx, vy)
-    older = None
-    older_mu = 0
-    for step in range(_MAX_REDUCTION_STEPS):
+    # the states at the top of the last two steps, the older first
+    older = last = None
+    for _ in range(_MAX_REDUCTION_STEPS):
         uu = ux * ux + uy * uy
         vv = vx * vx + vy * vy
         if vv < uu:
             ux, uy, vx, vy, uu = vx, vy, ux, uy, vv
-            changed = True
+        state = (ux, uy, vx, vy)
+        if state == older:
+            # each state is a function of the one before, so the loop could
+            # only cycle from here.  Rounding flips mu between +1 and -1 on
+            # a pair with dot(u, v) at |u|^2 / 2 up to rounding (hexagonal);
+            # any other mu means the reduction stalled
+            if abs(mu) > 1:
+                raise ValueError("basis reduction did not converge")
+            break
         ratio = (ux * vx + uy * vy) / uu if uu > 0.0 else math.inf
         if not math.isfinite(ratio):
             # |u|^2 underflowed: the basis is too skewed for float64
@@ -91,27 +95,11 @@ def reduce_basis(basis: Basis) -> Basis:
         if mu == 0:
             break
         vx, vy = vx - mu * ux, vy - mu * uy
-        changed = True
-        after = (ux, uy, vx, vy)
-        if after == older and list(map(float.hex, after)) == list(map(float.hex, older)):
-            # each state is a function of the one before, so the loop would
-            # alternate between `state` and this one up to the step bound:
-            # end on the state and the mu of the bound's parity
-            if (_MAX_REDUCTION_STEPS - step) % 2 == 0:
-                ux, uy, vx, vy = state
-                mu = older_mu
-            break
-        older, state, older_mu = state, after, mu
-    # a nonzero mu means the step bound was reached, or jumped to.  On a
-    # reduced pair with dot(u, v) within an ulp of |u|^2 / 2 (hexagonal)
-    # rounding flips mu between +1 and -1 for good; any other mu at the
-    # step bound means the reduction stalled
-    if abs(mu) > 1:
+        older, last = last, state
+    else:
         raise ValueError("basis reduction did not converge")
-    if not changed:
+    if state == (*basis.u, *basis.v):
         return basis
-    if ux * ux + uy * uy > vx * vx + vy * vy:
-        ux, uy, vx, vy = vx, vy, ux, uy
     return Basis((ux, uy), (vx, vy))
 
 
@@ -126,11 +114,6 @@ class Rect(Record):
         if xmin > xmax or ymin > ymax:
             raise ValueError("rect has negative extent")
         self.__dict__.update(xmin=xmin, ymin=ymin, xmax=xmax, ymax=ymax)
-
-    def distance_to(self, x: float, y: float) -> float:
-        dx = max(self.xmin - x, 0.0, x - self.xmax)
-        dy = max(self.ymin - y, 0.0, y - self.ymax)
-        return math.hypot(dx, dy)
 
 
 class PeriodicConfig(Record):

@@ -27,9 +27,13 @@ So every cell lies within sqrt(2/3) * span of its site, up to the clip
 tolerance, well inside the start square: a test checks that bound on
 every vertex, and nothing checks it at run time.  Any larger cutoff clips
 the same centers in the same order and gives the same cell, bit for bit.
-Congruence is decided on quantized (edge length, interior angle)
-sequences, canonical over cyclic rotation and reflection, so a signature
-is a plain tuple comparison away from any rigid motion.
+A congruence signature is a plain tuple: the (edge length, interior
+angle) sequence of a cell, each value rounded to a whole number of tol
+steps, taken at its least rotation in either orientation, so a rigid
+motion, reflections included, leaves it unchanged.  Equal signatures
+mean cells congruent within tol.  The converse does not hold: congruent
+cells whose values land on either side of a rounding boundary get two
+signatures, and so two classes.
 """
 
 from __future__ import annotations
@@ -49,12 +53,6 @@ _CUTOFF_SPANS = 2.0
 
 class VoronoiCell(Record):
     _fields = ("site", "polygon")
-
-
-class CongruenceSignature(Record):
-    """Canonical quantized (edge, angle) sequence of a convex polygon."""
-
-    _fields = ("pairs", "tol")
 
 
 def voronoi_cell(config: PeriodicConfig, offset_index: int) -> VoronoiCell:
@@ -120,7 +118,7 @@ def _clip_halfplane(pts, nx, ny, rhs, eps):
 
 def congruence_signature(
     cell: VoronoiCell | ConvexPolygon, tol: float = CONGRUENCE_TOL
-) -> CongruenceSignature:
+) -> tuple:
     """Signature invariant under rigid motions, reflections included."""
     _check_tol(tol)
     poly = cell.polygon if isinstance(cell, VoronoiCell) else cell
@@ -128,8 +126,7 @@ def congruence_signature(
     forward = _quantized_pairs(verts, tol)
     backward = _quantized_pairs(verts[::-1], tol)
     # the least rotation of either orientation
-    best = min(seq[i:] + seq[:i] for seq in (forward, backward) for i in range(len(seq)))
-    return CongruenceSignature(best, tol)
+    return min(seq[i:] + seq[:i] for seq in (forward, backward) for i in range(len(seq)))
 
 
 def _quantized_pairs(verts, tol):
@@ -152,11 +149,9 @@ def _quantized_pairs(verts, tol):
 
 def all_cells_congruent(
     config: PeriodicConfig, tol: float = CONGRUENCE_TOL
-) -> tuple[bool, list[CongruenceSignature]]:
+) -> tuple[bool, list[tuple]]:
     """Whether every offset's cell is congruent; distinct classes returned."""
-    classes: list[CongruenceSignature] = []
-    for i in range(len(config.offsets)):
-        sig = congruence_signature(voronoi_cell(config, i), tol)
-        if sig not in classes:
-            classes.append(sig)
+    cells = (voronoi_cell(config, i) for i in range(len(config.offsets)))
+    # the distinct signatures, in the order of the offsets they first come from
+    classes = list(dict.fromkeys(congruence_signature(cell, tol) for cell in cells))
     return (len(classes) == 1, classes)

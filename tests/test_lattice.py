@@ -36,19 +36,11 @@ def _dot(a, b) -> float:
     return a[0] * b[0] + a[1] * b[1]
 
 
-def _full_reduction(basis: Basis, steps: int) -> Basis:
-    """Lagrange-Gauss reduction that runs every step up to the bound."""
-    u, v = basis.u, basis.v
-    for _ in range(steps):
-        if _dot(v, v) < _dot(u, u):
-            u, v = v, u
-        mu = round(_dot(u, v) / _dot(u, u))
-        if mu == 0:
-            break
-        v = (v[0] - mu * u[0], v[1] - mu * u[1])
-    if _dot(u, u) > _dot(v, v):
-        u, v = v, u
-    return Basis(u, v)
+def _rotated_hexagon(step: int) -> Basis:
+    """Unit hexagonal basis rotated by step / 2000 of a turn."""
+    a = 2.0 * math.pi * step / 2000
+    b = a + math.pi / 3
+    return Basis((math.cos(a), math.sin(a)), (math.cos(b), math.sin(b)))
 
 
 class TestBasis:
@@ -146,14 +138,21 @@ class TestReduceBasis:
             reduce_basis(Basis((4e-16, 7e-16), (7e29, -4e29)))
         assert len(steps) == 2
 
-    @pytest.mark.parametrize("steps", [256, 255, 8, 7])
-    def test_cycle_exit_keeps_the_step_bound_parity(self, monkeypatch, steps):
-        # the full loop ends on the other state of the cycle after an odd
-        # bound; the reduction must land on the same
-        expected = _full_reduction(ROTATED_HONEYCOMB, steps)
-        assert expected != _full_reduction(ROTATED_HONEYCOMB, steps + 1)
-        monkeypatch.setattr(lattice, "_MAX_REDUCTION_STEPS", steps)
-        assert reduce_basis(ROTATED_HONEYCOMB) == expected
+    @pytest.mark.parametrize(
+        "basis",
+        [ROTATED_HONEYCOMB, *map(_rotated_hexagon, (28, 29, 79, 83, 164))],
+        ids=["honeycomb", "hexagon28", "hexagon29", "hexagon79", "hexagon83", "hexagon164"],
+    )
+    def test_cycle_exit_does_not_depend_on_the_step_bound(self, monkeypatch, basis):
+        # on each basis rounding flips mu between +1 and -1 for good, so
+        # the state the loop ends on must not hang on the bound's parity
+        answers = set()
+        for steps in (16, 17, 256, 257, 4096):
+            monkeypatch.setattr(lattice, "_MAX_REDUCTION_STEPS", steps)
+            r = reduce_basis(basis)
+            answers.add(tuple(map(float.hex, (*r.u, *r.v))))
+        assert len(answers) == 1
+        assert round(_dot(r.u, r.v) / _dot(r.u, r.u)) != 0
 
     def test_raises_when_reduction_does_not_converge(self):
         # |v| / |u| ~ 1e45, and the rounded products of dot(u, v) leave
@@ -460,7 +459,10 @@ def _brute_centers(cfg: PeriodicConfig, rect: Rect, margin: float, bound: int = 
         for p in cfg.offsets:
             x = p.x + i * cfg.basis.u[0] + j * cfg.basis.v[0]
             y = p.y + i * cfg.basis.u[1] + j * cfg.basis.v[1]
-            if rect.distance_to(x, y) <= margin + 1e-12:
+            gap = math.hypot(
+                max(rect.xmin - x, 0.0, x - rect.xmax), max(rect.ymin - y, 0.0, y - rect.ymax)
+            )
+            if gap <= margin + 1e-12:
                 out.add((round(x, 9), round(y, 9)))
     return out
 

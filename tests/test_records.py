@@ -20,7 +20,6 @@ import diskcover
 from diskcover import (
     Basis,
     Circle,
-    CongruenceSignature,
     ConvexPolygon,
     CoverageCertificate,
     CoveringRadius,
@@ -120,11 +119,6 @@ CASES = {
         "VoronoiCell(site=Point(x=0.0, y=0.0), polygon=ConvexPolygon([Point(x=0.0, "
         "y=0.0), Point(x=1.0, y=0.0), Point(x=0.0, y=1.0)]))",
     ),
-    "CongruenceSignature": (
-        lambda a: CongruenceSignature(((1, 2), (3, 4)), a),
-        ("pairs", "tol"),
-        "CongruenceSignature(pairs=((1, 2), (3, 4)), tol=1.0)",
-    ),
 }
 
 
@@ -168,7 +162,6 @@ SHARED_CONSTRUCTOR = (
     "DensityReport",
     "OptimizationResult",
     "VoronoiCell",
-    "CongruenceSignature",
 )
 
 
