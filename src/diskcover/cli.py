@@ -130,7 +130,7 @@ def cmd_voronoi(args, parser) -> int:
 
 
 def cmd_bounds(args, parser) -> int:
-    from .density import kershner_theta, known_values, toth_lower_bound
+    from .density import _BLUNDON_MULTIPLIERS, kershner_theta, known_values, toth_lower_bound
 
     table = known_values()
     payload = {
@@ -139,9 +139,8 @@ def cmd_bounds(args, parser) -> int:
         "toth": toth_lower_bound(args.k),
         "known_values": table,
     }
-    blundon = {1: "theta", 2: "blundon_2", 3: "blundon_3", 4: "blundon_4"}
-    if args.k in blundon:
-        payload["blundon"] = table[blundon[args.k]]
+    if args.k in _BLUNDON_MULTIPLIERS:
+        payload["blundon"] = _BLUNDON_MULTIPLIERS[args.k] * table["theta"]
     if args.k == 2:
         payload["danzer"] = [table["danzer_low"], table["danzer_high"]]
     return _emit(payload)

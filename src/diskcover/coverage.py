@@ -136,13 +136,10 @@ class CoverageCertificate(Record):
     _fields = ("k", "status", "witness", "radius_low", "radius_high")
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "status": self.status,
-            "witness": None if self.witness is None else [self.witness.x, self.witness.y],
-            "radius_low": self.radius_low,
-            "radius_high": self.radius_high,
-        }
+        out = dict(zip(self._fields, self._values()))
+        if self.witness is not None:
+            out["witness"] = [self.witness.x, self.witness.y]
+        return out
 
 
 class CoveringRadius(Record):

@@ -77,13 +77,7 @@ class DensityReport(Record):
     _fields = ("k", "density", "normalized", "toth_bound", "meets_toth")
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "density": self.density,
-            "normalized": self.normalized,
-            "toth_bound": self.toth_bound,
-            "meets_toth": self.meets_toth,
-        }
+        return dict(zip(self._fields, self._values()))
 
 
 def density_report(config: PeriodicConfig, k: int) -> DensityReport:

@@ -67,8 +67,9 @@ def reduce_basis(basis: Basis) -> Basis:
     product is x0 * y0 + x1 * y1 in plain floats, so the result does not
     depend on how a linear-algebra library rounds.  The loop ends at
     mu = 0, or at the first state that comes back two steps later, so no
-    answer depends on the step bound, which only raises.  A basis that
-    ends where it began is returned as it is.
+    answer depends on the step bound, which only raises; a state that
+    comes back with |dot(u, v)| above |u|^2 / 2 by more than 1e-9 of it
+    raises too.  A basis that ends where it began is returned as it is.
     """
     (ux, uy), (vx, vy) = basis.u, basis.v
     # the states at the top of the last two steps, the older first
@@ -83,8 +84,8 @@ def reduce_basis(basis: Basis) -> Basis:
             # each state is a function of the one before, so the loop could
             # only cycle from here.  Rounding flips mu between +1 and -1 on
             # a pair with dot(u, v) at |u|^2 / 2 up to rounding (hexagonal);
-            # any other mu means the reduction stalled
-            if abs(mu) > 1:
+            # a state past that, beyond rounding, means the reduction stalled
+            if abs(ux * vx + uy * vy) > 0.5 * uu * (1.0 + 1e-9):
                 raise ValueError("basis reduction did not converge")
             break
         ratio = (ux * vx + uy * vy) / uu if uu > 0.0 else math.inf

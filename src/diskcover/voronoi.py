@@ -123,13 +123,6 @@ def congruence_signature(
     _check_tol(tol)
     poly = cell.polygon if isinstance(cell, VoronoiCell) else cell
     verts = poly.vertices
-    forward = _quantized_pairs(verts, tol)
-    backward = _quantized_pairs(verts[::-1], tol)
-    # the least rotation of either orientation
-    return min(seq[i:] + seq[:i] for seq in (forward, backward) for i in range(len(seq)))
-
-
-def _quantized_pairs(verts, tol):
     n = len(verts)
     pairs = []
     for i in range(n):
@@ -144,7 +137,11 @@ def _quantized_pairs(verts, tol):
         if not all(map(math.isfinite, steps)):
             raise ValueError(f"congruence tolerance {tol} is too small for this cell")
         pairs.append((round(steps[0]), round(steps[1])))
-    return tuple(pairs)
+    # step i of the reversed boundary is edge n - 2 - i and angle n - 1 - i,
+    # bit for bit: hypot ignores sign, and the dot and norm products commute
+    backward = [(pairs[n - 2 - i][0], pairs[n - 1 - i][1]) for i in range(n)]
+    # the least rotation of either orientation
+    return tuple(min(seq[i:] + seq[:i] for seq in (pairs, backward) for i in range(n)))
 
 
 def all_cells_congruent(

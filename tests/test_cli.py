@@ -420,18 +420,29 @@ class TestExitCodes:
             pytest.param(_int_config(5000), ["verify"], 3, id="int-of-5001-digits"),
             pytest.param(b"[" * 100000 + b"]" * 100000, ["verify"], 3, id="deep-nesting"),
             pytest.param(b"\xff\xfe{", ["verify"], 3, id="not-utf8"),
+            pytest.param(b'{"u":[1,0],"v":[0,1],"offsets":[],"radius":1}',
+                         ["verify"], 3, id="no-offsets"),
+            pytest.param(b'{"u":[1,0],"v":[0,1],"offsets":[[0,0,0]],"radius":1}',
+                         ["verify"], 3, id="offset-not-a-pair"),
+            # a cycle of the basis reduction past |dot(u, v)| <= |u|^2 / 2
+            pytest.param(b'{"u":[-5.656362004619225e-08,-6.560154461510338e-08],'
+                         b'"v":[-40410019.78444752,16754419.062762985],'
+                         b'"offsets":[[0,0]],"radius":1}',
+                         ["verify"], 3, id="reduction-cycle"),
             pytest.param(None, ["verify", "--k", BIG], 4, id="k-beyond-floats-verify"),
             pytest.param(None, ["radius", "--k", BIG], 4, id="k-beyond-floats-radius"),
             pytest.param(None, ["density", "--k", BIG], 4, id="k-beyond-floats-density"),
             pytest.param(None, ["bounds", "--k", BIG], 4, id="k-beyond-floats-bounds"),
             pytest.param(None, ["render", "--size", BIG], 4, id="size-beyond-floats-render"),
+            pytest.param(None, ["pattern", "--name", "pattern_b", "--x", "nan", "--y", "1",
+                                "--d", "0.5"], 4, id="pattern-b-nan"),
         ],
     )
     def test_exit_code_and_one_error_line(self, capsys, tmp_path, config, argv, code):
         path = tmp_path / "config.json"
         # None: a valid config, so that the flag is what fails
         path.write_bytes(triangle_pattern().to_json().encode() if config is None else config)
-        if argv[0] != "bounds":
+        if argv[0] not in ("bounds", "pattern"):
             argv = argv + ["--config", str(path)]
         if argv[0] == "render":
             argv = argv + ["--out", str(tmp_path / "out.svg")]

@@ -78,6 +78,12 @@ class TestKthNearestDistance:
         with pytest.raises(ValueError, match="points must be"):
             kth_nearest_distance_batch(np.empty((0, 3)), SQUARE, 2)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_batch_rejects_non_finite_points(self, bad):
+        pts = np.array([[0.5, 0.5], [0.25, bad]])
+        with pytest.raises(ValueError, match="points must be finite"):
+            kth_nearest_distance_batch(pts, SQUARE, 2)
+
     def test_far_apart_points(self):
         # each group of points gets its own center field, so two points
         # thousands of cells apart need no enumeration between them
@@ -174,6 +180,31 @@ class TestCoveringRadius:
         assert not r.converged
         assert r.low <= r.high
         assert r.boxes <= 30
+
+    @pytest.mark.parametrize(
+        "basis, ks, exact",
+        [
+            # the maximum sits on 12 co-circular centers: at sqrt(12.5) from
+            # the square lattice's deep hole, at sqrt(7) from a point of the
+            # hexagonal one
+            (Basis((1, 0), (0, 1)), range(33, 38), math.sqrt(12.5)),
+            (Basis((1, 0), (0.5, math.sqrt(3) / 2)), range(20, 25), math.sqrt(7)),
+        ],
+        ids=["square", "hexagonal"],
+    )
+    def test_converges_at_a_level_with_no_finish(self, monkeypatch, basis, ks, exact):
+        # more co-circular centers than _FINISH_CAP keep every ring from the
+        # finish, so the search converges on the level bound alone
+        finishes = []
+        monkeypatch.setattr(
+            coverage, "_finish_candidates", lambda *args: finishes.append(args)
+        )
+        cfg = PeriodicConfig(basis, [(0, 0)], radius=1.0)
+        for k in ks:
+            r = covering_radius(cfg, k, tol=1e-6)
+            assert r.converged
+            assert r.low <= exact <= r.high
+        assert finishes == []
 
     def test_finish_candidates_count_in_the_budget(self):
         # the finish's circumcenters are counted as boxes: a budget one

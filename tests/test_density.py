@@ -55,6 +55,12 @@ class TestCellDensity:
         cell = voronoi_cell(cfg, 0)
         assert cell_density(cell, cfg.radius) == pytest.approx(2 * THETA, abs=1e-12)
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_a_bad_radius(self, radius):
+        cell = voronoi_cell(triangle_pattern(), 0)
+        with pytest.raises(ValueError, match="radius must be positive"):
+            cell_density(cell, radius)
+
 
 class TestTothBound:
     def test_first_order_equals_theta(self):

@@ -76,6 +76,10 @@ class TestConvexPolygon:
         with pytest.raises(ValueError):
             ConvexPolygon([(0, 0), (1, 0)])
 
+    def test_rejects_all_collinear_vertices(self):
+        with pytest.raises(ValueError, match="all vertices collinear"):
+            ConvexPolygon([(0, 0), (1, 1), (2, 2), (3, 3)])
+
     def test_area_triangle(self):
         poly = ConvexPolygon([(0, 0), (2, 0), (0, 3)])
         assert poly.area == pytest.approx(3.0, abs=1e-15)
@@ -180,3 +184,15 @@ class TestJohnsonCheck:
     def test_rejects_wrong_count(self):
         with pytest.raises(ValueError):
             johnson_check(Point(0, 0), [Point(1, 0), Point(0, 1)], 1.0)
+
+    @pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_a_bad_radius(self, r):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            johnson_check(Point(0, 0), [Point(1, 0), Point(0, 1), Point(-1, 0)], r)
+
+    def test_rejects_a_tangency(self):
+        # the circles about (1, 0) and (-1, 0) touch only at q
+        q = Point(0, 0)
+        centers = [Point(1, 0), Point(0, 1), Point(-1, 0)]
+        with pytest.raises(ValueError, match="tangency"):
+            johnson_check(q, centers, 1.0)

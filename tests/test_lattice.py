@@ -57,6 +57,12 @@ class TestBasis:
         with pytest.raises(ValueError, match="degenerate"):
             Basis((1e-8, 0), (0, 1e-8))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_components(self, bad):
+        for u, v in (((bad, 0), (0, 1)), ((1, 0), (0, bad))):
+            with pytest.raises(ValueError, match="must be finite"):
+                Basis(u, v)
+
     def test_lengths(self):
         lu, lv = Basis((3, 4), (0, 2)).lengths()
         assert lu == pytest.approx(5.0)
@@ -164,6 +170,35 @@ class TestReduceBasis:
         with pytest.raises(ConfigFormatError, match="did not converge"):
             PeriodicConfig.from_dict(skewed)
 
+    @pytest.mark.parametrize(
+        "u, v",
+        [
+            ((-5.656362004619225e-08, -6.560154461510338e-08),
+             (-40410019.78444752, 16754419.062762985)),
+            ((-2.7208380379455557e-08, -5.0626915741892815e-08),
+             (86383430.6139533, 62638775.15822422)),
+        ],
+    )
+    def test_cycle_past_the_reduced_bound_raises(self, u, v):
+        # |v| / |u| ~ 1e15: the rounding of v - mu * u cycles on a pair
+        # with |dot(u, v)| / |u|^2 at 0.5031 and 0.5377, which the loop
+        # used to return as reduced
+        with pytest.raises(ValueError, match="did not converge"):
+            reduce_basis(Basis(u, v))
+        skewed = {"u": list(u), "v": list(v), "offsets": [[0, 0]], "radius": 1.0}
+        with pytest.raises(ConfigFormatError, match="did not converge"):
+            PeriodicConfig.from_dict(skewed)
+
+    def test_step_bound_raises(self, monkeypatch):
+        # (3.7, 1) less 4 * (1, 0) is (-0.3, 1), and mu = 0 at the second
+        # step: one step is too few
+        basis = Basis((1, 0), (3.7, 1))
+        monkeypatch.setattr(lattice, "_MAX_REDUCTION_STEPS", 1)
+        with pytest.raises(ValueError, match="did not converge"):
+            reduce_basis(basis)
+        monkeypatch.setattr(lattice, "_MAX_REDUCTION_STEPS", 2)
+        assert reduce_basis(basis) == Basis((1, 0), (3.7 - 4.0, 1))
+
     def test_binary_orthogonal_skewed_basis_reduces_at_once(self):
         # 2e-16 = 2 * 1e-16 and 2e29 = 4e29 / 2 in binary, so the products
         # of dot(u, v) cancel exactly and mu = 0 at the first step; only a
@@ -228,6 +263,10 @@ class TestPeriodicConfig:
         with pytest.raises(ValueError, match="radius"):
             PeriodicConfig(Basis((1, 0), (0, 1)), [(0, 0)], radius=0.0)
 
+    def test_rejects_no_offsets(self):
+        with pytest.raises(ValueError, match="at least one offset"):
+            PeriodicConfig(Basis((1, 0), (0, 1)), [], radius=1.0)
+
     def test_stores_a_numpy_radius_as_a_plain_float(self):
         cfg = PeriodicConfig(Basis((1, 0), (0, 1)), [(0, 0)], np.float32(1.0))
         assert type(cfg.radius) is float
@@ -242,6 +281,12 @@ class TestPeriodicConfig:
         assert doubled.det == pytest.approx(4.0)
         assert doubled.radius == pytest.approx(1.6)
         assert doubled.offsets[0].as_tuple() == pytest.approx((0.5, 0.5))
+
+    @pytest.mark.parametrize("factor", [0.0, -1.0, math.nan, math.inf])
+    def test_scaled_rejects_a_bad_factor(self, factor):
+        cfg = PeriodicConfig(Basis((1, 0), (0, 1)), [(0.25, 0.25)], radius=0.8)
+        with pytest.raises(ValueError, match="scale factor must be positive"):
+            cfg.scaled(factor)
 
     def test_json_round_trip(self):
         cfg = PeriodicConfig(Basis((1.5, 0), (0.5, 2)), [(0, 0), (1, 1)], radius=1.25)
@@ -497,6 +542,21 @@ class TestEnumerateCenters:
         cfg = PeriodicConfig(Basis((1, 0), (0, 1)), [(0, 0)], radius=1.0)
         with pytest.raises(ValueError):
             enumerate_centers(cfg, Rect(0, 0, 1, 1), margin=-0.1)
+
+
+class TestRect:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_bounds(self, bad):
+        for i in range(4):
+            bounds = [0.0, 0.0, 1.0, 1.0]
+            bounds[i] = bad
+            with pytest.raises(ValueError, match="must be finite"):
+                Rect(*bounds)
+
+    @pytest.mark.parametrize("bounds", [(1.0, 0.0, 0.0, 1.0), (0.0, 1.0, 1.0, 0.0)])
+    def test_rejects_inverted_bounds(self, bounds):
+        with pytest.raises(ValueError, match="negative extent"):
+            Rect(*bounds)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
