@@ -40,7 +40,8 @@ def _emit(payload: dict) -> int:
 
 
 def _load_config(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    if args.config is None and sys.stdin.isatty():
+    # sys.stdin is None when the process starts with stdin closed
+    if args.config is None and (sys.stdin is None or sys.stdin.isatty()):
         parser.exit(USAGE_ERROR, "error: no configuration: pass --config or pipe JSON\n")
     try:
         if args.config is None:

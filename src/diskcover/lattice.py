@@ -23,6 +23,9 @@ _MAX_REDUCTION_STEPS = 256
 # lattice points one center enumeration may visit (64 MiB of float64
 # pairs); only bases far too skewed for their scale ask for more
 _MAX_ENUMERATED_POINTS = 2**22
+# up to this many offsets the separation check measures every pair: to
+# 8 that costs no more than its buckets (measured), above it more
+_ONE_BUCKET_MAX = 8
 
 
 class ConfigFormatError(ValueError):
@@ -223,7 +226,9 @@ def _number(value) -> bool:
 
 
 def _min_periodic_gap(offsets: tuple[Point, ...], reduced: Basis) -> float:
-    """Least distance between two offsets modulo the lattice of `reduced`.
+    """Least distance between two offsets modulo the lattice of `reduced`,
+    for more than `_ONE_BUCKET_MAX` offsets only when it is at most
+    `SEPARATION_TOL`; otherwise some value above `SEPARATION_TOL`.
 
     Each difference, at coordinates (s, t) in the reduced basis, is moved
     into the cell {a*u + b*v : a, b in [0, 1]} by subtracting
@@ -235,13 +240,21 @@ def _min_periodic_gap(offsets: tuple[Point, ...], reduced: Basis) -> float:
     edge, inside them, and only the Voronoi cells of a triangle's own
     corners reach into it.  A difference that the rounding of s and t
     leaves a distance e off the cell gets a gap at most 2e too large.
+    Up to `_ONE_BUCKET_MAX` offsets every pair is measured, and above it
+    the pairs `_near_pairs` gives, which hold every pair within the
+    separation tolerance.
     """
     ux, uy = reduced.u
     vx, vy = reduced.v
     wx, wy = ux + vx, uy + vy
     det = reduced.det
+    pairs = (
+        itertools.combinations(offsets, 2)
+        if len(offsets) <= _ONE_BUCKET_MAX
+        else _near_pairs(offsets, reduced)
+    )
     best = math.inf
-    for p, q in itertools.combinations(offsets, 2):
+    for p, q in pairs:
         dx, dy = p.x - q.x, p.y - q.y
         s = (dx * vy - dy * vx) / det
         t = (dy * ux - dx * uy) / det
@@ -259,6 +272,49 @@ def _min_periodic_gap(offsets: tuple[Point, ...], reduced: Basis) -> float:
             ex * ex + ey * ey,
         )
     return math.sqrt(best)
+
+
+def _near_pairs(offsets: tuple[Point, ...], reduced: Basis):
+    """Pairs of offsets, the earlier one first, among them every pair whose
+    gap as `_min_periodic_gap` computes it is at most `SEPARATION_TOL`.
+
+    Each offset goes to one of ms x mt buckets by its coordinates (s, t) in
+    the reduced basis, taken cyclically, and only offsets in the same or
+    adjacent buckets are paired.  A pair whose computed gap is at most
+    the tolerance lies within r of a lattice copy, where r adds to the
+    tolerance 1e-12 of the magnitudes the gap is computed from, far above
+    its rounding.  Across a distance r, s changes by at most r|v|/det and
+    t by at most r|u|/det, and a bucket is at least twice that wide, which
+    also covers the rounding of each offset's own coordinates.  So the
+    least gap over these pairs is that over all pairs, bit for bit,
+    whenever it is within the tolerance.  Coordinates so large that the
+    (s, t) of a difference could overflow give all pairs instead, so that
+    the overflow error is the all-pairs loop's.
+    """
+    ux, uy = reduced.u
+    vx, vy = reduced.v
+    det = reduced.det
+    m = max(abs(p.x) + abs(p.y) for p in offsets)
+    # |s| and |t| of every difference stay below big / det
+    big = 2.0 * m * (abs(ux) + abs(uy) + abs(vx) + abs(vy))
+    if not big < 2.0**1000 * min(1.0, det):
+        yield from itertools.combinations(offsets, 2)
+        return
+    lu, lv = reduced.lengths()
+    r = SEPARATION_TOL + 1e-12 * (m + lu + lv)
+    ms = max(1, int(0.5 * det / (r * lv)))
+    mt = max(1, int(0.5 * det / (r * lu)))
+    # the steps to the adjacent buckets, each bucket once however few
+    steps_s, steps_t = (0, 1, -1)[: min(ms, 3)], (0, 1, -1)[: min(mt, 3)]
+    buckets: dict[tuple[int, int], list[Point]] = {}
+    for q in offsets:
+        a = math.floor((q.x * vy - q.y * vx) / det * ms) % ms
+        b = math.floor((q.y * ux - q.x * uy) / det * mt) % mt
+        for i in steps_s:
+            for j in steps_t:
+                for p in buckets.get(((a + i) % ms, (b + j) % mt), ()):
+                    yield p, q
+        buckets.setdefault((a, b), []).append(q)
 
 
 def _index_ranges(

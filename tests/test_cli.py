@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -374,10 +375,13 @@ class TestOutputBytes:
             # the digest of the SVG file; stdout stays empty
             (["render", "--size", "64"],
              "4035980e3a88fabde4b2a0709a271fd86829d6c9cd9257761aadb056b685b120"),
+            # aeeb5339...bfa4b3827 and f0b1a248...3b83615baba8f with
+            # refinements until one lowered nothing: only "evaluations"
+            # differed, 354 and 325 against 162 and 200
             (["optimize", "--k", "2"],
-             "aeeb53398d009ecbe4ba785f61a48bb28bd42dacf2f2e8dd25331f6bfa4b3827"),
+             "762e926c8aa972524d8e550c211830f21fb81cce4b773b5b6af68aca2320d6d8"),
             (["optimize", "--mode", "pattern-b", "--k", "2"],
-             "f0b1a248cec1fbe1e14e31985943e9047e9861c40aa64f479361b83615baba8f"),
+             "7303662a9dacaed144fe2e4db375ed51d32f6149b5f233fc18711d1bf0176934"),
         ],
         ids=["triangle", "pattern_b", "verify", "radius", "density", "voronoi", "bounds",
              "render", "optimize", "optimize_pattern_b"],
@@ -472,6 +476,25 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as err:
             main(["bounds", "--quux"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "--k", "2"], ["radius"], ["density"], ["voronoi"],
+         ["render", "--out", "{svg}"]],
+        ids=["verify", "radius", "density", "voronoi", "render"],
+    )
+    def test_closed_stdin_without_config_exit_2(self, argv, tmp_path):
+        # `<&-` starts the child with stdin closed, so its sys.stdin is None
+        svg = tmp_path / "out.svg"
+        argv = [a.format(svg=svg) for a in argv]
+        proc = subprocess.run(
+            shlex.join([sys.executable, "-m", "diskcover", *argv]) + " <&-", shell=True,
+            capture_output=True, text=True, timeout=120, env=child_env(),
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: no configuration: pass --config or pipe JSON\n"
+        assert not svg.exists()
 
 
 class TestPipeline:

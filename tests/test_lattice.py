@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -497,6 +498,78 @@ def test_min_periodic_gap_matches_a_shift_scan(angle, b, c, scale, coords):
     gap = lattice._min_periodic_gap(wrapped, reduced)
     brute = min_offset_gap(wrapped, reduced)
     assert abs(gap - brute) <= 1e-12 * scale * (1.0 + abs(b) + c)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    b=st.floats(-6.0, 6.0),
+    c=st.floats(0.2, 3.0),
+    exponent=st.integers(-10, 10),
+    # lattice coordinates of more offsets than one bucket takes
+    coords=st.lists(
+        st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=9, max_size=40, unique=True
+    ),
+    # copies of offsets moved factor * SEPARATION_TOL off a lattice translate
+    copies=st.lists(
+        st.tuples(
+            st.integers(0, 8), st.sampled_from([0.0, 0.5, 0.9, 1.1, 2.0]),
+            st.floats(0.0, 2.0 * math.pi), st.integers(-3, 3), st.integers(-3, 3),
+        ),
+        max_size=3,
+    ),
+)
+def test_bucketed_separation_check_is_the_pairwise_one(b, c, exponent, coords, copies):
+    scale = 2.0**exponent
+    basis = Basis((scale, 0.0), (scale * b, scale * c))
+    (ux, uy), (vx, vy) = basis.u, basis.v
+    pts = [(s * ux + t * vx, s * uy + t * vy) for s, t in coords]
+    for index, factor, phi, i, j in copies:
+        x, y = pts[index]
+        gap = factor * lattice.SEPARATION_TOL
+        pts.append(
+            (x + i * ux + j * vx + gap * math.cos(phi), y + i * uy + j * vy + gap * math.sin(phi))
+        )
+    wrapped = tuple(PeriodicConfig(basis, [p], 1.0).offsets[0] for p in pts)
+    reduced = reduce_basis(basis)
+    near = lattice._min_periodic_gap(wrapped, reduced)
+    # the loop over every pair, as for a few offsets
+    with mock.patch.object(lattice, "_ONE_BUCKET_MAX", len(wrapped)):
+        every = lattice._min_periodic_gap(wrapped, reduced)
+    if every <= lattice.SEPARATION_TOL:
+        assert near == every
+    else:
+        assert near > lattice.SEPARATION_TOL
+    coincide = min_offset_gap(wrapped, reduced) <= lattice.SEPARATION_TOL
+    assert coincide == (near <= lattice.SEPARATION_TOL)
+    try:
+        PeriodicConfig(basis, pts, 1.0)
+    except ValueError as exc:
+        assert "coincide" in str(exc) and coincide
+    else:
+        assert not coincide
+
+
+@pytest.mark.parametrize("copy", [None, 1700.5 + 5e-10, 1700.5 + 2e-9])
+def test_many_offsets_compare_only_neighbours(monkeypatch, copy):
+    # 3000 offsets on a 3000 x 1 cell: the pairwise loop took seconds
+    n = 3000
+    offsets = [[i + 0.5, 0.5] for i in range(n)] + ([] if copy is None else [[copy, 0.5]])
+    compared = []
+    near_pairs = lattice._near_pairs
+
+    def counted(*args):
+        for pair in near_pairs(*args):
+            compared.append(pair)
+            yield pair
+
+    monkeypatch.setattr(lattice, "_near_pairs", counted)
+    data = {"u": [n, 0], "v": [0, 1], "offsets": offsets, "radius": 1}
+    if copy is not None and copy - 1700.5 <= lattice.SEPARATION_TOL:
+        with pytest.raises(ConfigFormatError, match="coincide"):
+            PeriodicConfig.from_dict(data)
+    else:
+        assert len(PeriodicConfig.from_dict(data).offsets) == len(offsets)
+    assert len(compared) <= len(offsets)
 
 def _brute_centers(cfg: PeriodicConfig, rect: Rect, margin: float, bound: int = 12):
     out = set()

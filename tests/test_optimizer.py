@@ -11,11 +11,14 @@ from diskcover import (
     CoveringRadius,
     PeriodicConfig,
     Point,
+    covering_radius,
     kershner_theta,
     optimal_scaled_density,
     optimize_pattern_b,
     optimize_single_lattice,
 )
+from diskcover.density import scaled_density
+from diskcover.optimize import minimize
 
 THETA = kershner_theta()
 
@@ -157,12 +160,13 @@ class TestOptimizeSingleLattice:
 
         monkeypatch.setattr(diskcover.optimize, "covering_radius", counted)
         res = optimize_single_lattice(1, budget=1000, tol=1e-4)
-        # history recorded with the refinements stopped after the first that
-        # lowers nothing: here the first.  Refinements from the 5 best grid
-        # points gave 30f71065...2a0c2b52a5c0d in 533 evaluations, of which
-        # this history is the first 125.  With the 60-point seeded polish
-        # that followed them it was 3897fef9...b4d88f2e in 593 evaluations:
-        # that history, then the polish points.  Older pins, all with the
+        # history recorded with one refinement, from the first least grid
+        # point; refinements stopped after the first that lowered nothing
+        # gave the same history, since here that was the first.  Refinements
+        # from the 5 best grid points gave 30f71065...2a0c2b52a5c0d in 533
+        # evaluations, of which this history is the first 125.  With the
+        # 60-point seeded polish that followed them it was 3897fef9...b4d88f2e
+        # in 593 evaluations: that history, then the polish points.  Older pins, all with the
         # polish: numpy's dot products in basis reduction gave
         # e242452d...c1c0aed, also in 593, where a reduction tie resolved
         # the other way.  The branch-and-bound without the exact finish gave
@@ -217,7 +221,10 @@ WINNERS = {
     2: "6820c809418d017e2fdc5e9563e0f76846996c9c2ed6ec06c9c35249f0b571c7",
     3: "86936cc4bd680c41f4c0d5f0a8f3367ba268e2a63ba58dd758b97e47be1d0bad",
     4: "9e4724c5462f245ac645ec9a79b5e4f3fba2b9814258f13e710b45268b001a91",
-    5: "3c361c7e7af15e192df9eb61d3b9098ebda1127cc48cd878909eb1cc58306c87",
+    # 3c361c7e...58306c87 with refinements until one lowered nothing: the
+    # third ended 6.5e-16 relative lower, 5.428161882165825 against
+    # 5.428161882165829, on the same lattice, v = (1/2, sqrt(7)/2)
+    5: "7f6459204cd1702a2866f1754f6f28122749337f93ca0ff92affbcc4f506c15b",
     6: "4ff50769265547f2f7d5dd78023e893daa1ab98b6115e4f40b4e8ad6edec4e3b",
     "pattern_b": "dcaa83ffac7d6b296beb6ce60c00c7c67582fa5a271fca96fb0fd608baa8e2c7",
 }
@@ -234,15 +241,19 @@ def test_pinned_winners(case):
 
 
 # every (params, value) of the benchmark's five searches at tol 1e-4 and
-# the default budget, with the evaluation count; 1218 evaluations in all.
-# pattern_b's was 3f7d03ce...eb57572 with the finish ring from d_k(m) - 2h
-# and a cap of 6: 4 of its 325 values moved, by at most 6.4e-15 relative
+# the default budget, with the evaluation count; 774 evaluations in all.
+# With refinements until one lowered nothing they were 1218: k = 2 took
+# 354 (5ae9e835...6201c8855), k = 3 286 (3b1bcb09...1b85b3d61) and
+# pattern_b 325 (72ec9583...e14bce99c), of which each history here is the
+# first entries, pattern_b's followed by the same pin.  Before that, the
+# 325-entry pattern_b history was 3f7d03ce...eb57572 with the finish ring
+# from d_k(m) - 2h and a cap of 6
 HISTORIES = {
     1: (125, "ec557614bef38ce65316206abc100b0c7a56306506ac52750a08d446e22f99cf"),
-    2: (354, "5ae9e83595ebc62604ecc3f52663e159c2d04efe2aae7cd60bbfb156201c8855"),
-    3: (286, "3b1bcb0908ab80b157328d594992100500dc58d019752b21c564f3b1b85b3d61"),
+    2: (162, "720eb4a39b56f8e36371d16615e059976baa70ab7208255cdc02ba5dcf0305e3"),
+    3: (159, "a32e20b02cc66c4faad69a75b6b7d818b63cba2dc4a70b45869c7e62dddbec0d"),
     4: (128, "774ea350886708ecb08eebb1b1169de0545c800be6f7cc3c3b2db73b1007e734"),
-    "pattern_b": (325, "72ec958376e13b2ba16f6bc0eef4e5b484b30d14c3d38455a27849ae14bce99c"),
+    "pattern_b": (200, "a95809891ffaaac7618b318ce979307b08f5d68e17f3cfd800c47d1a9d98536f"),
 }
 
 
@@ -256,65 +267,89 @@ def test_pinned_histories(case):
     assert (res.evaluations, digest) == HISTORIES[case]
 
 
-# refinements per pinned search: the last one is the first that finds
-# nothing lower than the values before it
-REFINEMENTS = {1: 1, 2: 2, 3: 2, 4: 1, 5: 3, 6: 1, "pattern_b": 2}
-
-
-@pytest.mark.parametrize("case", list(REFINEMENTS))
+@pytest.mark.parametrize("case", list(WINNERS))
 def test_refinements_per_search(monkeypatch, case):
     module = diskcover.optimize
-    minimize, refinements = module.minimize, []
+    minimize, starts = module.minimize, []
 
     def counted(func, x0):
-        refinements.append(x0)
+        starts.append(tuple(x0))
         return minimize(func, x0)
 
     monkeypatch.setattr(module, "minimize", counted)
     if case == "pattern_b":
-        optimize_pattern_b(tol=1e-4)
+        res, grid_size = optimize_pattern_b(tol=1e-4), 72
     else:
-        optimize_single_lattice(case, tol=1e-4)
-    assert len(refinements) == REFINEMENTS[case]
+        res, grid_size = optimize_single_lattice(case, tol=1e-4), 48
+    # one refinement, from the first least grid point
+    values = [value for _, value in res.history[:grid_size]]
+    assert starts == [res.history[values.index(min(values))][0]]
+
+
+@pytest.mark.parametrize("case", list(WINNERS))
+def test_later_grid_starts_find_nothing_lower(monkeypatch, case):
+    # why one refinement is enough: refinements from the 2nd to 5th best
+    # grid points, on the same objective, end no lower than the winner (at
+    # most 6.5e-16 relative, on k = 5)
+    module = diskcover.optimize
+    multistart, later = module._multistart, []
+
+    def refine_later_starts(param_names, k, grid, clip, build, budget, tol, pin=None):
+        memo = {}
+
+        def objective(params):
+            key = clip(tuple(map(float, params)))
+            if key not in memo:
+                config = build(key)
+                memo[key] = scaled_density(config, covering_radius(config, k, tol).high)
+            later.append(memo[key])
+            return memo[key]
+
+        for start in sorted(grid, key=objective)[1:5]:
+            minimize(objective, start)
+        return multistart(param_names, k, grid, clip, build, budget, tol, pin)
+
+    monkeypatch.setattr(module, "_multistart", refine_later_starts)
+    if case == "pattern_b":
+        res = optimize_pattern_b(tol=1e-4)
+    else:
+        res = optimize_single_lattice(case, tol=1e-4)
+    winner = min(value for _, value in res.history)
+    assert min(later) >= winner * (1.0 - 1e-12)
 
 
 def test_fifth_fold_converges_in_a_small_budget():
     # with refinements from the 5 best grid points it spent all 1000
-    # evaluations on the same winner and reported converged False
+    # evaluations on the same winner and reported converged False; with
+    # refinements until one lowered nothing it converged in 651 at
+    # 5.428161882165825, 6.5e-16 relative lower, on the same lattice
     res = optimize_single_lattice(5, budget=1000)
-    assert res.density == 5.428161882165825
-    assert res.evaluations == 651
+    assert res.density == 5.428161882165829
+    assert res.evaluations == 234
     assert res.converged is True
 
 
 class TestStopRule:
-    """Refinements start from the grid points in order of value, best
-    first, and stop after the first that lowers nothing or at the budget."""
+    """One refinement, from the first least grid point, which ends at its
+    own stop test or at the budget."""
 
-    # scrambled, so that the order of the starts shows; the objective pi / p
+    # scrambled, so that the choice of the start shows; the objective pi / p
     # falls as p grows
     GRID = [(1.0 + (3 * i % 10) / 10,) for i in range(10)]
-    # points a stub refinement evaluates unless the budget stops it
-    REFINE = 300
 
-    def run(self, monkeypatch, improving, pin=None):
-        """`_multistart` at budget 1000 with a stub `minimize` whose first
-        `improving` refinements evaluate REFINE points; returns the result,
-        the starts, and the evaluations each refinement made."""
+    def run(self, monkeypatch, wanted, pin=None):
+        """`_multistart` at budget 1000 with a stub `minimize` that evaluates
+        `wanted` points, each lower than every point before it, unless the
+        budget stops it; returns the result, the starts, and the evaluations
+        each refinement made."""
         module = diskcover.optimize
         starts, made = [], []
 
         def refine(func, x0):
             starts.append(tuple(x0))
             made.append(0)
-            if len(starts) > improving:
-                # its own start again: nothing lower
-                func(np.array(x0))
-                made[-1] += 1
-                return
-            # every point lies beyond all those evaluated before it
-            for i in range(self.REFINE):
-                func(np.array([2.0 * len(starts) + i / self.REFINE]))
+            for i in range(wanted):
+                func(np.array([2.0 + i / wanted]))
                 made[-1] += 1
 
         def build(params):
@@ -328,31 +363,25 @@ class TestStopRule:
         return res, starts, made
 
     @pytest.mark.parametrize(
-        # caps: the evaluations each refinement made before it returned or
+        # made: the evaluations the refinement made before it returned or
         # the objective refused the one past the budget
-        "improving, caps, evaluations",
-        [
-            (0, [1], 11),
-            (2, [300, 300, 1], 611),
-            # every refinement improves: the fourth gets the 90 evaluations
-            # left, and the budget ends the search
-            (99, [300, 300, 300, 90], 1000),
-        ],
+        "wanted, made, evaluations",
+        [(1, 1, 11), (300, 300, 310), (2000, 990, 1000)],
     )
-    def test_stops_at_the_first_refinement_without_gain(
-        self, monkeypatch, improving, caps, evaluations
+    def test_one_refinement_from_the_first_least_start(
+        self, monkeypatch, wanted, made, evaluations
     ):
-        res, starts, made = self.run(monkeypatch, improving)
-        assert made == caps
-        assert starts == sorted(self.GRID, reverse=True)[: len(caps)]
+        res, starts, counts = self.run(monkeypatch, wanted)
+        assert starts == [max(self.GRID)]
+        assert counts == [made]
         assert res.evaluations == len(res.history) == evaluations <= 1000
         assert res.converged is (evaluations < 1000)
 
     def test_pin_evaluation_is_reserved_from_a_binding_budget(self, monkeypatch):
-        # the refinements keep improving, so they spend all but the one
+        # the refinement keeps improving, so it spends all but the one
         # evaluation held back for the pin, which comes last
-        res, _, made = self.run(monkeypatch, 99, pin=lambda best: (best[0] / 2,))
-        assert made == [300, 300, 300, 89]
+        res, _, made = self.run(monkeypatch, 2000, pin=lambda best: (best[0] / 2,))
+        assert made == [989]
         assert res.evaluations == len(res.history) == 1000
         (winner,), _ = min(res.history[:-1], key=lambda entry: entry[1])
         assert res.history[-1] == ((winner / 2,), math.pi / (winner / 2))
