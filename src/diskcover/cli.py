@@ -2,11 +2,12 @@
 
 Subcommands that consume a configuration read it from --config or, when
 piped, from stdin; subcommands that produce one write JSON to stdout, so
-stages compose with ordinary shell pipes.  Exit codes: 0 for any computed
-verdict, 2 for usage errors, 3 for unreadable configurations, 4 for
-infeasible parameters, 141 (128 + SIGPIPE, as a shell reports a process
-that SIGPIPE ended) when the reader of stdout closed the pipe before the
-output was written.
+stages compose with ordinary shell pipes.  `main` decides every exit
+code: 0 for any computed verdict, 2 for usage errors (among them an
+--out file that cannot be written and a stdout closed at start, as by
+`>&-`), 3 for unreadable configurations, 4 for infeasible parameters,
+141 (128 + SIGPIPE, as a shell reports a process that SIGPIPE ended)
+when the reader of stdout closed the pipe before the output was written.
 
 A module that only some commands use is imported inside them, so each
 process loads just what its command runs.  The names imported below stay
@@ -17,6 +18,7 @@ bound on this module because perfbench's tracer rebinds them here
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -33,16 +35,15 @@ INFEASIBLE_ERROR = 4
 BROKEN_PIPE = 141
 
 
-def _emit(payload: dict) -> int:
+def _emit(payload: dict) -> None:
+    # sys.stdout is None when the process starts with stdout closed
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF), "stdout")
     json.dump(payload, sys.stdout)
     sys.stdout.write("\n")
-    return 0
 
 
-def _load_config(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    # sys.stdin is None when the process starts with stdin closed
-    if args.config is None and (sys.stdin is None or sys.stdin.isatty()):
-        parser.exit(USAGE_ERROR, "error: no configuration: pass --config or pipe JSON\n")
+def _load_config(args: argparse.Namespace) -> PeriodicConfig:
     try:
         if args.config is None:
             text = sys.stdin.read()
@@ -55,21 +56,11 @@ def _load_config(args: argparse.Namespace, parser: argparse.ArgumentParser):
     return PeriodicConfig.from_json(text)
 
 
-def _write_out(
-    path: str, text: str, parser: argparse.ArgumentParser, mode: str = "w"
-) -> None:
-    try:
-        with open(path, mode, encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        parser.exit(USAGE_ERROR, f"error: cannot write {path}: {exc}\n")
-
-
-def cmd_pattern(args, parser) -> int:
+def cmd_pattern(args) -> None:
     from .patterns import PatternSpec
 
     spec = PatternSpec(args.name, args.x, args.y, args.d)
-    return _emit(spec.build().to_dict())
+    _emit(spec.build().to_dict())
 
 
 def _import_numpy() -> None:
@@ -78,18 +69,18 @@ def _import_numpy() -> None:
     lazy_numpy().ndarray
 
 
-def cmd_verify(args, parser) -> int:
+def cmd_verify(args) -> None:
     _import_numpy()
-    config = _load_config(args, parser)
+    config = _load_config(args)
     cert = verify_k_coverage(config, args.k, args.tol)
-    return _emit(cert.to_dict())
+    _emit(cert.to_dict())
 
 
-def cmd_radius(args, parser) -> int:
+def cmd_radius(args) -> None:
     _import_numpy()
-    config = _load_config(args, parser)
+    config = _load_config(args)
     enclosure = covering_radius(config, args.k, args.tol)
-    return _emit(
+    _emit(
         {
             "k": args.k,
             "low": enclosure.low,
@@ -100,16 +91,16 @@ def cmd_radius(args, parser) -> int:
     )
 
 
-def cmd_density(args, parser) -> int:
+def cmd_density(args) -> None:
     from .density import density_report
 
-    config = _load_config(args, parser)
+    config = _load_config(args)
     report = density_report(config, args.k)
-    return _emit(report.to_dict())
+    _emit(report.to_dict())
 
 
-def cmd_voronoi(args, parser) -> int:
-    config = _load_config(args, parser)
+def cmd_voronoi(args) -> None:
+    config = _load_config(args)
     cells = [voronoi_cell(config, i) for i in range(len(config.offsets))]
     payload: dict = {
         "cells": [
@@ -127,10 +118,10 @@ def cmd_voronoi(args, parser) -> int:
         payload["all_congruent"] = congruent
         payload["class_count"] = len(classes)
         payload["cell_class"] = [classes.index(sig) for sig in sigs]
-    return _emit(payload)
+    _emit(payload)
 
 
-def cmd_bounds(args, parser) -> int:
+def cmd_bounds(args) -> None:
     from .density import _BLUNDON_MULTIPLIERS, kershner_theta, known_values, toth_lower_bound
 
     table = known_values()
@@ -144,10 +135,10 @@ def cmd_bounds(args, parser) -> int:
         payload["blundon"] = _BLUNDON_MULTIPLIERS[args.k] * table["theta"]
     if args.k == 2:
         payload["danzer"] = [table["danzer_low"], table["danzer_high"]]
-    return _emit(payload)
+    _emit(payload)
 
 
-def cmd_optimize(args, parser) -> int:
+def cmd_optimize(args) -> None:
     from .optimize import optimize_pattern_b, optimize_single_lattice
 
     if args.mode == "pattern-b" and args.k != 2:
@@ -158,7 +149,7 @@ def cmd_optimize(args, parser) -> int:
         # what the file holds if the search then fails, and a file the
         # probe made goes until there is a history to write
         existed = os.path.lexists(args.out)
-        _write_out(args.out, "", parser, mode="a")
+        open(args.out, "a", encoding="utf-8").close()
         if not existed:
             os.remove(args.out)
     if args.mode == "single-lattice":
@@ -166,14 +157,15 @@ def cmd_optimize(args, parser) -> int:
     else:
         result = optimize_pattern_b(budget=args.budget, tol=args.tol)
     if args.out is not None:
-        _write_out(args.out, result.history_csv(), parser)
-    return _emit(result.to_dict())
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(result.history_csv())
+    _emit(result.to_dict())
 
 
-def cmd_render(args, parser) -> int:
-    config = _load_config(args, parser)
-    _write_out(args.out, render_svg(config, size=args.size), parser)
-    return 0
+def cmd_render(args) -> None:
+    svg = render_svg(_load_config(args), size=args.size)
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(svg)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -243,17 +235,24 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # without --config stdin is read, and it is None if closed at start
+    if getattr(args, "config", "") is None and (sys.stdin is None or sys.stdin.isatty()):
+        parser.exit(USAGE_ERROR, "error: no configuration: pass --config or pipe JSON\n")
     try:
-        code = args.func(args, parser)
+        args.func(args)
         # flush here, so a reader that has gone is caught below
-        sys.stdout.flush()
-        return code
+        if sys.stdout is not None:
+            sys.stdout.flush()
     except BrokenPipeError:
         # point stdout at devnull, so the flush at interpreter exit does
         # not raise again on the closed pipe
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return BROKEN_PIPE
+    except OSError as exc:
+        # --out cannot be written, or stdout is closed; an error that
+        # names no file came from writing an open one
+        parser.exit(USAGE_ERROR, f"error: cannot write {exc.filename or 'output'}: {exc}\n")
     except ConfigFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
@@ -261,6 +260,7 @@ def main(argv: list[str] | None = None) -> int:
         # OverflowError: an integer flag beyond the float range
         print(f"error: {exc}", file=sys.stderr)
         return INFEASIBLE_ERROR
+    return 0
 
 
 if __name__ == "__main__":

@@ -70,7 +70,7 @@ import math
 
 from ._lazy import lazy_numpy
 from .geometry import Point, Record, _check_k, _check_tol
-from .lattice import PeriodicConfig, Rect, _translates_array
+from .lattice import PeriodicConfig, Rect, _lattice_reach, _translates_array
 from .lattice import reduce_basis  # noqa: F401 (unused here; perfbench hooks this name)
 
 np = lazy_numpy()
@@ -188,20 +188,11 @@ class _CenterField:
     there are at least pi (A - D)^2 / det = k / n of them; they hold at
     least k centers, each within A - D + diam(P) <= A of p.
 
-    The lattice reach rho + lam + 2 h, for m = ceil(k / n) <= 7, widened
-    by 1e-9 of itself and by 2 eval_error for rounding.  With v replaced
-    by -v where dot(u, v) < 0, rho is the circumradius of the triangle
-    (0, u, v), and lam is 0, |u|, |v| or |u - v| for m <= 1, 3, 5 or 7.
-    Proof: for a reduced basis that triangle is non-obtuse, so each of
-    its points lies within rho of one of its vertices.  It and its image
-    under q -> u + v - q tile the cell (0, u, u + v, v), and the lattice
-    translates of both tile the plane; so every point p has a center of
-    each offset within rho.  Adding the lattice vectors 0, then +-u, +-v
-    and +-(u - v), all of norm at most lam, gives m distinct centers of
-    each offset, n m >= k in all, within rho + lam of p.  h is the root
-    boxes' half-diagonal that `covering_radius` passes: a root box's ring
-    reaches d_k(m) + 2 h from its center m, so the field holds every
-    center of every ring.  For larger m only the area reach is used.
+    The lattice reach `_lattice_reach` + 2 h, widened by 1e-9 of itself
+    and by 2 eval_error for rounding, holds ceil(k / n) centers of each
+    offset, k in all.  h is the root boxes' half-diagonal that
+    `covering_radius` passes: a root box's ring reaches d_k(m) + 2 h from
+    its center m, so the field holds every center of every ring.
 
     The cache is bounded.  For a W x H rect, the translates of P placed at
     the centers of one offset are disjoint and lie in a box of sides
@@ -227,18 +218,9 @@ class _CenterField:
         corner = max(abs(rect.xmin), abs(rect.xmax), abs(rect.ymin), abs(rect.ymax))
         offset = max([abs(c) for p in config.offsets for c in (p.x, p.y)])
         self.eval_error = _EVAL_ULPS * _U * (corner + offset + area)
-        self.reach = area
-        # m lattice translates of each offset's nearest center, m = ceil(k / n)
-        copies = -(-k // count)
-        if copies <= 7:
-            (ux, uy), (vx, vy) = reduced.u, reduced.v
-            if ux * vx + uy * vy < 0.0:
-                vx, vy = -vx, -vy
-            len_w = math.hypot(ux - vx, uy - vy)
-            rho = len_u * len_v * len_w / (2.0 * reduced.det)
-            lam = (0.0, len_u, len_v, len_w)[copies // 2]
-            bound = (rho + lam + 2.0 * diag_root) * (1.0 + 1e-9) + 2.0 * self.eval_error
-            self.reach = min(area, bound)
+        # ceil(k / n) centers of each offset, k in all, and the root ring
+        lattice = _lattice_reach(reduced, -(-k // count)) + 2.0 * diag_root
+        self.reach = min(area, lattice * (1.0 + 1e-9) + 2.0 * self.eval_error)
         self.set_centers(_translates_array(config, rect, self.reach).T)
 
     def set_centers(self, centers: np.ndarray) -> None:

@@ -107,6 +107,33 @@ def reduce_basis(basis: Basis) -> Basis:
     return Basis((ux, uy), (vx, vy))
 
 
+def _lattice_reach(reduced: Basis, copies: int = 1) -> float:
+    """rho + lam: every point has `copies` distinct centers of each offset
+    within this distance, for at most 7 copies; inf for more.
+
+    rho, the lattice's covering radius, is the circumradius of the
+    triangle (0, u, v) of the reduced basis, v replaced by -v where
+    dot(u, v) < 0; lam is 0, |u|, |v| or |u - v| for copies <= 1, 3, 5, 7.
+    The triangle is non-obtuse, so it holds its circumcenter (so rho <=
+    max(|u|, |v|)) and each of its points lies within rho of a vertex.  It
+    and its image under q -> u + v - q tile the cell (0, u, u + v, v), so
+    every point has a center of each offset within rho, and adding 0,
+    +-u, +-v and +-(u - v), of norm at most lam, gives `copies` of them
+    within rho + lam.  The circumcenters around a lattice point are the
+    vertices of its Voronoi cell, at rho from it, and its relevant vectors
+    +-u, +-v and +-(u - v) are the triangles' sides, at most 2 rho long.
+    """
+    if copies > 7:
+        return math.inf
+    (ux, uy), (vx, vy) = reduced.u, reduced.v
+    if ux * vx + uy * vy < 0.0:
+        vx, vy = -vx, -vy
+    len_u, len_v = reduced.lengths()
+    len_w = math.hypot(ux - vx, uy - vy)
+    rho = len_u * len_v * len_w / (2.0 * reduced.det)
+    return rho + (0.0, len_u, len_v, len_w)[copies // 2]
+
+
 class Rect(Record):
     """Axis-aligned rectangle; degenerate (point or segment) allowed."""
 

@@ -83,10 +83,12 @@ def minimize(func, x0) -> None:
     0.00025 where it is 0), a re-sort by value after every step, and a stop
     once `_XATOL` and `_FATOL` both hold.  It calls `func` on the same
     points in the same order, bit for bit, which the tests check where
-    that library is installed.  It has no call limit of its own: the
-    caller bounds the calls through `func`, whose exception ends the
-    descent, and reads the outcome from what `func` records, so nothing
-    is returned.
+    that library is installed.  As there, the unstable default argsort
+    orders ties, so runs repeat exactly on one machine and numpy build,
+    but a history that meets a tie could differ on another CPU (README).
+    It has no call limit of its own: the caller bounds the calls through
+    `func`, whose exception ends the descent, and reads the outcome from
+    what `func` records, so nothing is returned.
     """
 
     def by_value(sim, fsim):

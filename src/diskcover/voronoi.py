@@ -3,30 +3,20 @@
 Cells are cut by half-plane clipping against nearby centers, nearest
 first, starting from a square of half-width 4 * span around the site,
 where span = max(|u|, |v|) of the reduced basis (u, v).  Only centers
-within _CUTOFF_SPANS * span = 2 * span of the site are clipped against,
-and that cutoff drops none that cuts:
+within 2 rho (1 + 1e-9) + 16 eps of the site are clipped against, where
+rho is the lattice's covering radius (`lattice._lattice_reach`) and eps
+the clip tolerance.  A site's cell lies in the Voronoi cell of its own
+lattice, which lies within rho of the site and is cut out by relevant
+vectors of length at most 2 rho.  The clip loop stops at the first
+center farther than twice the current polygon's reach, as its bisector
+cannot cut.  Once every center within the cutoff is clipped, the polygon
+lies in the lattice cell widened by eps, whose vertices move by at most
+sqrt(2) eps (adjacent relevant vectors meet at the angles of a
+non-obtuse triangle), so the next center stops the loop.  Every cell
+lies within rho <= span of its site, up to the clip tolerance, so the
+start square never survives; a test checks that bound, and any larger
+cutoff gives the same cell, bit for bit.
 
-- A site's cell lies inside the Voronoi cell of its own lattice, site +
-  L, since the other offsets only add competitors.  Choose v's sign so
-  that u . v >= 0.  For a reduced basis, 0 <= u . v <= |u|^2 / 2 and
-  |u| <= |v|, so no angle of the Delaunay triangle (0, u, v) exceeds 90
-  degrees, and the circumradius of that lattice cell is the triangle's
-  circumradius R = L / (2 sin A), where L is the longest side and A, the
-  largest angle, lies between 60 and 90 degrees, so sin A >= sqrt(3)/2.
-  The sides are |u|, |v| and |u - v|, and |u - v|^2 <= |u|^2 + |v|^2, so
-  L <= sqrt(2) * span and R <= sqrt(2/3) * span.
-- The lattice cell is cut out by its Voronoi-relevant vectors, which are
-  among +-u, +-v and +-(u - v), all within sqrt(2) * span of the site.
-- The clip loop stops at the first center farther than twice the current
-  polygon's reach, since its bisector cannot cut.  Once every center
-  within 2 * span is clipped, the relevant vectors are among them, so
-  the reach is at most sqrt(2/3) * span (up to the clip tolerance), and
-  the next center, beyond 2 * span > 2 * sqrt(2/3) * span, stops the loop.
-
-So every cell lies within sqrt(2/3) * span of its site, up to the clip
-tolerance, well inside the start square: a test checks that bound on
-every vertex, and nothing checks it at run time.  Any larger cutoff clips
-the same centers in the same order and gives the same cell, bit for bit.
 A congruence signature is a plain tuple: the (edge length, interior
 angle) sequence of a cell, each value rounded to a whole number of tol
 steps, taken at its least rotation in either orientation, so a rigid
@@ -42,13 +32,10 @@ import math
 from operator import itemgetter
 
 from .geometry import ConvexPolygon, Point, Record, _check_tol, _merge_close
-from .lattice import PeriodicConfig, Rect, _translates
+from .lattice import PeriodicConfig, Rect, _lattice_reach, _translates
 from .lattice import reduce_basis  # noqa: F401 (unused here; perfbench hooks this name)
 
 CONGRUENCE_TOL = 1e-6
-# neighbors within this many spans of the site are clipped against; the
-# module docstring proves that 2 drops no center that cuts the cell
-_CUTOFF_SPANS = 2.0
 
 
 class VoronoiCell(Record):
@@ -64,10 +51,10 @@ def voronoi_cell(config: PeriodicConfig, offset_index: int) -> VoronoiCell:
     half = 4.0 * span
     # the clip tolerance scales with span, not with the cutoff
     eps = 1e-12 * max(1.0, 8.0 * span)
+    # the module docstring proves that this cutoff drops no center that cuts
+    cutoff = 2.0 * _lattice_reach(config.reduced) * (1.0 + 1e-9) + 16.0 * eps
 
-    near = _translates(
-        config, Rect(site.x, site.y, site.x, site.y), _CUTOFF_SPANS * span
-    )
+    near = _translates(config, Rect(site.x, site.y, site.x, site.y), cutoff)
     neighbors = []
     for qx, qy in near:
         dist = math.hypot(qx - site.x, qy - site.y)

@@ -496,6 +496,32 @@ class TestUsageErrors:
         assert proc.stderr == "error: no configuration: pass --config or pipe JSON\n"
         assert not svg.exists()
 
+    @pytest.mark.parametrize(
+        "argv", [["pattern", "--name", "triangle"], ["bounds", "--k", "2"]],
+        ids=["pattern", "bounds"],
+    )
+    def test_closed_stdout_exit_2(self, argv):
+        # `>&-` starts the child with stdout closed, so its sys.stdout is None
+        proc = subprocess.run(
+            shlex.join([sys.executable, "-m", "diskcover", *argv]) + " >&-", shell=True,
+            capture_output=True, text=True, timeout=120, env=child_env(),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: cannot write stdout:")
+        assert proc.stderr.count("\n") == 1
+
+    def test_render_with_closed_stdout_writes_its_file(self, triangle_config, tmp_path):
+        # render writes nothing to stdout, so a closed one is no error
+        svg = tmp_path / "out.svg"
+        argv = ["render", "--config", triangle_config, "--out", str(svg)]
+        proc = subprocess.run(
+            shlex.join([sys.executable, "-m", "diskcover", *argv]) + " >&-", shell=True,
+            capture_output=True, text=True, timeout=120, env=child_env(),
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert svg.read_text().startswith("<svg")
+
 
 class TestPipeline:
     @pytest.mark.parametrize(

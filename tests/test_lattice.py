@@ -458,6 +458,27 @@ def test_reduced_basis_meets_the_lagrange_gauss_conditions(u, v, exponent):
     assert r.det == pytest.approx(basis.det, rel=1e-9)
 
 
+def test_lattice_reach_of_one_copy_is_the_covering_radius():
+    # one offset, so the covering radius max d_1 is the lattice's, which
+    # the certified enclosure must hold
+    rng = np.random.default_rng(1412)
+    for _ in range(200):
+        # a reduced shape (1, 0), (b, c), sheared by an integer multiple of
+        # u, rotated, scaled and moved off the origin
+        b = rng.uniform(-0.5, 0.5)
+        c = math.sqrt(1.0 - b * b) * math.exp(rng.uniform(0.0, math.log(4.0)))
+        b += rng.integers(-2, 3)
+        scale = 10.0 ** rng.uniform(-2.0, 2.0)
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        cos, sin = scale * math.cos(angle), scale * math.sin(angle)
+        u, v = (cos, sin), (b * cos - c * sin, b * sin + c * cos)
+        offset = tuple(scale * rng.uniform(-1.0, 1.0, 2))
+        config = PeriodicConfig(Basis(u, v), [offset], radius=scale)
+        rho = lattice._lattice_reach(config.reduced)
+        enclosure = covering_radius(config, 1, tol=1e-12)
+        assert enclosure.low <= rho <= enclosure.high
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(m=st.lists(st.integers(-(2**20), 2**20), min_size=4, max_size=4), exponent=st.integers(-10, 40))
 def test_reduction_is_an_integer_unimodular_change_of_basis(m, exponent):

@@ -15,6 +15,7 @@ from diskcover import (
     voronoi_cell,
 )
 from diskcover import voronoi
+from diskcover.lattice import _lattice_reach
 from helpers import random_config, skewed_config
 
 
@@ -187,15 +188,23 @@ class TestAllCellsCongruent:
         assert len(classes) >= 2
 
 
-def test_two_span_cutoff_gives_the_cells_of_eight_spans(monkeypatch):
-    # the module docstring proves that centers beyond 2 * span never cut a
-    # cell; 8 spans was the cutoff before that proof
+def _cutoff_configs():
+    # seeded pattern_b triples in the range the command line is given, tame
+    # random configurations, skewed lattices of 1 to 8 offsets, and reduced
+    # bases (1, 0), (b, c) with |v| up to 4.6, skewed by an integer multiple
+    # of u, rotated and scaled by 1e-3 to 1e3, where the clip tolerance's
+    # floor of 1e-12 dominates the small ones
     rng = np.random.default_rng(1410)
-    configs = 0
-    while configs < 300:
+    configs = [triangle_pattern()]
+    for _ in range(80):
+        x = rng.uniform(0.4, 1.0)
+        y = (math.sqrt(1.0 - x * x) + 1.0) * rng.uniform(0.5, 1.0)
+        configs.append(pattern_b(x, y, y * rng.uniform(0.2, 1.8)))
+    configs += [random_config(rng) for _ in range(80)]
+    for seed in range(10):
+        configs += [skewed_config(np.random.default_rng(seed), n) for n in range(1, 9)]
+    while len(configs) < 400:
         scale = 10.0 ** rng.uniform(-3.0, 3.0)
-        # a reduced basis (1, 0), (b, c) with |v| up to 4.6, skewed by an
-        # integer multiple of u, rotated and scaled
         length = rng.uniform(1.0, 4.6)
         b = rng.uniform(-0.5, 0.5)
         c = math.sqrt(length * length - b * b)
@@ -208,22 +217,32 @@ def test_two_span_cutoff_gives_the_cells_of_eight_spans(monkeypatch):
             for s, t in rng.uniform(0.0, 1.0, size=(rng.integers(1, 7), 2))
         ]
         try:
-            cfg = PeriodicConfig(Basis(u, v), offsets, radius=scale)
+            configs.append(PeriodicConfig(Basis(u, v), offsets, radius=scale))
         except ValueError:
             continue  # offsets coincide modulo the lattice
-        configs += 1
-        near = [voronoi_cell(cfg, i).polygon.vertices for i in range(len(offsets))]
+    return configs
+
+
+def test_reach_cutoff_gives_the_cells_of_twice_the_margin(monkeypatch):
+    # the module docstring proves that centers beyond the cutoff of about
+    # 2 rho never cut a cell; the honeycomb's relevant vectors have length
+    # sqrt(3) rho, so a cutoff of 1.5 rho fails here
+    translates = voronoi._translates
+    for cfg in _cutoff_configs():
+        near = [repr(voronoi_cell(cfg, i)) for i in range(len(cfg.offsets))]
         with monkeypatch.context() as patch:
-            patch.setattr(voronoi, "_CUTOFF_SPANS", 8.0)
-            wide = [voronoi_cell(cfg, i).polygon.vertices for i in range(len(offsets))]
+            patch.setattr(
+                voronoi, "_translates", lambda c, rect, margin: translates(c, rect, 2.0 * margin)
+            )
+            wide = [repr(voronoi_cell(cfg, i)) for i in range(len(cfg.offsets))]
         assert near == wide
 
 
 def test_every_cell_lies_within_the_reach_bound():
-    # the module docstring proves that every cell lies within
-    # sqrt(2/3) * span of its site, so the start square of half-width
-    # 4 * span never survives; voronoi_cell relies on that and does not
-    # check it
+    # the module docstring proves that every cell lies within rho of its
+    # site, up to the clip tolerance, and rho <= span, so the start square
+    # of half-width 4 * span never survives; voronoi_cell relies on that
+    # and does not check it
     rng = np.random.default_rng(1411)
     configs = [triangle_pattern(), tangent_pattern_c("a"), tangent_pattern_c("b", 0.6)]
     for _ in range(60):
@@ -234,11 +253,12 @@ def test_every_cell_lies_within_the_reach_bound():
     for seed in range(8):
         configs += [skewed_config(np.random.default_rng(seed), n) for n in range(1, 9)]
     configs += [random_config(rng) for _ in range(60)]
-    worst = 0.0
     for cfg in configs:
-        span = max(cfg.reduced.lengths())
+        rho = _lattice_reach(cfg.reduced)
+        # the clip tolerance of voronoi_cell
+        eps = 1e-12 * max(1.0, 8.0 * max(cfg.reduced.lengths()))
+        assert rho <= max(cfg.reduced.lengths())
         for i in range(len(cfg.offsets)):
             cell = voronoi_cell(cfg, i)
             reach = max(p.distance_to(cell.site) for p in cell.polygon.vertices)
-            worst = max(worst, reach / span)
-    assert worst <= math.sqrt(2.0 / 3.0) * (1.0 + 1e-9)
+            assert reach <= rho + eps
