@@ -36,9 +36,6 @@ BROKEN_PIPE = 141
 
 
 def _emit(payload: dict) -> None:
-    # sys.stdout is None when the process starts with stdout closed
-    if sys.stdout is None:
-        raise OSError(errno.EBADF, os.strerror(errno.EBADF), "stdout")
     json.dump(payload, sys.stdout)
     sys.stdout.write("\n")
 
@@ -186,7 +183,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=float)
     p.set_defaults(func=cmd_pattern)
 
-    p = sub.add_parser("verify", help="certify k-fold coverage")
+    p = sub.add_parser(
+        "verify",
+        help="certify k-fold coverage",
+        description="Certify k-fold coverage by disks of the configured radius.  "
+        "The search stops once its enclosure of the covering radius decides the "
+        "verdict, so radius_low and radius_high may lie wider apart than --tol; "
+        "the radius command gives the converged enclosure.",
+    )
     add_config_arg(p)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--tol", type=float, default=1e-6)
@@ -239,6 +243,11 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "config", "") is None and (sys.stdin is None or sys.stdin.isatty()):
         parser.exit(USAGE_ERROR, "error: no configuration: pass --config or pipe JSON\n")
     try:
+        # sys.stdout is None when the process starts with stdout closed:
+        # fail before the work whose output it would take; render writes
+        # only its --out file
+        if sys.stdout is None and args.command != "render":
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF), "stdout")
         args.func(args)
         # flush here, so a reader that has gone is caught below
         if sys.stdout is not None:

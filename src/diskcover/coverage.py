@@ -536,6 +536,8 @@ def covering_radius(
     k: int,
     tol: float = 1e-6,
     max_boxes: int = DEFAULT_MAX_BOXES,
+    *,
+    decide: bool = False,
 ) -> CoveringRadius:
     """Certified enclosure of the order-k covering radius max d_k.
 
@@ -552,12 +554,19 @@ def covering_radius(
     + e over the level's boxes and max(low, d_k + e + e_q) over the
     finish's circumcenters.
 
-    Stops once high - low <= tol (converged).  A finish wider than tol
-    runs one more level and tries again only while it has a circumcenter
-    whose e_q alone exceeds tol and its high fell since the last try;
-    otherwise it stops unconverged, as when tol is below the rounding
-    floor e_q + 2e of the vertex.  The search also stops unconverged
-    once the half-diagonal is at most e.
+    Stops once high - low <= tol (converged) or, with `decide`, once the
+    enclosure lies wholly on one side of the configured radius r: low > r
+    or high <= r (Moore 1966).  Both tests run after each level's bounds
+    and after each finish.  A decided stop ends the converged search's
+    sequence of levels early: every low and high on the way is a
+    certified bound of max d_k, so the decided enclosure is sound, and it
+    contains the converged one up to the rounding of high, which each
+    level recomputes.  A finish wider than tol runs one more level and
+    tries again only while it has a circumcenter whose e_q alone exceeds
+    tol and its high fell since the last try; otherwise it stops
+    unconverged, as when tol is below the rounding floor e_q + 2e of the
+    vertex.  The search also stops unconverged once the half-diagonal is
+    at most e.  Wherever it stops, `converged` is high - low <= tol.
 
     `boxes` counts every d_k evaluation, finish candidates included.  A
     level or a finish that would take it past `max_boxes` is skipped whole
@@ -575,8 +584,8 @@ def covering_radius(
     # the first level raises top from -inf, and with it sets the witness
     top = -math.inf
     processed = 0
-    converged = False
     finish_high = math.inf
+    r = config.radius
     while True:
         vals = field.dk(cols)
         processed += len(vals)
@@ -593,8 +602,7 @@ def covering_radius(
         # any bound does
         spread = diag + err
         high = min(max(level_top + spread, low), finish_high)
-        if high - low <= tol:
-            converged = True
+        if high - low <= tol or decide and (low > r or high <= r):
             break
         survivors = (vals + spread > low).nonzero()[0]
         # the ring of each surviving box, from no lower than low - diag,
@@ -624,8 +632,7 @@ def covering_radius(
                 low = top - err
                 tried = max(low, float(upper[upper.argmax()]))
             high = min(high, tried)
-            if high - low <= tol:
-                converged = True
+            if high - low <= tol or decide and (low > r or high <= r):
                 break
             # a finish refines only where a circumcenter's own error
             # blocks tol, and only while refining narrows it
@@ -638,6 +645,8 @@ def covering_radius(
             break
         half /= 2.0
         cols = (parents[:, :, None] + _sign_rows() * half).reshape(2, -1)
+    # every other stop follows a test that found high - low > tol
+    converged = high - low <= tol
     return CoveringRadius(low, high, Point(*witness.tolist()), processed, converged)
 
 
@@ -650,8 +659,24 @@ def verify_k_coverage(
     """Certify whether disks of the configured radius k-cover the plane.
 
     Closed disks: a point on k disk boundaries counts as covered k times.
-    The verdict is `CoveringRadius.certificate`'s.
+    The verdict is `CoveringRadius.certificate`'s, on the enclosure of a
+    search that stops as soon as that enclosure decides it (`decide`):
+    a certified verdict may come with an enclosure wider than tol, which
+    `covering_radius` alone narrows further.
+
+    Soundness: the search stops at its first bound with low > r or
+    high <= r, and every bound it computes is certified, low <= max d_k
+    <= high for any low and high it meets.  So the verdict is the
+    converged search's.  After a stop on low > r, which the certificate
+    tests first, the converged search keeps that low or a higher one.
+    After a stop on high <= r no later low can exceed r, and later highs
+    only fall, but for the rounding of the level bound, which each level
+    recomputes: only an r within that rounding of high could see the
+    converged search call tight what this one proves covered.  A search
+    that meets neither test runs to its end, so tight and undecided
+    enclosures are the converged search's bit for bit.
     """
     k = _check_k(k)
-    return covering_radius(config, k, tol, max_boxes).certificate(k, config.radius, tol)
+    cover = covering_radius(config, k, tol, max_boxes, decide=True)
+    return cover.certificate(k, config.radius, tol)
 

@@ -364,6 +364,13 @@ class TestOutputBytes:
             (PATTERN_B, "16bd46064a605add8e17e20d7b54a577fa10a54a73f6a4c1d8716195ed7f7e3d"),
             (["verify", "--k", "2"],
              "69c2b12b9be1e74f74ea1326d56577021313d83a562b15874a8c1279566f28ce"),
+            # the search stops once its enclosure decides the verdict; run to
+            # tol they gave 382c5412...c4c7c4359dec, enclosure [0.77015,
+            # 0.77015], and 1f119a38...7c22d537, [1.22602, 1.22602]
+            (["verify", "--k", "1"],
+             "f7b45037734ce7977d008d8bd7fb51232e7ca1a04f0619c99a458ede64f95f84"),
+            (["verify", "--k", "4"],
+             "f5c12e2e18613adc11d70f79007d2d6a55ace89d57fe38a58ed1dee48f793b7c"),
             (["radius", "--k", "2", "--tol", "1e-9"],
              "b6888c1f928ef574f595bccf9ac3a5c2671fbda4046adff7a9046275d4f9cd99"),
             (["density", "--k", "2"],
@@ -383,8 +390,9 @@ class TestOutputBytes:
             (["optimize", "--mode", "pattern-b", "--k", "2"],
              "7303662a9dacaed144fe2e4db375ed51d32f6149b5f233fc18711d1bf0176934"),
         ],
-        ids=["triangle", "pattern_b", "verify", "radius", "density", "voronoi", "bounds",
-             "render", "optimize", "optimize_pattern_b"],
+        ids=["triangle", "pattern_b", "verify", "verify_covered", "verify_uncovered",
+             "radius", "density", "voronoi", "bounds", "render", "optimize",
+             "optimize_pattern_b"],
     )
     def test_sha256_of_output(self, capsys, tmp_path, argv, digest):
         config, svg = tmp_path / "config.json", tmp_path / "out.svg"
@@ -509,6 +517,22 @@ class TestUsageErrors:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: cannot write stdout:")
         assert proc.stderr.count("\n") == 1
+
+    def test_closed_stdout_optimize_exit_2_before_the_search(self, tmp_path):
+        # the search module is never imported, so no search runs, and the
+        # --out history is never written
+        out = tmp_path / "o.csv"
+        argv = ["-X", "importtime", "-m", "diskcover", "optimize", "--k", "1",
+                "--budget", "1000", "--out", str(out)]
+        proc = subprocess.run(
+            shlex.join([sys.executable, *argv]) + " >&-", shell=True,
+            capture_output=True, text=True, timeout=120, env=child_env(),
+        )
+        assert proc.returncode == 2
+        errors = [line for line in proc.stderr.splitlines() if not line.startswith("import time:")]
+        assert len(errors) == 1 and errors[0].startswith("error: cannot write stdout:")
+        assert "diskcover.optimize" not in _imported_modules(proc.stderr)
+        assert not out.exists()
 
     def test_render_with_closed_stdout_writes_its_file(self, triangle_config, tmp_path):
         # render writes nothing to stdout, so a closed one is no error

@@ -909,6 +909,60 @@ class TestVerifyKCoverage:
                 statuses.append(verify_k_coverage(moved, k, tol=1e-9).status)
         assert statuses == ["tight"] * 160
 
+    def test_verdict_is_the_converged_searchs(self):
+        # verify's search stops once its enclosure decides the verdict; the
+        # search run to tol must give the same status from an enclosure
+        # inside the decided one, in no fewer boxes, and the same fields bit
+        # for bit when the verdict is tight or undecided
+        def bits(r):
+            floats = (r.low, r.high, r.witness.x, r.witness.y)
+            return tuple(x.hex() for x in floats) + (r.boxes, r.converged)
+
+        rng = np.random.default_rng(149)
+        cases = [(skewed_config(rng, n), k) for k in range(1, 9) for n in range(1, 9)]
+        cases += [(random_config(rng, 8), k) for k in range(1, 9) for _ in range(8)]
+        # a coarse tol leaves levels whose enclosures lie within tol of r
+        cases = [(cfg, k, tol, DEFAULT_MAX_BOXES) for tol in (1e-3, 1e-9) for cfg, k in cases]
+        cases += [(cfg, k, 1e-9, DEFAULT_MAX_BOXES) for cfg, k in _critical_configs()]
+        # cut by the budget before its finish, as in test_box_cap_yields_unconverged
+        capped = PeriodicConfig(Basis((1.07, 0), (0.33, 0.91)), [(0, 0)], radius=1.0)
+        cases.append((capped, 2, 1e-12, 30))
+        statuses = []
+        early = 0
+        for cfg, k, tol, budget in cases:
+            # every config of a case wraps cfg.offsets into the cell once, so
+            # all of them hold the same offsets, bit for bit
+            def at(r):
+                return PeriodicConfig(cfg.basis, cfg.offsets, r)
+
+            full = covering_radius(at(cfg.radius), k, tol, budget)
+            mid = 0.5 * (full.low + full.high)
+            # the config's own radius, then the middle of the enclosure and
+            # 1e-12 of it and tol away on either side
+            radii = [cfg.radius, mid, mid * (1.0 - 1e-12), mid * (1.0 + 1e-12)]
+            for r in radii + [mid - tol, mid + tol]:
+                at_r = at(r)
+                cert = verify_k_coverage(at_r, k, tol, budget)
+                assert cert.status == full.certificate(k, r, tol).status
+                decided = covering_radius(at_r, k, tol, budget, decide=True)
+                assert decided.certificate(k, r, tol) == cert
+                assert decided.low <= full.low and full.high <= decided.high
+                assert decided.boxes <= full.boxes
+                if cert.status in ("tight", "undecided"):
+                    assert bits(decided) == bits(full)
+                if cert.status == "certified_uncovered":
+                    assert kth_nearest_distance(cert.witness, at_r, k) > r
+                statuses.append(cert.status)
+                early += decided.boxes < full.boxes
+        assert {s: statuses.count(s) for s in set(statuses)} == {
+            "certified_covered": 640,
+            "certified_uncovered": 656,
+            "tight": 264,
+            "undecided": 6,
+        }
+        # the covered and uncovered verdicts that stopped early
+        assert early == 245
+
     def test_undecided_when_budget_tiny(self):
         cfg = PeriodicConfig(Basis((1.07, 0), (0.33, 0.91)), [(0, 0)], radius=1.0)
         # a budget of 30 stops before the finish, as in
