@@ -1,9 +1,14 @@
 """Periodic center sets: lattice bases, reduction, enumeration.
 
 A configuration is a lattice spanned by two basis vectors plus a set of
-translate offsets and a common disk radius.  Offsets are stored wrapped
-into the half-open fundamental parallelogram {s*u + t*v : s, t in [0,1)},
-so equality of configurations modulo the lattice is equality of fields.
+translate offsets and a common disk radius.  Each offset is stored moved
+by whole lattice vectors into the half-open fundamental parallelogram
+{s*u + t*v : s, t in [0,1)}, up to the rounding of s and t, and one that
+lies there already is stored as given.  So a configuration is a fixed
+point of its own constructor: rebuilt from its fields or its JSON, it is
+the same bit for bit.  Only where rounding moves s or t by a whole cell,
+on bases skewed past |v| / |u| of about 1e8, can the wrap end at its
+bound of 16 passes short of that.
 """
 
 from __future__ import annotations
@@ -165,17 +170,17 @@ class PeriodicConfig(Record):
         (ux, uy), (vx, vy), det = basis.u, basis.v, basis.det
         wrapped = []
         for p in offsets:
-            s = (p.x * vy - p.y * vx) / det
-            t = (p.y * ux - p.x * uy) / det
-            if not (math.isfinite(s) and math.isfinite(t)):
-                raise ValueError("offset overflows the float range in lattice coordinates")
-            s -= math.floor(s)
-            t -= math.floor(t)
-            if s >= 1.0:
-                s = 0.0
-            if t >= 1.0:
-                t = 0.0
-            wrapped.append(Point(s * ux + t * vx, s * uy + t * vy))
+            # less i u + j v (i = floor(s), +1 if s - i rounds to 1) till i = j = 0 or a cycle
+            x, y, seen = p.x, p.y, []
+            while len(seen) < 16:
+                s, t = (x * vy - y * vx) / det, (y * ux - x * uy) / det
+                if not (math.isfinite(s) and math.isfinite(t)):
+                    raise ValueError("offset overflows the float range in lattice coordinates")
+                i, j = math.floor(s) + (s % 1.0 >= 1.0), math.floor(t) + (t % 1.0 >= 1.0)
+                if not (i or j) or (x, y) in seen:
+                    break
+                seen, x, y = [*seen, (x, y)], x - (i * ux + j * vx), y - (i * uy + j * vy)
+            wrapped.append(Point(x + 0.0, y + 0.0))
         offsets = tuple(wrapped)
         reduced = reduce_basis(basis)
         if len(offsets) > 1 and _min_periodic_gap(offsets, reduced) <= SEPARATION_TOL:
@@ -187,6 +192,12 @@ class PeriodicConfig(Record):
         return self.basis.det
 
     def scaled(self, factor: float) -> "PeriodicConfig":
+        """This configuration with every length times `factor`.
+
+        A power of two scales every stored number exactly, offsets too:
+        the wrap then computes the same s, t and lattice vectors, each
+        length times the factor, unless a number leaves the normal range.
+        """
         if not (math.isfinite(factor) and factor > 0.0):
             raise ValueError(f"scale factor must be positive, got {factor}")
         ux, uy = self.basis.u

@@ -9,9 +9,19 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
-from diskcover import kershner_theta, optimize_single_lattice, render_svg, triangle_pattern
+from diskcover import (
+    PatternSpec,
+    PeriodicConfig,
+    covering_radius,
+    kershner_theta,
+    optimize_single_lattice,
+    render_svg,
+    triangle_pattern,
+    verify_k_coverage,
+)
 from diskcover import cli, optimize
 from diskcover.cli import main
 from helpers import child_env
@@ -360,8 +370,8 @@ class TestOutputBytes:
         "argv, digest",
         [
             (["pattern", "--name", "triangle"],
-             "1d9267ce10488c3fd8f57b222712c9a5477b3677d2155c2209d45f17ec46a9d7"),
-            (PATTERN_B, "16bd46064a605add8e17e20d7b54a577fa10a54a73f6a4c1d8716195ed7f7e3d"),
+             "7e152825967ac9bdb4bf90df850f0574fed6e57237c32bef9a4878dbb2fd3404"),
+            (PATTERN_B, "e03c27f49fd1df40e5485ebe690732d32f21b7a3fcf234e508ea0875c577293f"),
             (["verify", "--k", "2"],
              "69c2b12b9be1e74f74ea1326d56577021313d83a562b15874a8c1279566f28ce"),
             # the search stops once its enclosure decides the verdict; run to
@@ -370,25 +380,25 @@ class TestOutputBytes:
             (["verify", "--k", "1"],
              "f7b45037734ce7977d008d8bd7fb51232e7ca1a04f0619c99a458ede64f95f84"),
             (["verify", "--k", "4"],
-             "f5c12e2e18613adc11d70f79007d2d6a55ace89d57fe38a58ed1dee48f793b7c"),
+             "de6760d84b2627ed1e5d7bc918f64552d5b043235fe5b799ac6e73879ae6da8d"),
             (["radius", "--k", "2", "--tol", "1e-9"],
              "b6888c1f928ef574f595bccf9ac3a5c2671fbda4046adff7a9046275d4f9cd99"),
             (["density", "--k", "2"],
              "02c036b820f116ddbf61fa228069591ac4f8eb69922b91a4062c43b7e0f2c8a9"),
             (["voronoi", "--congruence"],
-             "6d4cd1435da87f1a1da860f7b9f1a054e996ff105757150662b981ea50a5d69c"),
+             "09cf3af5cde99d36a306ac7ef7ac822c22e3a70c032ed33ebbc8294057230527"),
             (["bounds", "--k", "2"],
              "d7dd22220b437eddc3edf8c52670652bb6267c88467128af3f84be5d1f740261"),
             # the digest of the SVG file; stdout stays empty
             (["render", "--size", "64"],
-             "4035980e3a88fabde4b2a0709a271fd86829d6c9cd9257761aadb056b685b120"),
+             "27ba46824b68e56d896075feef6e68ad1bc3aa8620cf08961e8b83cd280bbeca"),
             # aeeb5339...bfa4b3827 and f0b1a248...3b83615baba8f with
             # refinements until one lowered nothing: only "evaluations"
             # differed, 354 and 325 against 162 and 200
             (["optimize", "--k", "2"],
              "762e926c8aa972524d8e550c211830f21fb81cce4b773b5b6af68aca2320d6d8"),
             (["optimize", "--mode", "pattern-b", "--k", "2"],
-             "7303662a9dacaed144fe2e4db375ed51d32f6149b5f233fc18711d1bf0176934"),
+             "14a98e25cb5fcc7365cecbd373d464a5267d7040aabe5648ca0c8948fc3d7ce5"),
         ],
         ids=["triangle", "pattern_b", "verify", "verify_covered", "verify_uncovered",
              "radius", "density", "voronoi", "bounds", "render", "optimize",
@@ -441,6 +451,17 @@ class TestExitCodes:
                          b'"v":[-40410019.78444752,16754419.062762985],'
                          b'"offsets":[[0,0]],"radius":1}',
                          ["verify"], 3, id="reduction-cycle"),
+            # each offset's lattice coordinates are finite, but those of their
+            # difference overflow in the reduced basis (test_lattice.py)
+            pytest.param(b'{"u":[1.3e154,0],"v":[-0.9e154,0.9e154],'
+                         b'"offsets":[[1.2987e154,0],[-0.8991e154,0.8991e154]],"radius":1e154}',
+                         ["verify"], 3, id="offset-difference-overflows"),
+            # 10 offsets past 1e144, where the separation check compares every
+            # pair, two of them coinciding
+            pytest.param(json.dumps({"u": [2.0**500, 0], "v": [0, 2.0**500], "radius": 2.0**500,
+                                     "offsets": [[(i % 9 + 0.5) * 2.0**496, 2.0**499]
+                                                 for i in range(10)]}).encode(),
+                         ["verify"], 3, id="offsets-coincide-past-1e144"),
             pytest.param(None, ["verify", "--k", BIG], 4, id="k-beyond-floats-verify"),
             pytest.param(None, ["radius", "--k", BIG], 4, id="k-beyond-floats-radius"),
             pytest.param(None, ["density", "--k", BIG], 4, id="k-beyond-floats-density"),
@@ -592,6 +613,66 @@ class TestPipeline:
         assert not any(m == "scipy" or m.startswith("scipy.") for m in modules)
 
 
+def _pattern_specs() -> list[PatternSpec]:
+    # the named patterns, then seeded pattern_b triples
+    specs = [PatternSpec(name) for name in ("triangle", "pattern_c_a", "pattern_c_b")]
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        x = rng.uniform(0.3, 1.0)
+        y = rng.uniform(0.2, math.sqrt(1.0 - x * x) + 1.0)
+        specs.append(PatternSpec("pattern_b", x, y, rng.uniform(0.01, 1.99) * y))
+    return specs
+
+
+def _pattern_argv(spec: PatternSpec) -> list[str]:
+    # repr gives the shortest decimal that reads back as the same float
+    params = [(f"--{name}", getattr(spec, name)) for name in ("x", "y", "d")]
+    return ["pattern", "--name", spec.name, *(
+        arg for flag, value in params if value is not None for arg in (flag, repr(value))
+    )]
+
+
+class TestPipelineEqualsLibrary:
+    """`pattern | stage` prints what the library computes on the pattern's
+    own configuration: the JSON between them carries every bit of it."""
+
+    def test_pattern_pipes_into_verify_and_radius(self, capsys, monkeypatch):
+        for n, spec in enumerate(_pattern_specs()):
+            code, text = _run(capsys, _pattern_argv(spec))
+            assert code == 0
+            config, k = spec.build(), 1 + n % 3
+            enclosure = covering_radius(config, k, 1e-9)
+            for stage, expected in (
+                (["verify", "--k", str(k)], verify_k_coverage(config, k).to_dict()),
+                (["radius", "--k", str(k), "--tol", "1e-9"], {
+                    "k": k,
+                    "low": enclosure.low,
+                    "high": enclosure.high,
+                    "witness": [enclosure.witness.x, enclosure.witness.y],
+                    "converged": enclosure.converged,
+                }),
+            ):
+                monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+                code, out = _run(capsys, stage)
+                assert code == 0
+                assert out == json.dumps(expected) + "\n", (spec, stage)
+
+    def test_a_config_rebuilt_with_its_certified_radius_recertifies_to_it(self):
+        # as the optimizer reports its winner: the searched config again,
+        # with the upper end of its enclosure as the radius
+        for spec in _pattern_specs():
+            bare = spec.build()
+            high = covering_radius(bare, 2, 1e-4).high
+            config = PeriodicConfig(bare.basis, bare.offsets, high)
+            assert config.offsets == bare.offsets
+            assert covering_radius(config, 2, 1e-4).high == high
+        for result in (optimize_single_lattice(2, tol=1e-4), optimize.optimize_pattern_b(tol=1e-4)):
+            config = result.best_config
+            enclosure = covering_radius(config, 2, 1e-4)
+            assert enclosure.high == config.radius
+            assert enclosure.certificate(2, config.radius, 1e-4) == result.certificate
+
+
 def _loads_numpy(modules: set[str]) -> bool:
     return any(m == "numpy" or m.startswith("numpy.") for m in modules)
 
@@ -647,7 +728,7 @@ class TestImportGraph:
             "print(loaded(), repr(r.low), repr(r.high), r.boxes)\n"
         )
         # the enclosure pinned in test_coverage.py::test_pinned_enclosures
-        assert out == ["False", "True", "0.9999999999999689", "1.000000000000041", "49"]
+        assert out == ["False", "True", "0.9999999999999689", "1.0000000000000415", "49"]
 
     def test_numpy_imported_first_is_the_one_bound(self):
         out = _python(

@@ -19,12 +19,13 @@ from diskcover import (
     enumerate_centers,
     kth_nearest_distance,
     kth_nearest_distance_batch,
+    pattern_b,
     reduce_basis,
     verify_k_coverage,
     voronoi_cell,
 )
 from diskcover import coverage, lattice, voronoi
-from helpers import min_offset_gap
+from helpers import min_offset_gap, random_config, skewed_config
 
 # a rotated honeycomb basis on which mu flips between +1 and -1 at every
 # step of the reduction; the pair is reduced already
@@ -371,6 +372,86 @@ class TestPeriodicConfig:
         assert calls == [cfg.basis]
 
 
+def _bits(cfg: PeriodicConfig) -> list[str]:
+    # every stored number, told apart down to the sign of a zero
+    return [x.hex() for p in cfg.offsets for x in p.as_tuple()] + [cfg.radius.hex()]
+
+
+def _seeded_configs() -> list[PeriodicConfig]:
+    rng = np.random.default_rng(33)
+    configs = [skewed_config(rng, int(n)) for n in rng.integers(1, 9, 120)]
+    configs += [random_config(rng) for _ in range(120)]
+    for _ in range(120):
+        x = rng.uniform(0.3, 1.0)
+        y = rng.uniform(0.2, math.sqrt(1.0 - x * x) + 1.0)
+        configs.append(pattern_b(x, y, rng.uniform(0.01, 1.99) * y))
+    return configs
+
+
+def _assert_fixed_point(cfg: PeriodicConfig) -> None:
+    for again in (
+        PeriodicConfig.from_json(cfg.to_json()),
+        PeriodicConfig(cfg.basis, cfg.offsets, cfg.radius),
+    ):
+        assert again == cfg and _bits(again) == _bits(cfg)
+
+
+class TestCanonicalOffsets:
+    """A configuration is a fixed point of its own constructor: offsets move
+    by whole lattice vectors only, so one already in the cell stays as given."""
+
+    @pytest.mark.parametrize("kind", range(3), ids=["skewed", "random", "pattern_b"])
+    def test_round_trip_and_rebuild_keep_every_bit(self, kind):
+        for cfg in _seeded_configs()[120 * kind : 120 * (kind + 1)]:
+            _assert_fixed_point(cfg)
+
+    def test_an_offset_inside_the_cell_is_stored_as_given(self):
+        rng = np.random.default_rng(34)
+        for cfg in _seeded_configs()[::3]:
+            (ux, uy), (vx, vy) = cfg.basis.u, cfg.basis.v
+            s, t = rng.uniform(0.01, 0.99, 2)
+            p = Point(s * ux + t * vx, s * uy + t * vy)
+            assert _bits(PeriodicConfig(cfg.basis, [p], 1.0))[:2] == [p.x.hex(), p.y.hex()]
+
+    @pytest.mark.parametrize("exponent", [0, 3, 6, 9, 12, 15])
+    def test_offsets_shifted_by_many_cells(self, exponent):
+        rng = np.random.default_rng(exponent)
+        for cfg in _seeded_configs()[::4]:
+            (ux, uy), (vx, vy) = cfg.basis.u, cfg.basis.v
+            for p in cfg.offsets:
+                i, j = np.round(rng.uniform(-1.0, 1.0, 2) * 10.0**exponent)
+                q = (p.x + (i * ux + j * vx), p.y + (i * uy + j * vy))
+                moved = PeriodicConfig(cfg.basis, [q], cfg.radius)
+                _assert_fixed_point(moved)
+                x, y = moved.offsets[0].as_tuple()
+                s, t = (x * vy - y * vx) / cfg.det, (y * ux - x * uy) / cfg.det
+                assert -1e-12 <= s < 1.0 + 1e-12 and -1e-12 <= t < 1.0 + 1e-12
+
+    def test_offsets_on_the_cell_edges(self):
+        # lattice coordinates within a few ulps of an integer, where the
+        # computed ones can round to either side from one pass to the next
+        rng = np.random.default_rng(35)
+        nudges = (0.0, 3e-17, -7e-17, 1e-16, -1e-16, 2e-15, -2e-15)
+        for cfg in _seeded_configs():
+            (ux, uy), (vx, vy) = cfg.basis.u, cfg.basis.v
+            for _ in range(3):
+                s, t = rng.uniform(0.0, 1.0, 2)
+                edge = int(rng.integers(-2, 3)) + nudges[rng.integers(len(nudges))]
+                s, t = [(edge, t), (s, edge), (edge, edge)][rng.integers(3)]
+                moved = PeriodicConfig(cfg.basis, [(s * ux + t * vx, s * uy + t * vy)], 1.0)
+                _assert_fixed_point(moved)
+
+    def test_power_of_two_scaling_is_exact(self):
+        for cfg in _seeded_configs()[::6]:
+            for m in (-10, -3, 5, 40, 300):
+                scaled = cfg.scaled(2.0**m)
+                assert [x.hex() for x in (*scaled.basis.u, *scaled.basis.v)] == [
+                    (2.0**m * x).hex() for x in (*cfg.basis.u, *cfg.basis.v)
+                ]
+                assert _bits(scaled) == [(2.0**m * float.fromhex(x)).hex() for x in _bits(cfg)]
+                assert scaled.scaled(2.0**-m) == cfg
+
+
 # well-scaled floats and small ints, so that valid configs occur, and one
 # leaf in eight drawn from every float, ints beyond the float range, and
 # leaves that are no numbers
@@ -591,6 +672,47 @@ def test_many_offsets_compare_only_neighbours(monkeypatch, copy):
     else:
         assert len(PeriodicConfig.from_dict(data).offsets) == len(offsets)
     assert len(compared) <= len(offsets)
+
+
+def test_offset_difference_overflowing_in_the_reduced_basis_raises():
+    # each offset alone has finite lattice coordinates, but their difference,
+    # close to u - v, is longer than either: dx * vy overflows in the reduced
+    # basis u = (4e153, 9e153), v = (-9e153, 9e153)
+    data = {"u": [1.3e154, 0], "v": [-0.9e154, 0.9e154], "radius": 1e154}
+    offsets = [[0.999 * 1.3e154, 0.0], [-0.999 * 0.9e154, 0.999 * 0.9e154]]
+    for p in offsets:
+        PeriodicConfig.from_dict(data | {"offsets": [p]})
+    with mock.patch.object(lattice, "_min_periodic_gap", wraps=lattice._min_periodic_gap) as gap:
+        with pytest.raises(ConfigFormatError, match="offset overflows the float range"):
+            PeriodicConfig.from_dict(data | {"offsets": offsets})
+    assert gap.call_count == 1
+
+
+@pytest.mark.parametrize("copy", [False, True])
+def test_offsets_past_1e144_compare_every_pair(monkeypatch, copy):
+    # so large that the (s, t) of a difference could overflow, 10 offsets
+    # are compared pair by pair, not by buckets
+    f = 2.0**500
+    # the last one on the ninth when copy is set
+    offsets = [[(i + 0.5) * f / 16, f / 2] for i in range(9)]
+    offsets.append([(8.5 if copy else 9.5) * f / 16, f / 2])
+    compared = []
+    near_pairs = lattice._near_pairs
+
+    def counted(*args):
+        for pair in near_pairs(*args):
+            compared.append(pair)
+            yield pair
+
+    monkeypatch.setattr(lattice, "_near_pairs", counted)
+    data = {"u": [f, 0], "v": [0, f], "offsets": offsets, "radius": f}
+    if copy:
+        with pytest.raises(ConfigFormatError, match="coincide"):
+            PeriodicConfig.from_dict(data)
+    else:
+        assert len(PeriodicConfig.from_dict(data).offsets) == 10
+    assert len(compared) == 45
+
 
 def _brute_centers(cfg: PeriodicConfig, rect: Rect, margin: float, bound: int = 12):
     out = set()

@@ -226,7 +226,7 @@ WINNERS = {
     # 5.428161882165829, on the same lattice, v = (1/2, sqrt(7)/2)
     5: "7f6459204cd1702a2866f1754f6f28122749337f93ca0ff92affbcc4f506c15b",
     6: "4ff50769265547f2f7d5dd78023e893daa1ab98b6115e4f40b4e8ad6edec4e3b",
-    "pattern_b": "dcaa83ffac7d6b296beb6ce60c00c7c67582fa5a271fca96fb0fd608baa8e2c7",
+    "pattern_b": "7221d2b69d146d2f642be0b1fb9142b9190b6c168823d91f14afde68d5c17580",
 }
 
 
@@ -253,7 +253,7 @@ HISTORIES = {
     2: (162, "720eb4a39b56f8e36371d16615e059976baa70ab7208255cdc02ba5dcf0305e3"),
     3: (159, "a32e20b02cc66c4faad69a75b6b7d818b63cba2dc4a70b45869c7e62dddbec0d"),
     4: (128, "774ea350886708ecb08eebb1b1169de0545c800be6f7cc3c3b2db73b1007e734"),
-    "pattern_b": (200, "a95809891ffaaac7618b318ce979307b08f5d68e17f3cfd800c47d1a9d98536f"),
+    "pattern_b": (200, "8336dbb4d1a2b255fe458873db10107487f201ba09389b2f9dbb95a87c13b272"),
 }
 
 
