@@ -106,9 +106,12 @@ _FINISH_BOXES = _CHUNK_ELEMENTS // (6 * math.comb(_FINISH_CAP, 3))
 # unit roundoff of float64
 _U = 2.0**-53
 # bound on the error of a computed d_k, in units of _U times the field's
-# coordinate scale: the rounding of the center positions (at most about
-# 13 u scale for a reduced basis), of d^2 and its square root (3 u d_k),
-# and of the sums that widen a bound by it
+# coordinate scale: the rounding of the center positions, of d^2 and its
+# square root (3 u d_k), and of the sums that widen a bound by it.  Each
+# reduced basis vector is a lattice vector correctly rounded
+# (`reduce_basis`), so a center i u + j v + p is off by at most
+# 4 u (|i u| + |j v|) + u |c| per coordinate, and |i u| + |j v| <=
+# 2 |i u + j v| for a reduced basis: at most about 13 u scale
 _EVAL_ULPS = 32.0
 
 
@@ -147,7 +150,9 @@ class CoveringRadius(Record):
 
     `low` is d_k at the witness less the field's evaluation error;
     `boxes` counts every d_k evaluation, box centers and finish
-    candidates alike.
+    candidates alike.  A closed-form decision (`covering_radius` with
+    `decide`) samples no point: its witness is None, `low` the area bound
+    A, `high` the lattice reach L and `boxes` 0.
     """
 
     _fields = ("low", "high", "witness", "boxes", "converged")
@@ -214,7 +219,7 @@ class _CenterField:
         reduced = config.reduced
         len_u, len_v = reduced.lengths()
         count = len(config.offsets)
-        area = math.sqrt(k * (config.basis.det / count) / math.pi) + len_u + len_v
+        area = math.sqrt(k * (reduced.det / count) / math.pi) + len_u + len_v
         corner = max(abs(rect.xmin), abs(rect.xmax), abs(rect.ymin), abs(rect.ymax))
         offset = max([abs(c) for p in config.offsets for c in (p.x, p.y)])
         self.eval_error = _EVAL_ULPS * _U * (corner + offset + area)
@@ -556,17 +561,24 @@ def covering_radius(
 
     Stops once high - low <= tol (converged) or, with `decide`, once the
     enclosure lies wholly on one side of the configured radius r: low > r
-    or high <= r (Moore 1966).  Both tests run after each level's bounds
-    and after each finish.  A decided stop ends the converged search's
-    sequence of levels early: every low and high on the way is a
-    certified bound of max d_k, so the decided enclosure is sound, and it
-    contains the converged one up to the rounding of high, which each
-    level recomputes.  A finish wider than tol runs one more level and
-    tries again only while it has a circumcenter whose e_q alone exceeds
-    tol and its high fell since the last try; otherwise it stops
-    unconverged, as when tol is below the rounding floor e_q + 2e of the
-    vertex.  The search also stops unconverged once the half-diagonal is
-    at most e.  Wherever it stops, `converged` is high - low <= tol.
+    or high <= r (Moore 1966).  With `decide`, the closed-form enclosure
+    A <= max d_k <= L of `_CenterField`'s proofs comes first: A the area
+    bound sqrt(k det / (n pi)) and L `_lattice_reach` for ceil(k / n)
+    copies, both of the reduced basis and each moved out by 1e-9 of
+    itself.  When L <= r it is returned as it is, with no witness and 0
+    boxes, and `converged` is high - low <= tol as everywhere; an L that
+    overflowed is inf and decides nothing.  Past it, both tests run after
+    each level's bounds and after each finish.  A decided stop ends the
+    converged search's sequence of levels early: every low and high on
+    the way is a certified bound of max d_k, so the decided enclosure is
+    sound, and it contains the converged one up to the rounding of high,
+    which each level recomputes.  A finish wider than tol runs one more
+    level and tries again only while it has a circumcenter whose e_q
+    alone exceeds tol and its high fell since the last try; otherwise it
+    stops unconverged, as when tol is below the rounding floor e_q + 2e
+    of the vertex.  The search also stops unconverged once the
+    half-diagonal is at most e.  Wherever it stops, `converged` is
+    high - low <= tol.
 
     `boxes` counts every d_k evaluation, finish candidates included.  A
     level or a finish that would take it past `max_boxes` is skipped whole
@@ -576,6 +588,15 @@ def covering_radius(
     """
     _check_k(k)
     _check_tol(tol)
+    r = config.radius
+    if decide:
+        # the closed-form enclosure of `_CenterField`: A <= max d_k <= L
+        reduced = config.reduced
+        count = len(config.offsets)
+        high = _lattice_reach(reduced, -(-k // count)) * (1.0 + 1e-9)
+        if high <= r:
+            low = math.sqrt(k * (reduced.det / count) / math.pi) * (1.0 - 1e-9)
+            return CoveringRadius(low, high, None, 0, high - low <= tol)
     # the level's box centers as rows x and y
     cols, half, rect = _root_grid(config)
     # the field holds every center of a root box's ring
@@ -585,7 +606,6 @@ def covering_radius(
     top = -math.inf
     processed = 0
     finish_high = math.inf
-    r = config.radius
     while True:
         vals = field.dk(cols)
         processed += len(vals)
@@ -662,7 +682,10 @@ def verify_k_coverage(
     The verdict is `CoveringRadius.certificate`'s, on the enclosure of a
     search that stops as soon as that enclosure decides it (`decide`):
     a certified verdict may come with an enclosure wider than tol, which
-    `covering_radius` alone narrows further.
+    `covering_radius` alone narrows further.  When the lattice reach L
+    of the closed-form enclosure is at most r, the verdict is covered
+    with no search: no witness, radius_low the area bound A and
+    radius_high L.
 
     Soundness: the search stops at its first bound with low > r or
     high <= r, and every bound it computes is certified, low <= max d_k
@@ -674,7 +697,12 @@ def verify_k_coverage(
     recomputes: only an r within that rounding of high could see the
     converged search call tight what this one proves covered.  A search
     that meets neither test runs to its end, so tight and undecided
-    enclosures are the converged search's bit for bit.
+    enclosures are the converged search's bit for bit.  L, like every
+    high, is a certified upper bound, so L <= r proves coverage, and the
+    precedence puts a proof of coverage before tight.  The converged
+    search can call tight or undecided a radius r >= L only when its high
+    ends above r, that is more than L - max d_k above the maximum, which
+    tol allows but the exact finish seldom leaves.
     """
     k = _check_k(k)
     cover = covering_radius(config, k, tol, max_boxes, decide=True)

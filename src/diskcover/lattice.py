@@ -69,32 +69,51 @@ def reduce_basis(basis: Basis) -> Basis:
     """Lagrange-Gauss reduction of a planar basis.
 
     The reduced basis spans the same lattice and the same determinant,
-    with |u| <= |v| and |dot(u, v)| <= |u|^2 / 2.  Raises ValueError when
-    the reduction stalls: on extremely skewed bases the rounding of
-    v - mu * u can undo every step, or |u|^2 can underflow.  Every dot
-    product is x0 * y0 + x1 * y1 in plain floats, so the result does not
-    depend on how a linear-algebra library rounds.  The loop ends at
+    with |u| <= |v| and |dot(u, v)| <= |u|^2 / 2, both up to rounding.
+    Each of its vectors is the correctly rounded value of an exact integer
+    combination of the given u and v, so no step moves the lattice.
+
+    The reduction runs in plain floats, every dot product as
+    x0 * y0 + x1 * y1, so the result does not depend on how a
+    linear-algebra library rounds.  A float step v - mu * u is exact when u and v are exact
+    lattice vectors, mu is a power of two and the subtraction leaves no
+    remainder; with a remainder it is rounded once, which keeps the
+    guarantee only while no later step reads it.  A result that relies on
+    any other step is discarded for the same reduction in Python integers
+    (`_reduce_exactly`), rounded once at the end: on a basis given with
+    |v| / |u| of 10^3 and more, the float steps leave the lattice by about
+    u |v| / |u| of |u|.
+
+    The float loop decides whether the basis reduces at all, and raises
+    ValueError when it stalls: on extremely skewed bases the rounding of
+    v - mu * u can undo every step, or |u|^2 can underflow.  It ends at
     mu = 0, or at the first state that comes back two steps later, so no
     answer depends on the step bound, which only raises; a state that
     comes back with |dot(u, v)| above |u|^2 / 2 by more than 1e-9 of it
     raises too.  A basis that ends where it began is returned as it is.
     """
     (ux, uy), (vx, vy) = basis.u, basis.v
-    # the states at the top of the last two steps, the older first
-    older = last = None
+    # 2 while a vector is a lattice vector exactly, 1 once it is one rounded
+    # once, 0 once it is neither
+    grade_u = grade_v = 2
+    # the states at the top of the last two steps, the older first, each
+    # with its grades
+    older = last = (None, None)
     for _ in range(_MAX_REDUCTION_STEPS):
         uu = ux * ux + uy * uy
         vv = vx * vx + vy * vy
         if vv < uu:
             ux, uy, vx, vy, uu = vx, vy, ux, uy, vv
+            grade_u, grade_v = grade_v, grade_u
         state = (ux, uy, vx, vy)
-        if state == older:
+        if state == older[0]:
             # each state is a function of the one before, so the loop could
             # only cycle from here.  Rounding flips mu between +1 and -1 on
             # a pair with dot(u, v) at |u|^2 / 2 up to rounding (hexagonal);
             # a state past that, beyond rounding, means the reduction stalled
             if abs(ux * vx + uy * vy) > 0.5 * uu * (1.0 + 1e-9):
                 raise ValueError("basis reduction did not converge")
+            grade_u, grade_v = older[1]
             break
         ratio = (ux * vx + uy * vy) / uu if uu > 0.0 else math.inf
         if not math.isfinite(ratio):
@@ -103,18 +122,52 @@ def reduce_basis(basis: Basis) -> Basis:
         mu = round(ratio)
         if mu == 0:
             break
-        vx, vy = vx - mu * ux, vy - mu * uy
-        older, last = last, state
+        older, last = last, (state, (grade_u, grade_v))
+        # a power of two times a float is exact, short of an overflow,
+        # which the next step raises on
+        px, py = mu * ux, mu * uy
+        x, y = vx - px, vy - py
+        if grade_u < 2 or grade_v < 2 or abs(mu) & (abs(mu) - 1):
+            grade_v = 0
+        else:
+            grade_v = 2 if math.fsum((vx, -px, -x)) == math.fsum((vy, -py, -y)) == 0.0 else 1
+        vx, vy = x, y
     else:
         raise ValueError("basis reduction did not converge")
     if state == (*basis.u, *basis.v):
         return basis
+    if not (grade_u and grade_v):
+        return _reduce_exactly(basis)
     return Basis((ux, uy), (vx, vy))
+
+
+def _reduce_exactly(basis: Basis) -> Basis:
+    """Lagrange-Gauss reduction of `basis` in Python integers.
+
+    The four coordinates, as integers over their common power-of-two
+    denominator, reduce without rounding, and each reduced coordinate is
+    rounded once, by the correctly rounded integer division.  mu rounds
+    halves up, so a pair with dot(u, v) = |u|^2 / 2 takes one step to
+    -|u|^2 / 2 and stops.
+    """
+    ratios = [c.as_integer_ratio() for c in (*basis.u, *basis.v)]
+    scale = max(d for _, d in ratios)
+    ux, uy, vx, vy = [n * (scale // d) for n, d in ratios]
+    while True:
+        uu = ux * ux + uy * uy
+        if vx * vx + vy * vy < uu:
+            ux, uy, vx, vy = vx, vy, ux, uy
+            uu = ux * ux + uy * uy
+        mu = (2 * (ux * vx + uy * vy) + uu) // (2 * uu)
+        if mu == 0:
+            return Basis((ux / scale, uy / scale), (vx / scale, vy / scale))
+        vx, vy = vx - mu * ux, vy - mu * uy
 
 
 def _lattice_reach(reduced: Basis, copies: int = 1) -> float:
     """rho + lam: every point has `copies` distinct centers of each offset
-    within this distance, for at most 7 copies; inf for more.
+    within this distance, for at most 7 copies; inf for more, and where
+    rounding leaves rho below half the triangle's longest side.
 
     rho, the lattice's covering radius, is the circumradius of the
     triangle (0, u, v) of the reduced basis, v replaced by -v where
@@ -136,6 +189,11 @@ def _lattice_reach(reduced: Basis, copies: int = 1) -> float:
     len_u, len_v = reduced.lengths()
     len_w = math.hypot(ux - vx, uy - vy)
     rho = len_u * len_v * len_w / (2.0 * reduced.det)
+    # a circumradius is at least half the longest side, |u - v| here; a
+    # value below that, or nan, comes from an over- or underflow and
+    # bounds nothing
+    if not rho * (1.0 + 1e-9) >= 0.5 * len_w:
+        return math.inf
     return rho + (0.0, len_u, len_v, len_w)[copies // 2]
 
 

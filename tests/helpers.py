@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -28,11 +29,16 @@ def child_env() -> dict[str, str]:
 
 
 def oracle_centers(config: PeriodicConfig, reach: float) -> np.ndarray:
-    """All centers within `reach` of the fundamental parallelogram, brute force.
+    """Every center within `reach` of the fundamental parallelogram, brute force.
 
     Translate indices are bounded through the row-spacing identity
     dist(line(v), u) = det/|v|, so the window provably contains every
-    center at distance <= reach from any point of the parallelogram.
+    center at distance <= reach from any point of the parallelogram.  Of
+    the window, the centers within `reach` of both strips 0 <= s <= 1 and
+    0 <= t <= 1 in lattice coordinates (s, t) are kept: the parallelogram
+    is their intersection, so that holds every center within `reach` of
+    it.  The distance to a strip is its excess in s times det/|v|, in t
+    times det/|u|.
     """
     u = np.array(config.basis.u, dtype=float)
     v = np.array(config.basis.v, dtype=float)
@@ -44,7 +50,11 @@ def oracle_centers(config: PeriodicConfig, reach: float) -> np.ndarray:
     ii, jj = np.meshgrid(np.arange(-imax, imax + 1), np.arange(-jmax, jmax + 1), indexing="ij")
     base = ii[..., None] * u + jj[..., None] * v
     pts = (base[:, :, None, :] + offs[None, None, :, :]).reshape(-1, 2)
-    return pts
+    s = (pts[:, 0] * v[1] - pts[:, 1] * v[0]) / det
+    t = (pts[:, 1] * u[0] - pts[:, 0] * u[1]) / det
+    gap_s = np.maximum(np.maximum(-s, s - 1.0), 0.0) * (det / np.linalg.norm(v))
+    gap_t = np.maximum(np.maximum(-t, t - 1.0), 0.0) * (det / np.linalg.norm(u))
+    return pts[(gap_s <= reach) & (gap_t <= reach)]
 
 
 def _dist2_matrix(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -159,6 +169,33 @@ def reduced_cell_centers(config: PeriodicConfig, reach: float) -> np.ndarray:
         w = np.clip(((pts - a) @ edge) / (edge @ edge), 0.0, 1.0)
         gap = np.minimum(gap, np.linalg.norm(pts - a - w[:, None] * edge, axis=1))
     return pts[inside | (gap <= reach)]
+
+
+def exact_lattice_covering_radius_squared(basis: Basis) -> Fraction:
+    """The squared covering radius of the lattice of `basis`, exactly.
+
+    Lagrange-Gauss reduction runs in `Fraction`s on the given floats, so
+    its basis spans their lattice exactly.  With v replaced by -v where
+    dot(u, v) < 0, the triangle (0, u, v) of a reduced basis is
+    non-obtuse and its circumradius is the covering radius (the vertices
+    of a lattice point's Voronoi cell are such circumcenters), so R^2 =
+    |u|^2 |v|^2 |u - v|^2 / (4 det^2), a rational.
+    """
+    (ux, uy), (vx, vy) = [[Fraction(c) for c in w] for w in (basis.u, basis.v)]
+    while True:
+        uu = ux * ux + uy * uy
+        if vx * vx + vy * vy < uu:
+            ux, uy, vx, vy = vx, vy, ux, uy
+            uu = ux * ux + uy * uy
+        mu = round((ux * vx + uy * vy) / uu)
+        if mu == 0:
+            break
+        vx, vy = vx - mu * ux, vy - mu * uy
+    if ux * vx + uy * vy < 0:
+        vx, vy = -vx, -vy
+    det = ux * vy - uy * vx
+    sides = (ux * ux + uy * uy) * (vx * vx + vy * vy) * ((ux - vx) ** 2 + (uy - vy) ** 2)
+    return sides / (4 * det * det)
 
 
 def circumcenter_covering_radius(config: PeriodicConfig, k: int) -> float:

@@ -148,9 +148,9 @@ class TestVerifyCommand:
     @pytest.mark.parametrize(
         "payload",
         [
-            # lattice indices past the int64 range; an unguarded cast wrapped
-            # them and certified these disks, which do 2-cover, as uncovered
-            {"u": [1e-155, 0], "v": [1e150, 1e150], "offsets": [[0, 0]], "radius": 5.001e149},
+            # lattice indices past the int64 range, at a radius below the
+            # closed-form bound L = 5.000000005e149, so the search runs
+            {"u": [1e-155, 0], "v": [1e150, 1e150], "offsets": [[0, 0]], "radius": 5e149},
             # finite indices, but about 1.6e10 lattice points to enumerate
             {"u": [1e-6, 0], "v": [0, 1000], "offsets": [[0, 0]], "radius": 1},
         ],
@@ -165,6 +165,20 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: center enumeration needs more than")
         assert captured.err.count("\n") == 1
+
+    def test_covering_needle_is_proven_in_closed_form(self, tmp_path, capsys):
+        # the needle above at a radius past L: these disks do 2-cover (an
+        # unguarded cast once certified them uncovered), and the closed
+        # form A <= max d_2 <= L proves it with no center enumeration
+        payload = {"u": [1e-155, 0], "v": [1e150, 1e150], "offsets": [[0, 0]], "radius": 5.001e149}
+        path = tmp_path / "needle.json"
+        path.write_text(json.dumps(payload))
+        code, out = _run(capsys, ["verify", "--config", str(path), "--k", "2"])
+        assert code == 0
+        cert = json.loads(out)
+        assert (cert["status"], cert["witness"]) == ("certified_covered", None)
+        assert cert["radius_low"] == pytest.approx(0.0025, rel=0.01)
+        assert cert["radius_high"] == pytest.approx(5.0e149, rel=1e-8)
 
     def test_no_config_no_pipe_exit_2(self, monkeypatch, capsys):
         class FakeTty:
@@ -372,13 +386,18 @@ class TestOutputBytes:
             (["pattern", "--name", "triangle"],
              "7e152825967ac9bdb4bf90df850f0574fed6e57237c32bef9a4878dbb2fd3404"),
             (PATTERN_B, "e03c27f49fd1df40e5485ebe690732d32f21b7a3fcf234e508ea0875c577293f"),
+            # k = 2 and 1 are covered in closed form, the lattice reach
+            # L = 0.86667 being at most r = 1: no witness, and radius_low the
+            # area bound A.  The search gave 69c2b12b...79566f28ce, enclosure
+            # [0.8666666666666395, 0.8666666666666989], at k = 2, and at
+            # k = 1 f7b45037...c87f95f84, [0.63246, 0.91530], stopped once
+            # decided, and 382c5412...c4c7c4359dec, [0.77015, 0.77015], to tol
             (["verify", "--k", "2"],
-             "69c2b12b9be1e74f74ea1326d56577021313d83a562b15874a8c1279566f28ce"),
-            # the search stops once its enclosure decides the verdict; run to
-            # tol they gave 382c5412...c4c7c4359dec, enclosure [0.77015,
-            # 0.77015], and 1f119a38...7c22d537, [1.22602, 1.22602]
+             "ad1fc80589f94dc8bfc7385511001ea6c76de302f70a44936156fed317f428d1"),
             (["verify", "--k", "1"],
-             "f7b45037734ce7977d008d8bd7fb51232e7ca1a04f0619c99a458ede64f95f84"),
+             "7ca0b4e31c9b711b7e7481c58ab117e601665495fb72ddea1752bbd696929c3e"),
+            # the search stops once its enclosure decides the verdict; run to
+            # tol it gave 1f119a38...7c22d537, [1.22602, 1.22602]
             (["verify", "--k", "4"],
              "de6760d84b2627ed1e5d7bc918f64552d5b043235fe5b799ac6e73879ae6da8d"),
             (["radius", "--k", "2", "--tol", "1e-9"],

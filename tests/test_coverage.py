@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +23,9 @@ from diskcover import (
     verify_k_coverage,
 )
 from helpers import (
+    child_env,
     circumcenter_covering_radius,
+    exact_lattice_covering_radius_squared,
     finish_reference,
     grid_covering_radii,
     optimizer_start_configs,
@@ -939,10 +943,11 @@ class TestVerifyKCoverage:
         assert statuses == ["tight"] * 160
 
     def test_verdict_is_the_converged_searchs(self):
-        # verify's search stops once its enclosure decides the verdict; the
-        # search run to tol must give the same status from an enclosure
-        # inside the decided one, in no fewer boxes, and the same fields bit
-        # for bit when the verdict is tight or undecided
+        # verify's search stops once its enclosure decides the verdict, or
+        # decides coverage in closed form before it starts; the search run
+        # to tol must give the same status from an enclosure inside the
+        # decided one, in no fewer boxes, and the same fields bit for bit
+        # when the verdict is tight or undecided
         def bits(r):
             floats = (r.low, r.high, r.witness.x, r.witness.y)
             return tuple(x.hex() for x in floats) + (r.boxes, r.converged)
@@ -989,8 +994,79 @@ class TestVerifyKCoverage:
             "tight": 264,
             "undecided": 6,
         }
-        # the covered and uncovered verdicts that stopped early
-        assert early == 245
+        # the covered and uncovered verdicts that stopped early: 64 of them
+        # are decided in closed form, 6 of which ran the whole search before
+        assert early == 251
+
+    def test_closed_form_decisions_are_the_converged_searchs(self):
+        # verify's search starts with the closed form A <= max d_k <= L and
+        # decides coverage at once when L <= r; the search run to tol must
+        # then call the same radius covered from an enclosure inside [A, L],
+        # and the decision must scale bit for bit with a power of two
+        rng = np.random.default_rng(151)
+        cases = [(skewed_config(rng, n), k) for k in range(1, 9) for n in range(1, 9)]
+        cases += [(random_config(rng, 8), k) for k in range(1, 9) for _ in range(8)]
+        cases += _critical_configs()
+        decided = []
+        for cfg, k in cases:
+            def at(r, f=1.0):
+                return PeriodicConfig(cfg.basis, cfg.offsets, r).scaled(f)
+
+            closed = covering_radius(at(1e300), k, 1e-9, decide=True)
+            if closed.boxes:
+                # L is inf past 7 copies of each offset
+                assert k > 7 * len(cfg.offsets)
+                continue
+            assert closed.witness is None
+            full = covering_radius(cfg, k, 1e-9)
+            # L itself, the next float above it, and the config's own radius
+            for r in (closed.high, math.nextafter(closed.high, math.inf), cfg.radius):
+                cert = verify_k_coverage(at(r), k, 1e-9)
+                ours = covering_radius(at(r), k, 1e-9, decide=True)
+                if ours.boxes:
+                    assert r < closed.high
+                    continue
+                decided.append(r == cfg.radius)
+                assert (ours.low, ours.high, ours.converged) == (
+                    closed.low, closed.high, closed.converged
+                )
+                assert ours.converged == (ours.high - ours.low <= 1e-9)
+                assert cert.status == full.certificate(k, r, 1e-9).status == "certified_covered"
+                assert cert.witness is None
+                assert (cert.radius_low, cert.radius_high) == (ours.low, ours.high)
+                assert ours.low <= full.low and full.high <= ours.high
+            below = math.nextafter(closed.high, 0.0)
+            for m in range(-10, 151, 10):
+                f = 2.0**m
+                scaled = covering_radius(at(closed.high, f), k, f * 1e-9, decide=True)
+                assert (scaled.low, scaled.high) == (f * closed.low, f * closed.high)
+                assert scaled.witness is None
+                assert (scaled.boxes, scaled.converged) == (0, closed.converged)
+                # no closed form below L: the search evaluates its root
+                short = covering_radius(at(below, f), k, f * 1e-9, max_boxes=1, decide=True)
+                assert short.boxes > 0
+        # the 130 cases with a finite L at L and above it, 55 of them at
+        # their own radius too
+        assert (decided.count(False), decided.count(True)) == (2 * 130, 55)
+
+    def test_a_shrunk_lattice_reach_contradicts_the_search(self, monkeypatch):
+        # the closed form is only as sound as L: 1% off it, it certifies
+        # coverage at radii the converged search proves uncovered
+        rng = np.random.default_rng(151)
+        cases = [(skewed_config(rng, n), k) for k in range(1, 5) for n in range(1, 5)]
+        fulls = [covering_radius(cfg, k, 1e-9) for cfg, k in cases]
+        reach = coverage._lattice_reach
+        monkeypatch.setattr(
+            coverage, "_lattice_reach", lambda reduced, copies=1: 0.99 * reach(reduced, copies)
+        )
+        contradicted = 0
+        for (cfg, k), full in zip(cases, fulls):
+            big = PeriodicConfig(cfg.basis, cfg.offsets, 1e300)
+            r = covering_radius(big, k, 1e-9, decide=True).high
+            cert = verify_k_coverage(PeriodicConfig(cfg.basis, cfg.offsets, r), k, 1e-9)
+            assert cert.status == "certified_covered"
+            contradicted += full.certificate(k, r, 1e-9).status == "certified_uncovered"
+        assert contradicted > 0
 
     def test_undecided_when_budget_tiny(self):
         cfg = PeriodicConfig(Basis((1.07, 0), (0.33, 0.91)), [(0, 0)], radius=1.0)
@@ -1012,3 +1088,54 @@ class TestVerifyKCoverage:
 
     def test_accepts_a_numpy_integer_k(self):
         assert covering_radius(SQUARE, np.int64(2)) == covering_radius(SQUARE, 2)
+
+
+# a basis given with |v| / |u| = 1.4e10, whose float reduction left the
+# lattice and certified disks of radius 0.83160231 as a covering, with
+# radius_high 0.8316021601136125; its covering radius is 0.8316027703190051
+SHEARED = {"u": [1.293266676093484, 0.24900154773122402],
+           "v": [18116544389.559875, 3488103171.1062884],
+           "offsets": [[0.0, 0.0]], "radius": 0.8316023126648487}
+
+
+def _sheared_bases(rng: np.random.Generator, per: int):
+    """`per` seeded bases for each e = 1..12, v = m u + c u rotated by 90
+    degrees, with m in [10^e, 10^(e + 1)) and c in [1/2, 2]."""
+    for e in range(1, 13):
+        for _ in range(per):
+            phi = rng.uniform(0.0, 2.0 * math.pi)
+            scale = math.exp(rng.uniform(math.log(0.5), math.log(2.0)))
+            ux, uy = scale * math.cos(phi), scale * math.sin(phi)
+            m = 10.0 ** (e + rng.uniform(0.0, 1.0))
+            c = rng.uniform(0.5, 2.0)
+            yield Basis((ux, uy), (m * ux - c * uy, m * uy + c * ux))
+
+
+class TestShearedBases:
+    """Single lattices given far from reduced, against their covering
+    radius R computed exactly (`exact_lattice_covering_radius_squared`)."""
+
+    def test_enclosure_holds_the_exact_covering_radius(self):
+        for basis in _sheared_bases(np.random.default_rng(157), 20):
+            r2 = exact_lattice_covering_radius_squared(basis)
+            cover = covering_radius(PeriodicConfig(basis, [(0.0, 0.0)], 1.0), 1, tol=1e-12)
+            assert Fraction(cover.low) ** 2 <= r2 <= Fraction(cover.high) ** 2
+            # neither side of R certified as the other
+            exact = math.sqrt(r2)
+            below = PeriodicConfig(basis, [(0.0, 0.0)], exact * (1.0 - 1e-9))
+            above = PeriodicConfig(basis, [(0.0, 0.0)], exact * (1.0 + 1e-9))
+            assert verify_k_coverage(below, 1, 1e-12).status != "certified_covered"
+            assert verify_k_coverage(above, 1, 1e-12).status != "certified_uncovered"
+
+    def test_reproducer_is_not_certified_covered(self):
+        r2 = exact_lattice_covering_radius_squared(Basis(SHEARED["u"], SHEARED["v"]))
+        assert SHEARED["radius"] < math.sqrt(r2)
+        proc = subprocess.run(
+            [sys.executable, "-m", "diskcover", "verify", "--k", "1"],
+            input=json.dumps(SHEARED), capture_output=True, text=True, timeout=120,
+            env=child_env(),
+        )
+        assert proc.returncode == 0
+        cert = json.loads(proc.stdout)
+        assert cert["status"] == "certified_uncovered"
+        assert Fraction(cert["radius_low"]) ** 2 <= r2 <= Fraction(cert["radius_high"]) ** 2

@@ -120,6 +120,28 @@ class TestReduceBasis:
             assert abs(abs(np.linalg.det(t)) - 1.0) < 1e-6
             assert r.det == pytest.approx(b.det, rel=1e-9)
 
+    def test_reduced_vectors_are_lattice_vectors_correctly_rounded(self):
+        # each reduced coordinate is the float nearest to that of an exact
+        # integer combination of the given vectors, on random bases, on
+        # hexagonal ones whose rounding cycles, and on bases sheared by up
+        # to 10^12, where float steps left the lattice
+        rng = np.random.default_rng(29)
+        bases = [Basis(tuple(m[0]), tuple(m[1])) for m in rng.uniform(-5, 5, (100, 2, 2))]
+        bases += [ROTATED_HONEYCOMB, *map(_rotated_hexagon, (28, 29, 79, 83, 164))]
+        for e in range(1, 13):
+            u = rng.uniform(-2.0, 2.0, 2)
+            v = 10.0**e * rng.uniform(1.0, 10.0) * u + rng.uniform(-2.0, 2.0, 2)
+            bases.append(Basis(tuple(u), tuple(v)))
+        for basis in bases:
+            (ux, uy), (vx, vy) = [[Fraction(c) for c in w] for w in (basis.u, basis.v)]
+            det = ux * vy - uy * vx
+            reduced = reduce_basis(basis)
+            for wx, wy in reduced.u, reduced.v:
+                # the integer coefficients (i, j) of w = i u + j v
+                i = round((Fraction(wx) * vy - Fraction(wy) * vx) / det)
+                j = round((Fraction(wy) * ux - Fraction(wx) * uy) / det)
+                assert (wx, wy) == (float(i * ux + j * vx), float(i * uy + j * vy))
+
     def test_hexagonal_rounding_cycle_is_reduced(self):
         b = ROTATED_HONEYCOMB
         r = reduce_basis(b)
